@@ -1,58 +1,31 @@
 #!/usr/bin/env python3
 """Guard the async scheduler's contention headline.
 
-Compares a fresh exp_contention run (--json output) against the curated
-baseline in bench/baselines/BENCH_contention.json and fails (exit 1) if the
-event-loop backend loses its edge over the threads backend.
+Reads a fresh exp_contention run (--json output) and fails (exit 1) if the
+event-loop backend's throughput cliffs as executors grow.
 
-Raw tuples/s is not comparable across machines, so every gated quantity is a
-same-run ratio (async tuples/s divided by rt tuples/s at the same executor
-count, or async-at-256 divided by async-at-64): a slower machine cancels out
-of both numerator and denominator. Three gates:
+Raw tuples/s is not comparable across machines, so the gated quantity is a
+same-run ratio: throughput at 256 executors divided by throughput at 64
+executors, which must stay >= CLIFF_FLOOR (a logical worker costs no OS
+thread, so adding executors must not collapse throughput).
 
-  1. absolute floor  — async >= MIN_RATIO_256 x rt at 256 executors (the
-                       acceptance headline: cv-slicing collapses there, task
-                       suspension must not);
-  2. no cliff        — async keeps >= CLIFF_FLOOR of its 64-executor
-                       throughput at 256 executors;
-  3. drift           — each async_vs_rt ratio must stay within THRESHOLD of
-                       the baseline's ratio (catches slow erosion while the
-                       absolute floor still passes).
-
-Usage: check_contention_regression.py CURRENT.json [--baseline PATH]
-                                      [--min-ratio-256 2.0]
-                                      [--cliff-floor 0.6] [--threshold 0.5]
+Usage: check_contention_regression.py CURRENT.json [--cliff-floor 0.6]
 """
 
 import argparse
 import json
 import sys
 
-EXECUTOR_AXIS = (8, 64, 256)
-
 
 def load_rows(path):
     with open(path) as f:
         data = json.load(f)
-    rows = {}
-    for row in data["rows"]:
-        rows[(row["backend"], row["executors"])] = row
-    return rows
-
-
-def ratio(rows, executors):
-    rt = rows.get(("rt", executors))
-    async_row = rows.get(("async", executors))
-    if rt is None or async_row is None:
-        raise KeyError(f"missing rt/async rows at {executors} executors")
-    if rt["tuples_per_s"] <= 0:
-        raise ValueError(f"rt tuples_per_s is zero at {executors} executors")
-    return async_row["tuples_per_s"] / rt["tuples_per_s"]
+    return {row["executors"]: row for row in data["rows"] if row["backend"] == "async"}
 
 
 def retention(rows):
-    at64 = rows.get(("async", 64))
-    at256 = rows.get(("async", 256))
+    at64 = rows.get(64)
+    at256 = rows.get(256)
     if at64 is None or at256 is None:
         raise KeyError("missing async rows at 64/256 executors")
     if at64["tuples_per_s"] <= 0:
@@ -63,47 +36,16 @@ def retention(rows):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("current", help="fresh exp_contention --json output")
-    parser.add_argument("--baseline", default="bench/baselines/BENCH_contention.json")
-    parser.add_argument("--min-ratio-256", type=float, default=2.0,
-                        help="min async/rt throughput ratio at 256 executors")
     parser.add_argument("--cliff-floor", type=float, default=0.6,
                         help="min async 256-vs-64 throughput retention")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="max allowed fractional drop vs the baseline ratio")
     args = parser.parse_args()
 
-    baseline = load_rows(args.baseline)
-    current = load_rows(args.current)
-
-    failures = 0
-
-    cur_256 = ratio(current, 256)
-    status = "OK" if cur_256 >= args.min_ratio_256 else "FAIL"
-    if status == "FAIL":
-        failures += 1
-    print(f"async vs rt at 256 executors: {cur_256:.2f}x "
-          f"(floor {args.min_ratio_256:.1f}x) {status}")
-
-    cur_ret = retention(current)
-    status = "OK" if cur_ret >= args.cliff_floor else "FAIL"
-    if status == "FAIL":
-        failures += 1
+    cur_ret = retention(load_rows(args.current))
+    ok = cur_ret >= args.cliff_floor
     print(f"async retention 64 -> 256 executors: {cur_ret:.2f} "
-          f"(floor {args.cliff_floor:.2f}) {status}")
-
-    for executors in EXECUTOR_AXIS:
-        base = ratio(baseline, executors)
-        cur = ratio(current, executors)
-        change = cur / base - 1.0
-        status = "OK"
-        if change < -args.threshold:
-            status = "REGRESSION"
-            failures += 1
-        print(f"async_vs_rt at {executors} executors: baseline {base:.2f}x -> "
-              f"current {cur:.2f}x ({change:+.1%} vs -{args.threshold:.0%} allowed) {status}")
-
-    if failures:
-        print(f"\n{failures} contention gate(s) failed", file=sys.stderr)
+          f"(floor {args.cliff_floor:.2f}) {'OK' if ok else 'FAIL'}")
+    if not ok:
+        print("\ncontention gate failed", file=sys.stderr)
         return 1
     print("\ncontention headline within budget")
     return 0

@@ -1,7 +1,5 @@
 // C1 — scheduler contention sweep: throughput of the bounded
-// (kBlockUpstream) data path as a function of executor count, on the
-// threads backend (rt: one OS thread per worker, per-queue mutex +
-// condition variable, cv-sliced backpressure waits) and the async
+// (kBlockUpstream) data path as a function of executor count on the async
 // backend (event loop: executors are tasks on a fixed pool of loop
 // threads, backpressure suspends the emitting task).
 //
@@ -9,27 +7,22 @@
 // spine as exp_scale, sized so the executor count matches the sweep
 // point (relay and sink each get half the executors, one per worker).
 // The spout heavily over-drives the pipeline, so the bounded queues are
-// saturated and every emission contends on the credit gate — the regime
-// where cv-slicing collapses and task suspension does not.
+// saturated and every emission contends on the credit gate.
 //
 // Metrics per configuration:
 //   tuples/s       — tuples executed per wall second (all stages)
-//   wakeups/tuple  — scheduler wakeups per executed tuple (rt: worker
-//                    loop passes; async: eventcount wakes). The rt
-//                    number explodes with executor count because every
-//                    sliced backpressure wait and empty-queue poll is a
-//                    wakeup; the async number stays flat.
+//   wakeups/tuple  — eventcount wakeups per executed tuple; stays flat as
+//                    executors grow, because a logical worker costs no
+//                    thread.
 //
-// Raw tuples/s is machine-dependent; the contract is the ratios. The
-// headline (and the CI gate in check_contention_regression.py) is
-// async-vs-rt throughput at each executor count plus the async
-// 64 -> 256 retention (no cliff).
+// Raw tuples/s is machine-dependent; the contract is a same-run ratio.
+// The headline (and the CI gate in check_contention_regression.py) is the
+// 64 -> 256 executor throughput retention (no cliff).
 //
-// Usage: exp_contention [--quick] [--json=PATH] [--backends=rt,async]
+// Usage: exp_contention [--quick] [--json=PATH]
 //   --quick     CI smoke: shorter runs, same executor axis
 //   --json      also write machine-readable rows (bench/baselines/
 //               BENCH_contention.json holds curated numbers)
-//   --backends  restrict to one backend (profiling runs)
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -42,7 +35,6 @@
 #include "common/table.hpp"
 #include "dsps/topology.hpp"
 #include "rt/async_engine.hpp"
-#include "rt/rt_engine.hpp"
 
 namespace {
 
@@ -75,9 +67,8 @@ class SinkBolt : public dsps::Bolt {
 };
 
 /// One spout + (executors-1)/2 relays + the rest sinks: with workers ==
-/// executors every worker hosts exactly one executor, so the rt backend
-/// runs `executors` OS threads while the async backend runs `executors`
-/// tasks on its fixed loop-thread pool.
+/// executors every worker hosts exactly one executor, so the sweep runs
+/// `executors` tasks on the fixed loop-thread pool.
 dsps::Topology make_topology(std::size_t executors, double rate) {
   std::size_t relays = executors > 2 ? (executors - 1) / 2 : 1;
   std::size_t sinks = executors > relays + 1 ? executors - relays - 1 : 1;
@@ -91,7 +82,6 @@ dsps::Topology make_topology(std::size_t executors, double rate) {
 }
 
 struct Row {
-  std::string backend;
   std::size_t executors = 0;
   std::uint64_t tuples = 0;
   double wall_s = 0.0;
@@ -102,9 +92,8 @@ struct Row {
   double stall_s = 0.0;
 };
 
-template <typename EngineT, typename ConfigT>
-Row run_backend(const char* name, ConfigT cfg, std::size_t executors, double rate,
-                int wall_ms) {
+Row run_sweep_point(std::size_t executors, double rate, int wall_ms) {
+  rt::AsyncConfig cfg;
   cfg.workers = executors;
   cfg.window_seconds = 0.25;
   // Saturated bounded path: tight queues, lossless backpressure. The
@@ -112,7 +101,7 @@ Row run_backend(const char* name, ConfigT cfg, std::size_t executors, double rat
   // drains), so every run spends most of its time at the credit gate.
   cfg.flow = {64, runtime::OverflowPolicy::kBlockUpstream};
   cfg.max_spout_pending = 10000;
-  EngineT engine(make_topology(executors, rate), cfg);
+  rt::AsyncEngine engine(make_topology(executors, rate), cfg);
 
   auto begin = std::chrono::steady_clock::now();
   engine.run_for(std::chrono::milliseconds(wall_ms));
@@ -120,7 +109,6 @@ Row run_backend(const char* name, ConfigT cfg, std::size_t executors, double rat
 
   rt::RtTotals t = engine.totals();
   Row row;
-  row.backend = name;
   row.executors = executors;
   row.tuples = t.executed;
   row.wall_s = wall;
@@ -133,32 +121,22 @@ Row run_backend(const char* name, ConfigT cfg, std::size_t executors, double rat
   return row;
 }
 
-const Row* find_row(const std::vector<Row>& rows, const std::string& backend,
-                    std::size_t executors) {
+const Row* find_row(const std::vector<Row>& rows, std::size_t executors) {
   for (const Row& r : rows) {
-    if (r.backend == backend && r.executors == executors) return &r;
+    if (r.executors == executors) return &r;
   }
   return nullptr;
 }
 
-/// async/rt throughput ratio at one executor count (0 when missing).
-double async_vs_rt(const std::vector<Row>& rows, std::size_t executors) {
-  const Row* rt_row = find_row(rows, "rt", executors);
-  const Row* async_row = find_row(rows, "async", executors);
-  if (rt_row == nullptr || async_row == nullptr || rt_row->tuples_per_s <= 0.0) return 0.0;
-  return async_row->tuples_per_s / rt_row->tuples_per_s;
-}
-
-/// async throughput retention from 64 to 256 executors (1.0 = flat).
-double async_retention(const std::vector<Row>& rows) {
-  const Row* at64 = find_row(rows, "async", 64);
-  const Row* at256 = find_row(rows, "async", 256);
+/// Throughput retention from 64 to 256 executors (1.0 = flat).
+double retention_64_to_256(const std::vector<Row>& rows) {
+  const Row* at64 = find_row(rows, 64);
+  const Row* at256 = find_row(rows, 256);
   if (at64 == nullptr || at256 == nullptr || at64->tuples_per_s <= 0.0) return 0.0;
   return at256->tuples_per_s / at64->tuples_per_s;
 }
 
-void write_json(const char* path, const std::vector<Row>& rows,
-                const std::vector<std::size_t>& executor_axis) {
+void write_json(const char* path, const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "exp_contention: cannot write %s\n", path);
@@ -167,24 +145,19 @@ void write_json(const char* path, const std::vector<Row>& rows,
   std::fprintf(f,
                "{\n"
                "  \"description\": \"exp_contention baseline: bounded kBlockUpstream "
-               "src->relay->sink spine at 8/64/256 executors on the threads (rt) and "
-               "event-loop (async) backends. Raw tuples/s is machine-dependent; the "
-               "contract is the async_vs_rt ratio per executor count (gate: >= 2.0 at "
-               "256) and the async 64->256 retention (gate: no cliff). Idle 1-core "
-               "host produced these numbers.\",\n"
+               "src->relay->sink spine at 8/64/256 executors on the async (event-loop) "
+               "backend. Raw tuples/s is machine-dependent; the contract is the "
+               "64->256 retention (gate: no cliff).\",\n"
                "  \"headline\": {\n");
-  for (std::size_t e : executor_axis) {
-    std::fprintf(f, "    \"async_vs_rt_%zu\": %.2f,\n", e, async_vs_rt(rows, e));
-  }
   std::fprintf(f, "    \"async_retention_64_to_256\": %.2f\n  },\n  \"rows\": [\n",
-               async_retention(rows));
+               retention_64_to_256(rows));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"executors\": %zu, \"tuples\": %llu, "
+                 "    {\"backend\": \"async\", \"executors\": %zu, \"tuples\": %llu, "
                  "\"tuples_per_s\": %.0f, \"wakeups\": %llu, \"wakeups_per_tuple\": %.2f, "
                  "\"suspends\": %llu, \"stall_s\": %.2f}%s\n",
-                 r.backend.c_str(), r.executors, static_cast<unsigned long long>(r.tuples),
+                 r.executors, static_cast<unsigned long long>(r.tuples),
                  r.tuples_per_s, static_cast<unsigned long long>(r.wakeups),
                  r.wakeups_per_tuple, static_cast<unsigned long long>(r.suspends), r.stall_s,
                  i + 1 < rows.size() ? "," : "");
@@ -199,15 +172,12 @@ int main(int argc, char** argv) {
   common::Flags flags(argc, argv);
   const bool quick = flags.get_bool("quick");
   const std::string json_path = flags.get("json");
-  const std::string backends = flags.get("backends", "rt,async");
-  for (const std::string& bad : flags.unknown({"quick", "json", "backends"})) {
+  for (const std::string& bad : flags.unknown({"quick", "json"})) {
     std::fprintf(stderr, "exp_contention: unknown flag --%s\n", bad.c_str());
     return 2;
   }
-  const bool want_rt = backends.find("rt") != std::string::npos;
-  const bool want_async = backends.find("async") != std::string::npos;
 
-  bench::banner("C1", "scheduler contention sweep (executors x backend, bounded block)");
+  bench::banner("C1", "scheduler contention sweep (executors, async backend, bounded block)");
 
   const std::vector<std::size_t> executor_axis = {8, 64, 256};
   const double rate = 500e3;  // over-drive: far above host drain capacity
@@ -215,39 +185,24 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (std::size_t executors : executor_axis) {
-    if (want_rt) {
-      rows.push_back(
-          run_backend<rt::RtEngine>("rt", rt::RtConfig{}, executors, rate, wall_ms));
-    }
-    if (want_async) {
-      rows.push_back(
-          run_backend<rt::AsyncEngine>("async", rt::AsyncConfig{}, executors, rate, wall_ms));
-    }
+    rows.push_back(run_sweep_point(executors, rate, wall_ms));
   }
 
   common::Table table(
-      {"backend", "executors", "tuples", "tuples/s", "wakeups", "wakeups/tuple", "suspends",
-       "stall-s"});
+      {"executors", "tuples", "tuples/s", "wakeups", "wakeups/tuple", "suspends", "stall-s"});
   for (const Row& r : rows) {
-    table.add_row({r.backend, std::to_string(r.executors), std::to_string(r.tuples),
+    table.add_row({std::to_string(r.executors), std::to_string(r.tuples),
                    common::format_double(r.tuples_per_s, 0), std::to_string(r.wakeups),
                    common::format_double(r.wakeups_per_tuple, 2), std::to_string(r.suspends),
                    common::format_double(r.stall_s, 2)});
   }
   table.print("C1: bounded data-path throughput vs executor count");
 
-  if (want_rt && want_async) {
-    for (std::size_t e : executor_axis) {
-      double ratio = async_vs_rt(rows, e);
-      if (ratio > 0.0) std::printf("async vs rt at %zu executors: %.2fx\n", e, ratio);
-    }
-    double retention = async_retention(rows);
-    if (retention > 0.0) {
-      std::printf("async throughput retention 64 -> 256 executors: %.0f%%\n",
-                  retention * 100.0);
-    }
+  const double retention = retention_64_to_256(rows);
+  if (retention > 0.0) {
+    std::printf("throughput retention 64 -> 256 executors: %.0f%%\n", retention * 100.0);
   }
 
-  if (!json_path.empty()) write_json(json_path.c_str(), rows, executor_axis);
+  if (!json_path.empty()) write_json(json_path.c_str(), rows);
   return 0;
 }

@@ -2,7 +2,7 @@
 // the declarative scenario registry drives.
 //
 //   ./build/bench/exp_scenario --list
-//   ./build/bench/exp_scenario <name> [--backend=sim|rt|async] [--seed=N]
+//   ./build/bench/exp_scenario <name> [--backend=sim|async] [--seed=N]
 //       [--duration=SECONDS] [--train-duration=SECONDS]
 //       [--controller=none|drnn|observed|elastic|drl|rate] [--set key=value ...]
 //       [--golden=FILE]
@@ -36,7 +36,7 @@ void usage(std::FILE* to) {
                "usage: exp_scenario <name> [flags]   run one registered scenario\n"
                "       exp_scenario --list           list registered scenarios\n"
                "       exp_scenario --all [flags]    run every scenario (smoke mode)\n"
-               "flags: --backend=sim|rt|async --seed=N --duration=SECONDS\n"
+               "flags: --backend=sim|async --seed=N --duration=SECONDS\n"
                "       --train-duration=SECONDS --controller=none|drnn|observed|elastic|drl|rate\n"
                "       --set key=value (repeatable via comma: --set k1=v1,k2=v2)\n"
                "       --golden=FILE (REPRO_UPDATE_GOLDEN=1 records)\n"

@@ -1,12 +1,12 @@
-// Real-threads runtime demo: the same topology API as the simulator, but
-// executed on actual OS threads with wall-clock pacing — and the same
-// dynamic grouping re-ratio applied live.
+// Wall-clock runtime demo: the same topology API as the simulator, but
+// executed by the async event-loop runtime on real loop threads with
+// wall-clock pacing — and the same dynamic grouping re-ratio applied live.
 //
 // Build & run:   ./build/examples/realtime_runtime_demo
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "rt/rt_engine.hpp"
+#include "rt/async_engine.hpp"
 
 using namespace repro;
 
@@ -47,11 +47,12 @@ int main() {
                    .dynamic_grouping("numbers");
   builder.set_bolt("sink", [] { return std::make_unique<SinkBolt>(); }).global_grouping("hash");
 
-  rt::RtConfig cfg;
+  rt::AsyncConfig cfg;
   cfg.workers = 3;
-  rt::RtEngine engine(builder.build(), cfg);
+  rt::AsyncEngine engine(builder.build(), cfg);
 
-  std::printf("running on %zu real threads for 1s with uniform split...\n", cfg.workers);
+  std::printf("running %zu workers on the async runtime for 1s with uniform split...\n",
+              cfg.workers);
   engine.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(1000));
   auto mid = engine.executed_per_task();
@@ -68,7 +69,7 @@ int main() {
     table.add_row({std::to_string(t - lo), std::to_string(mid[t]),
                    std::to_string(final_counts[t] - mid[t])});
   }
-  table.print("per-task executed counts (real threads)");
+  table.print("per-task executed counts (wall clock)");
 
   rt::RtTotals totals = engine.totals();
   std::printf("\nroots=%llu acked=%llu failed=%llu, mean complete latency=%.3f ms\n",

@@ -1,22 +1,20 @@
-// Reliability on the real-time runtimes: the predictive control loop —
-// written once against runtime::ControlSurface — attaches to rt::RtEngine
-// or rt::AsyncEngine exactly as it does to the simulator, detects an
+// Reliability on the wall-clock runtime: the predictive control loop —
+// written once against runtime::ControlSurface — attaches to
+// rt::AsyncEngine exactly as it does to the simulator, detects an
 // injected worker slowdown from wall-clock window statistics, and
 // re-ratios the dynamic grouping live to bypass the misbehaving worker.
 //
 // Build & run:   ./build/examples/rt_reliability_demo
-//                  [--backend=rt|async]
 //                  [--queue-cap=N --overflow-policy=unbounded|block|drop]
 //                  [--max-pending=N] [--batch-size=N]
 //
-// --backend picks the threads runtime (rt, default) or the event-loop
-// scheduler runtime (async); sim is rejected — this demo needs wall-clock
-// execution. The flow flags bound every task in-queue through
-// runtime::FlowControl (block = lossless backpressure into the spout
-// throttle, drop = shed and rely on replay); the per-task table reports
-// each hash task's peak observed queue depth, which stays <= cap under a
-// bounded policy. --batch-size sets the columnar TupleBatch size of the
-// data path. The scheduler line at the end surfaces the backend's wakeup
+// Runs on the async event-loop runtime; --backend=sim is rejected — this
+// demo needs wall-clock execution. The flow flags bound every task
+// in-queue through runtime::FlowControl (block = lossless backpressure
+// into the spout throttle, drop = shed and rely on replay); the per-task
+// table reports each hash task's peak observed queue depth, which stays
+// <= cap under a bounded policy. --batch-size sets the columnar
+// TupleBatch size of the data path. The scheduler line at the end surfaces the backend's wakeup
 // / steal / suspend counters (see dsps::SchedulerWindowStats).
 #include <algorithm>
 #include <chrono>
@@ -77,12 +75,10 @@ dsps::Topology build_topology() {
   return builder.build();
 }
 
-/// The demo body, identical across rt::RtEngine and rt::AsyncEngine —
-/// the whole point: the control loop and the reporting only ever touch
-/// the shared surface.
-template <typename EngineT, typename ConfigT>
-int run_demo(const ConfigT& cfg) {
-  EngineT engine(build_topology(), cfg);
+/// The demo body: the control loop and the reporting only ever touch the
+/// shared surface, exactly as they would on the simulator.
+int run_demo(const rt::AsyncConfig& cfg) {
+  rt::AsyncEngine engine(build_topology(), cfg);
 
   // The controller sees only the runtime-agnostic control surface — the
   // same attach() call works against dsps::Engine. Topology-wide attach
@@ -155,9 +151,7 @@ int run_demo(const ConfigT& cfg) {
                 (unsigned long long)totals.dropped_overflow,
                 engine.flow_control()->total_stall_seconds());
   }
-  // Scheduler observability: on rt a "wakeup" is one worker-loop pass
-  // (spurious = found nothing and slept) and there is no stealing or task
-  // suspension; async counts eventcount wakes, work steals and the
+  // Scheduler observability: eventcount wakes, work steals and the
   // suspend/resume pairs of the kBlockUpstream task-parking path.
   std::printf("scheduler: wakeups=%llu productive / %llu spurious, steals=%llu, "
               "suspends=%llu resumes=%llu, ready peak=%zu\n",
@@ -178,26 +172,21 @@ int main(int argc, char** argv) {
     for (const auto& u : flags.unknown(known)) {
       std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
     }
-    std::fprintf(stderr, "usage: rt_reliability_demo [--backend=rt|async]\n%s\n",
-                 runtime::data_path_flag_usage());
+    std::fprintf(stderr, "usage: rt_reliability_demo\n%s\n", runtime::data_path_flag_usage());
     return flags.get_bool("help") ? 0 : 2;
   }
 
   rt::AsyncConfig cfg;
   cfg.workers = 3;
   cfg.window_seconds = 0.1;
-  runtime::BackendKind backend = runtime::BackendKind::kRt;
+  runtime::BackendKind backend = runtime::BackendKind::kAsync;
   if (!runtime::apply_data_path_flags(flags, cfg.flow, cfg.max_spout_pending, cfg.batch_size,
                                       backend)) {
     return 2;
   }
   if (backend == runtime::BackendKind::kSim) {
-    std::fprintf(stderr,
-                 "--backend=sim: this demo needs wall-clock execution (use rt|async)\n");
+    std::fprintf(stderr, "--backend=sim: this demo needs wall-clock execution (use async)\n");
     return 2;
   }
-  if (backend == runtime::BackendKind::kAsync) {
-    return run_demo<rt::AsyncEngine>(cfg);
-  }
-  return run_demo<rt::RtEngine>(static_cast<const rt::RtConfig&>(cfg));
+  return run_demo(cfg);
 }

@@ -1,9 +1,9 @@
 // streamctl_cli — run any scenario from the command line and dump its
 // trace/metrics: the "operator's tool" for exploring the simulator and
-// the real-time backends.
+// the wall-clock async backend.
 //
 //   ./build/examples/streamctl_cli --app=url|cq --duration=120 --seed=42
-//       [--backend=sim|rt|async]
+//       [--backend=sim|async]
 //       [--hog=2.4] [--ramps=0] [--machines=3] [--workers=2] [--cores=2]
 //       [--fault-worker=N --fault-slowdown=X --fault-at=T]
 //       [--trace-out=path.csv] [--controller=drnn|observed|elastic|drl|rate|none]
@@ -12,9 +12,8 @@
 //       [--batch-size=N]
 //
 // --backend selects the engine under the same app + controller: sim (the
-// deterministic discrete-event simulator, default), rt (thread-per-worker
-// real-threads runtime) or async (event-loop scheduler runtime). On the
-// real-time backends --duration is wall-clock seconds, hog/ramp
+// deterministic discrete-event simulator, default) or async (event-loop
+// scheduler runtime). On async --duration is wall-clock seconds, hog/ramp
 // interference does not apply (it models simulated CPU contention), and
 // --fault-worker injects a live slowdown at --fault-at seconds.
 // --history-cap bounds the engine's window-history retention (the
@@ -80,14 +79,13 @@ void save_trace_if_requested(const common::Flags& flags,
   std::printf("trace written to %s (%zu windows)\n", trace_out.c_str(), history.size());
 }
 
-/// Drive the scenario's app on a real-time backend (rt or async) for
-/// `duration` wall-clock seconds. The controller attaches through the
-/// same runtime::ControlSurface as on the simulator.
-template <typename EngineT, typename ConfigT>
-int run_realtime(const exp::ScenarioOptions& scen, const ConfigT& cfg,
-                 const common::Flags& flags, double duration,
-                 std::unique_ptr<control::Controller> controller) {
-  EngineT engine(exp::make_app(scen).topology, cfg);
+/// Drive the scenario's app on the async backend for `duration`
+/// wall-clock seconds. The controller attaches through the same
+/// runtime::ControlSurface as on the simulator.
+int run_async(const exp::ScenarioOptions& scen, const rt::AsyncConfig& cfg,
+              const common::Flags& flags, double duration,
+              std::unique_ptr<control::Controller> controller) {
+  rt::AsyncEngine engine(exp::make_app(scen).topology, cfg);
 
   if (controller) controller->attach(engine);
   if (scen.hog_intensity > 0.0 || scen.ramp_rate > 0.0) {
@@ -205,8 +203,8 @@ int main(int argc, char** argv) {
   }
 
   if (backend != runtime::BackendKind::kSim) {
-    // Shared real-time config: logical workers = the simulator's worker
-    // grid, window/ack/flow settings carried over 1:1.
+    // Wall-clock config: logical workers = the simulator's worker grid,
+    // window/ack/flow settings carried over 1:1.
     rt::AsyncConfig cfg;
     cfg.workers = scen.cluster.machines * scen.cluster.workers_per_machine;
     cfg.window_seconds = scen.cluster.window_seconds;
@@ -215,11 +213,7 @@ int main(int argc, char** argv) {
     cfg.flow = scen.cluster.flow;
     cfg.batch_size = scen.cluster.batch_size;
     if (scen.cluster.history_capacity > 0) cfg.history_capacity = scen.cluster.history_capacity;
-    if (backend == runtime::BackendKind::kRt) {
-      return run_realtime<rt::RtEngine>(scen, static_cast<rt::RtConfig&>(cfg), flags, duration,
-                                        std::move(controller));
-    }
-    return run_realtime<rt::AsyncEngine>(scen, cfg, flags, duration, std::move(controller));
+    return run_async(scen, cfg, flags, duration, std::move(controller));
   }
 
   exp::Scenario s = exp::make_scenario(scen);

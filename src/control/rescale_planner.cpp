@@ -191,7 +191,7 @@ void ElasticController::round(runtime::ControlSurface& surface) {
     active[w] = surface.worker_active(w);
     if (alive[w] && active[w]) ++current;
   }
-  // attach() runs before the rt engines start their clock, so the seeded
+  // attach() runs before the async engine starts its clock, so the seeded
   // ws_last_time_ can postdate `now` there; the first in-run round becomes
   // the integral origin instead of contributing a bogus interval.
   if (now > ws_last_time_) {

@@ -96,7 +96,6 @@ Engine::Engine(Topology topology, ClusterConfig config)
   for (std::size_t w = 0; w < n_workers; ++w) {
     workers_[w].id = w;
     workers_[w].machine = assignment_.worker_to_machine[w];
-    workers_[w].executor_tasks = core_.worker_tasks()[w];
   }
 
   tasks_.resize(core_.task_count());
@@ -146,7 +145,7 @@ void Engine::schedule_spout_poll(std::size_t task, double delay) {
 
 void Engine::spout_poll(std::size_t task) {
   Spout& spout = *core_.task(task).spout;
-  if (!workers_[core_.task(task).worker].alive) {
+  if (!core_.alive(core_.owner(task))) {
     // Hosting worker is down with no survivor to take the executor; the
     // spout pauses until a restart re-hosts it.
     schedule_spout_poll(task, std::max(spout.next_delay(now()), 1e-3));
@@ -220,7 +219,7 @@ void Engine::recycle_batch(runtime::TupleBatch&& b) {
 
 void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) {
   if (batch.empty()) return;
-  std::size_t src_worker = core_.task(src_task).worker;
+  std::size_t src_worker = core_.owner(src_task);
   tasks_[src_task].window.emitted += batch.size();
   workers_[src_worker].window.emitted += batch.size();
   core_.route_batch(
@@ -268,8 +267,8 @@ void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) 
 }
 
 void Engine::transfer(std::size_t src_task, std::size_t dest, runtime::TupleBatch&& b) {
-  double delay = network_.transfer_delay(workers_[core_.task(src_task).worker].machine,
-                                         workers_[core_.task(dest).worker].machine);
+  double delay = network_.transfer_delay(workers_[core_.owner(src_task)].machine,
+                                         workers_[core_.owner(dest)].machine);
   queue_.schedule_after(delay, [this, dest, moved = std::move(b)]() mutable {
     deliver(dest, std::move(moved));
   });
@@ -295,7 +294,7 @@ void Engine::drain_parked(std::size_t dest) {
 
 void Engine::deliver(std::size_t dest_task, runtime::TupleBatch&& b) {
   TaskRuntime& task = tasks_[dest_task];
-  Worker& w = workers_[core_.task(dest_task).worker];
+  Worker& w = workers_[core_.owner(dest_task)];
   const std::size_t n = b.size();
   task.window.received += n;
   w.window.received += n;
@@ -367,8 +366,8 @@ void Engine::try_start(std::size_t task_id) {
   // queue — stop consuming input until the credit comes back (hop-by-hop
   // backpressure propagation).
   if (task.busy || task.queue.empty() || task.blocked_out > 0) return;
-  Worker& w = workers_[core_.task(task_id).worker];
-  if (!w.alive) return;  // parked on a dead worker (no survivor); restart resumes
+  Worker& w = workers_[core_.owner(task_id)];
+  if (!core_.alive(w.id)) return;  // parked on a dead worker (no survivor); restart resumes
   task.busy = true;
   QueuedBatch qb = std::move(task.queue.front());
   task.queue.pop_front();
@@ -514,19 +513,20 @@ void Engine::sample_window() {
     const runtime::TaskInfo& info = core_.task(i);
     std::size_t queue_len = t.queued_tuples + t.in_service;
     sample.tasks.push_back(runtime::finalize_task_window(
-        i, core_.components()[info.component].name, info.comp_index, info.worker, t.window,
-        queue_len));
+        i, core_.components()[info.component].name, info.comp_index, core_.owner(i),
+        t.window, queue_len));
   }
 
   sample.workers.reserve(workers_.size());
   for (auto& w : workers_) {
+    const std::vector<std::size_t>& hosted = core_.worker_tasks()[w.id];
     std::size_t qlen = 0;
-    for (std::size_t t : w.executor_tasks) {
+    for (std::size_t t : hosted) {
       qlen += sample.tasks[t].queue_len;
       w.window.bp_stall += sample.tasks[t].bp_stall;
     }
     sample.workers.push_back(runtime::finalize_worker_window(
-        w.id, w.machine, w.executor_tasks.size(), w.window, qlen, cfg_.window_seconds));
+        w.id, w.machine, hosted.size(), w.window, qlen, cfg_.window_seconds));
   }
 
   sample.machines.reserve(machines_.size());
@@ -571,7 +571,7 @@ void Engine::schedule_gc(std::size_t worker) {
   queue_.schedule_after(delay, [this, worker] {
     Worker& w = workers_[worker];
     double pause = rng_service_.lognormal_with_mean(cfg_.gc_pause_mean, 0.5);
-    if (w.alive) {
+    if (core_.alive(worker)) {
       // A dead process does not pause; the draw above still happens so the
       // RNG stream (shared with service-noise sampling) stays aligned
       // between crashing and crash-free runs of the same seed only when
@@ -604,14 +604,9 @@ void Engine::replay_root(std::size_t spout_task, Values&& values, std::size_t at
   acker_.discard_if_unanchored(root, now());
 }
 
-void Engine::refresh_worker_task_mirrors() {
-  for (auto& w : workers_) w.executor_tasks = core_.worker_tasks()[w.id];
-}
-
 void Engine::crash_worker(std::size_t worker) {
-  Worker& w = workers_.at(worker);
-  if (!w.alive) return;
-  w.alive = false;
+  if (!core_.mark_dead(worker)) return;
+  Worker& w = workers_[worker];
   ++w.incarnation;  // invalidates every in-flight service completion
   ++w.crashes;
   ++totals_.worker_crashes;
@@ -631,12 +626,12 @@ void Engine::crash_worker(std::size_t worker) {
     flow_.release_n(t, task.in_service);
     task.busy = false;
     task.in_service = 0;
-    if (core_.task(t).worker != worker) interrupted.push_back(t);
+    if (core_.owner(t) != worker) interrupted.push_back(t);
   }
   // The process also dies with everything its hosted tasks still queued.
   // A hosted task whose batch is mid-service on its previous (alive) host
   // keeps that service: the completion there balances the books.
-  std::vector<std::size_t> cleared_tasks = w.executor_tasks;
+  const std::vector<std::size_t> cleared_tasks = core_.worker_tasks()[worker];
   for (std::size_t t : cleared_tasks) {
     TaskRuntime& task = tasks_[t];
     std::size_t wiped = task.queued_tuples;
@@ -651,7 +646,7 @@ void Engine::crash_worker(std::size_t worker) {
     // timeout like any crash loss. Unblock the emitters being reassigned.
     for (auto& dest : tasks_) {
       for (auto it = dest.parked.begin(); it != dest.parked.end();) {
-        if (core_.task(it->src_task).worker == worker) {
+        if (core_.owner(it->src_task) == worker) {
           totals_.tuples_lost += it->batch.size();
           TaskRuntime& src = tasks_[it->src_task];
           if (src.blocked_out > 0) --src.blocked_out;
@@ -662,25 +657,10 @@ void Engine::crash_worker(std::size_t worker) {
       }
     }
   }
-  // Reassignment candidates: alive AND active — a retired worker must not
-  // pick up a dead one's executors.
-  std::vector<bool> alive(workers_.size(), false);
-  bool any_alive = false;
-  for (const auto& ww : workers_) {
-    alive[ww.id] = ww.alive && ww.active;
-    any_alive = any_alive || alive[ww.id];
-  }
-  if (any_alive) {
-    // Supervisor reassignment: deterministic least-loaded policy shared
-    // with the rt backend, so recovered routing tables match across
-    // backends.
-    for (const TaskMove& m : plan_crash_reassignment(core_.worker_tasks(), worker, alive)) {
-      core_.reassign_task(m.task, m.to_worker);
-    }
-    refresh_worker_task_mirrors();
-  }
-  // else: total outage — executors stay parked on the dead worker and
-  // resume on restart.
+  // Supervisor reassignment (shared deterministic policy, so recovered
+  // routing tables match across backends). On a total outage the
+  // executors stay parked on the dead worker and resume on restart.
+  core_.reassign_dead(worker);
   if (flow_.bounded()) {
     // The wiped queues freed credit: re-admit tuples parked at those
     // tasks' gates (after reassignment, so transfers see the new hosts).
@@ -692,104 +672,57 @@ void Engine::crash_worker(std::size_t worker) {
 }
 
 void Engine::restart_worker(std::size_t worker) {
-  Worker& w = workers_.at(worker);
-  if (w.alive) return;
-  w.alive = true;
-  ++totals_.worker_restarts;
-  if (!w.active) return;  // retired: rejoin the pool but host nothing
-  // Reclaim the originally assigned executors (graceful migration: the
+  // Reclaims the originally assigned executors (graceful migration: the
   // per-task queues live with the task, so queued tuples move with it; an
   // in-flight service on the interim host completes there first).
-  for (std::size_t t = 0; t < core_.task_count(); ++t) {
-    if (assignment_.task_to_worker[t] == worker && core_.task(t).worker != worker) {
-      core_.reassign_task(t, worker);
-    }
-  }
-  refresh_worker_task_mirrors();
-  for (std::size_t t : workers_.at(worker).executor_tasks) try_start(t);
+  if (!core_.restart(worker)) return;
+  ++totals_.worker_restarts;
+  if (!core_.worker_active(worker)) return;  // retired: rejoin the pool but host nothing
+  for (std::size_t t : core_.worker_tasks()[worker]) try_start(t);
 }
 
-bool Engine::worker_alive(std::size_t worker) const { return workers_.at(worker).alive; }
+bool Engine::worker_alive(std::size_t worker) const { return core_.worker_alive(worker); }
 
-bool Engine::worker_active(std::size_t worker) const { return workers_.at(worker).active; }
+bool Engine::worker_active(std::size_t worker) const { return core_.worker_active(worker); }
 
 std::vector<std::vector<std::size_t>> Engine::worker_task_snapshot() const {
   return core_.worker_tasks();
 }
 
 void Engine::add_worker(std::size_t worker) {
-  Worker& w = workers_.at(worker);
-  if (w.active) return;
-  w.active = true;
-  ++totals_.worker_adds;
+  if (core_.activate(worker)) ++totals_.worker_adds;
 }
 
 void Engine::retire_worker(std::size_t worker) {
-  Worker& w = workers_.at(worker);
-  if (!w.active) return;
-  w.active = false;
-  if (w.alive && !w.executor_tasks.empty()) {
-    std::vector<bool> hosts(workers_.size(), false);
-    bool any_host = false;
-    for (const auto& ww : workers_) {
-      hosts[ww.id] = ww.alive && ww.active;
-      any_host = any_host || hosts[ww.id];
-    }
-    if (!any_host) {
-      w.active = true;  // fail closed: the pool must keep a host
-      throw std::invalid_argument("retire_worker: no active worker left to host worker " +
-                                  std::to_string(worker) + "'s executors");
-    }
-    // Graceful drain via the shared deterministic policy, so the
-    // post-retire routing tables match across backends.
-    perform_migrations(plan_crash_reassignment(core_.worker_tasks(), worker, hosts));
+  // Graceful drain via the shared deterministic policy, so the
+  // post-retire routing tables match across backends.
+  std::optional<std::vector<TaskMove>> drained = core_.retire(worker);
+  if (!drained) return;
+  if (!drained->empty()) {
+    stall_migrations(*drained);
+    for (const TaskMove& m : *drained) try_start(m.task);
   }
   ++totals_.worker_retires;
 }
 
 void Engine::migrate_tasks(const std::vector<TaskMove>& moves) {
-  for (std::size_t i = 0; i < moves.size(); ++i) {
-    const TaskMove& m = moves[i];
-    const std::string field = "migrate_tasks: moves[" + std::to_string(i) + "]";
-    if (m.task >= core_.task_count()) {
-      throw std::invalid_argument(field + ".task: no task " + std::to_string(m.task));
-    }
-    if (m.to_worker >= workers_.size()) {
-      throw std::invalid_argument(field + ".to_worker: no worker " +
-                                  std::to_string(m.to_worker));
-    }
-    const Worker& dest = workers_[m.to_worker];
-    if (!dest.alive) {
-      throw std::invalid_argument(field + ".to_worker: worker " + std::to_string(m.to_worker) +
-                                  " is dead");
-    }
-    if (!dest.active) {
-      throw std::invalid_argument(field + ".to_worker: worker " + std::to_string(m.to_worker) +
-                                  " is retired");
-    }
-  }
-  perform_migrations(moves);
+  const std::vector<TaskMove> applied = core_.migrate(moves);
+  if (applied.empty()) return;
+  stall_migrations(applied);
+  // Tuple-conserving handoff: the per-task queues travel with the task;
+  // the new host resumes service on whatever is queued.
+  for (const TaskMove& m : moves) try_start(m.task);
 }
 
-void Engine::perform_migrations(const std::vector<TaskMove>& moves) {
-  bool moved = false;
-  for (const TaskMove& m : moves) {
-    std::size_t from = core_.task(m.task).worker;
-    if (from == m.to_worker) continue;
-    core_.reassign_task(m.task, m.to_worker);
+void Engine::stall_migrations(const std::vector<TaskMove>& applied) {
+  for (const TaskMove& m : applied) {
     ++totals_.task_migrations;
     // Modeled state handoff: checkpoint on the source, restore on the
     // destination — both stall for the configured pause. Stalls
     // accumulate, so a larger rescale batch costs proportionally more.
-    stall_worker(from, cfg_.rescale_pause);
+    stall_worker(m.from_worker, cfg_.rescale_pause);
     stall_worker(m.to_worker, cfg_.rescale_pause);
-    moved = true;
   }
-  if (!moved) return;
-  refresh_worker_task_mirrors();
-  // Tuple-conserving handoff: the per-task queues travel with the task;
-  // the new host resumes service on whatever is queued.
-  for (const TaskMove& m : moves) try_start(m.task);
 }
 
 void Engine::set_link_extra_delay(std::size_t machine_a, std::size_t machine_b,
@@ -797,28 +730,7 @@ void Engine::set_link_extra_delay(std::size_t machine_a, std::size_t machine_b,
   network_.set_link_extra_delay(machine_a, machine_b, extra_seconds);
 }
 
-std::string Engine::placement_audit() const {
-  std::string audit = core_.placement_audit();
-  if (!audit.empty()) return audit;
-  bool any_alive = false;
-  bool any_active = false;
-  for (const auto& w : workers_) {
-    any_alive = any_alive || w.alive;
-    any_active = any_active || (w.alive && w.active);
-  }
-  for (const auto& w : workers_) {
-    if (w.executor_tasks != core_.worker_tasks()[w.id]) {
-      return "engine mirror of worker " + std::to_string(w.id) + "'s task list is stale";
-    }
-    if (!w.alive && any_alive && !w.executor_tasks.empty()) {
-      return "dead worker " + std::to_string(w.id) + " still hosts executors";
-    }
-    if (w.alive && !w.active && any_active && !w.executor_tasks.empty()) {
-      return "retired worker " + std::to_string(w.id) + " still hosts executors";
-    }
-  }
-  return {};
-}
+std::string Engine::placement_audit() const { return core_.placement_audit(); }
 
 std::shared_ptr<DynamicRatio> Engine::dynamic_ratio(const std::string& from,
                                                     const std::string& to) const {

@@ -141,8 +141,7 @@ class Engine : public runtime::ControlSurface {
   /// (zero in any other mode; zero again once a bounded run drains).
   std::size_t parked_tuples() const;
   /// Placement-table consistency check (the chaos harness's routing
-  /// invariant): the core audit, the engine-side worker mirrors, and
-  /// no task left on a dead worker while survivors exist. Empty when
+  /// invariant; see runtime::TopologyState::placement_audit). Empty when
   /// consistent, else a diagnostic.
   std::string placement_audit() const;
 
@@ -222,11 +221,9 @@ class Engine : public runtime::ControlSurface {
   runtime::TupleBatch take_batch();
   void recycle_batch(runtime::TupleBatch&& b);
   void replay_root(std::size_t spout_task, Values&& values, std::size_t attempt);
-  void refresh_worker_task_mirrors();
-  /// Apply validated migrations: reassign in the core, stall both
-  /// endpoints by the rescale pause, refresh mirrors, restart service on
-  /// the moved tasks' preserved queues.
-  void perform_migrations(const std::vector<TaskMove>& moves);
+  /// Count migrations the core applied and stall both endpoints of each
+  /// by the modeled rescale pause.
+  void stall_migrations(const std::vector<TaskMove>& applied);
   void sample_window();
   void schedule_gc(std::size_t worker);
   void fire_control();

@@ -67,12 +67,11 @@ struct TopologyWindowStats {
   double p99_complete_latency = 0.0;
 };
 
-/// Scheduler observability (threaded backends; the simulator leaves it
+/// Scheduler observability (async backend; the simulator leaves it
 /// zeroed). Counter fields are deltas over the window; ready_depth is
 /// sampled at the window boundary and ready_peak is the lifetime peak.
-/// On the cv-based rt engine a "wakeup" is one worker-loop pass (productive
-/// = it found work, spurious = it went back to the idle sleep); on the
-/// async engine it is a loop thread waking from its eventcount wait.
+/// A "wakeup" is a loop thread waking from its eventcount wait
+/// (productive = it found work, spurious = it went back to sleep).
 struct SchedulerWindowStats {
   std::uint64_t wakeups_productive = 0;
   std::uint64_t wakeups_spurious = 0;

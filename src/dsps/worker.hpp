@@ -1,10 +1,11 @@
 #pragma once
-// Worker process state: placement, fault-injected health, and per-window
-// accounting. Workers are the unit the predictive controller reasons
-// about — a "misbehaving worker" is a worker whose slowdown, stalls, or
-// co-located hog load degrade the tuples routed through it.
+// Simulated worker process state: machine, fault-injected health, and
+// per-window accounting. Placement (hosted executors, liveness, scaling
+// eligibility) lives in the shared runtime::TopologyState. Workers are
+// the unit the predictive controller reasons about — a "misbehaving
+// worker" is a worker whose slowdown, stalls, or co-located hog load
+// degrade the tuples routed through it.
 #include <cstdint>
-#include <vector>
 
 #include "runtime/window_stats.hpp"
 #include "sim/clock.hpp"
@@ -14,7 +15,6 @@ namespace repro::dsps {
 struct Worker {
   std::size_t id = 0;
   std::size_t machine = 0;
-  std::vector<std::size_t> executor_tasks;  ///< global task ids hosted here
 
   // Fault-injection state (hidden from the controller's feature view;
   // observable only through its effect on runtime statistics).
@@ -22,22 +22,14 @@ struct Worker {
   sim::SimTime stall_until = 0.0;   ///< new services delayed until then
   double drop_prob = 0.0;           ///< tuple drop probability on arrival
 
-  // Crash/recovery state. `incarnation` bumps on every crash: service
-  // completions capture it at service start, so work begun before a crash
-  // is discarded instead of completing on a process that no longer exists.
-  bool alive = true;
+  // `incarnation` bumps on every crash: service completions capture it at
+  // service start, so work begun before a crash is discarded instead of
+  // completing on a process that no longer exists.
   std::uint64_t incarnation = 0;
   std::uint64_t crashes = 0;        ///< lifetime crash count (diagnostics)
 
-  // Elastic-scaling state, orthogonal to `alive`: a retired worker keeps
-  // its process but hosts no executors and is excluded from placement
-  // (crash reassignment, restart reclaim) until re-activated.
-  bool active = true;
-
   /// Per-window accounting (reset at each metrics sample).
   runtime::WorkerCounters window;
-
-  bool healthy() const { return alive && slowdown <= 1.0 && drop_prob == 0.0; }
 
   void reset_window() { window.reset(); }
 };

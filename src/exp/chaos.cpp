@@ -10,7 +10,6 @@
 #include "common/rng.hpp"
 #include "dsps/topology.hpp"
 #include "rt/async_engine.hpp"
-#include "rt/rt_engine.hpp"
 
 namespace repro::exp {
 namespace {
@@ -42,7 +41,7 @@ class ChaosRelay final : public dsps::Bolt {
 };
 
 /// Terminal stage: counts how often each sequence value arrives, shared
-/// across sink tasks (atomics: the rt mirror executes sinks concurrently).
+/// across sink tasks (atomics: the async mirror executes sinks concurrently).
 class ChaosSink final : public dsps::Bolt {
  public:
   using Counts = std::vector<std::atomic<std::uint32_t>>;
@@ -121,7 +120,7 @@ ChaosSpec make_chaos_spec_impl(std::uint64_t seed, const ScenarioSpec* shape) {
 
   // Every 5th seed is a parity scenario: deterministic groupings only and
   // a small stream, so the crash-free projection can be mirrored on the
-  // real-threads backend at low wall-clock cost.
+  // async backend at low wall-clock cost.
   bool parity = (seed % 5 == 0);
 
   double stream_time = parity ? 0.4 : rng.uniform(1.6, 3.0);
@@ -348,15 +347,14 @@ struct MirrorResult {
   rt::RtTotals totals;
 };
 
-/// Shared crash-free wall-clock mirror: run until the finite stream fully
-/// drains (every value executed once per stage), bounded by a safety net.
-template <typename EngineT, typename ConfigT>
-MirrorResult run_chaos_mirror(const ChaosSpec& spec, ConfigT cfg) {
+/// Crash-free wall-clock mirror: run until the finite stream fully drains
+/// (every value executed once per stage), bounded by a safety net.
+MirrorResult run_chaos_mirror(const ChaosSpec& spec, rt::AsyncConfig cfg) {
   BuiltChaos built = build_chaos_topology(spec);
   cfg.workers = spec.machines * spec.workers_per_machine;
   cfg.window_seconds = 0.1;
   cfg.batch_size = spec.batch_size;
-  EngineT engine(built.topo, cfg);
+  rt::AsyncEngine engine(built.topo, cfg);
   std::uint64_t expected = static_cast<std::uint64_t>(spec.tuple_limit) *
                            (spec.stage_parallelism.size() + 1);
   engine.start();
@@ -390,12 +388,8 @@ MirrorResult run_chaos_mirror(const ChaosSpec& spec, ConfigT cfg) {
 
 }  // namespace
 
-std::vector<std::uint64_t> run_chaos_rt(const ChaosSpec& spec) {
-  return run_chaos_mirror<rt::RtEngine>(spec, rt::RtConfig{}).executed_per_task;
-}
-
 std::vector<std::uint64_t> run_chaos_async(const ChaosSpec& spec) {
-  return run_chaos_mirror<rt::AsyncEngine>(spec, rt::AsyncConfig{}).executed_per_task;
+  return run_chaos_mirror(spec, rt::AsyncConfig{}).executed_per_task;
 }
 
 rt::RtTotals run_chaos_async_bounded(const ChaosSpec& spec) {
@@ -405,7 +399,7 @@ rt::RtTotals run_chaos_async_bounded(const ChaosSpec& spec) {
   // would push `executed` past the exact finite-stream expectation the
   // invariant checks against.
   cfg.ack_timeout = 30.0;
-  return run_chaos_mirror<rt::AsyncEngine>(spec, cfg).totals;
+  return run_chaos_mirror(spec, cfg).totals;
 }
 
 std::string check_chaos_invariants(const ChaosSpec& spec, const ChaosReport& r) {

@@ -13,7 +13,7 @@
 #include "dsps/engine.hpp"
 #include "dsps/fault.hpp"
 #include "exp/scenario_spec.hpp"
-#include "rt/rt_engine.hpp"
+#include "rt/async_engine.hpp"
 
 namespace repro::exp {
 
@@ -83,7 +83,7 @@ struct ChaosSpec {
   bool has_rescale = false;///< rescale_events is non-empty
   /// True when every grouping is deterministic (fields) and no ratio
   /// schedule exists: the scenario's crash-free projection routes
-  /// identically on the sim and rt backends, task by task.
+  /// identically on the sim and async backends, task by task.
   bool parity_friendly = false;
 };
 
@@ -122,13 +122,10 @@ struct ChaosReport {
 /// applies) — the mirror run for fault-isolation and parity checks.
 ChaosReport run_chaos_sim(const ChaosSpec& spec, bool include_faults = true);
 
-/// Crash-free wall-clock mirror on the real-threads runtime: runs the
+/// Crash-free wall-clock mirror on the async event-loop runtime: runs the
 /// spec's topology (no faults) until the finite stream drains and returns
 /// per-task executed counts. Only meaningful for parity-friendly specs,
 /// where routing is deterministic across backends.
-std::vector<std::uint64_t> run_chaos_rt(const ChaosSpec& spec);
-
-/// Same crash-free wall-clock mirror on the async event-loop runtime.
 std::vector<std::uint64_t> run_chaos_async(const ChaosSpec& spec);
 
 /// Bounded/batched chaos drain on the async backend: runs the crash-free

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "apps/continuous_query.hpp"
@@ -693,16 +692,13 @@ ScenarioRunResult run_scenario_sim(const ScenarioSpec& spec, control::Controller
   return result;
 }
 
-/// Live fault application for the wall-clock backends: sorted plan events
+/// Live fault application for the wall-clock backend: sorted plan events
 /// replayed on a timeline thread through the ControlSurface actuators.
 /// Sim-only kinds (machine hogs, stalls, link delays — they model the
 /// simulated cluster, not the in-process threads) are skipped and
 /// reported; ramps degrade to a step slowdown at the ramp's end value.
-template <typename EngineT>
-ScenarioRunResult run_scenario_realtime(const ScenarioSpec& spec,
-                                        control::Controller* controller) {
-  typename std::conditional<std::is_same<EngineT, rt::AsyncEngine>::value, rt::AsyncConfig,
-                            rt::RtConfig>::type cfg;
+ScenarioRunResult run_scenario_async(const ScenarioSpec& spec, control::Controller* controller) {
+  rt::AsyncConfig cfg;
   cfg.workers = spec.worker_count();
   cfg.window_seconds = spec.window_seconds;
   cfg.ack_timeout = spec.ack_timeout;
@@ -711,7 +707,7 @@ ScenarioRunResult run_scenario_realtime(const ScenarioSpec& spec,
   cfg.batch_size = spec.batch_size;
 
   ScenarioApp app = build_scenario_app(spec);
-  EngineT engine(app.topology, cfg);
+  rt::AsyncEngine engine(app.topology, cfg);
 
   if (controller) controller->attach(engine);
 
@@ -786,9 +782,7 @@ ScenarioRunResult run_scenario_with(const ScenarioSpec& spec, control::Controlle
   spec.validate();
   switch (spec.backend) {
     case runtime::BackendKind::kSim: return run_scenario_sim(spec, controller);
-    case runtime::BackendKind::kRt: return run_scenario_realtime<rt::RtEngine>(spec, controller);
-    case runtime::BackendKind::kAsync:
-      return run_scenario_realtime<rt::AsyncEngine>(spec, controller);
+    case runtime::BackendKind::kAsync: return run_scenario_async(spec, controller);
   }
   fail("run_scenario_with: invalid backend enum value");
 }

@@ -11,7 +11,7 @@
 // dag-executor's TaskSpec/TaskRegistrar contract model. One registered
 // spec drives the `exp_scenario` runner, the chaos harness
 // (make_chaos_spec(scenario, seed)), ctest smoke/golden coverage, and all
-// three backends (sim / rt / async).
+// two backends (sim / async).
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -22,7 +22,7 @@
 #include "dsps/cluster.hpp"
 #include "dsps/engine.hpp"
 #include "dsps/fault.hpp"
-#include "rt/rt_engine.hpp"
+#include "rt/async_engine.hpp"
 #include "runtime/flow_control.hpp"
 
 namespace repro::control {
@@ -171,7 +171,7 @@ struct ScenarioSpec {
   // --- run -------------------------------------------------------------
   runtime::BackendKind backend = runtime::BackendKind::kSim;
   std::uint64_t seed = 42;
-  double duration = 120.0;  ///< sim seconds (sim) / wall-clock seconds (rt, async)
+  double duration = 120.0;  ///< sim seconds (sim) / wall-clock seconds (async)
 
   /// Fail-closed validation: throws std::invalid_argument with a
   /// diagnostic naming the offending field. Called at registration and
@@ -248,7 +248,7 @@ ScenarioApp build_scenario_app(const ScenarioSpec& spec);
 
 /// Pure function of (interference, seed, cluster shape, time range): the
 /// hog-walk / slowdown-ramp fault plan the training traces and scenario
-/// runs schedule. No live engine needed, so rt/async runs can apply the
+/// runs schedule. No live engine needed, so async runs can apply the
 /// same plans.
 dsps::FaultPlan make_interference_plan(const InterferenceSpec& interference, std::uint64_t seed,
                                        std::size_t machines, std::size_t workers, double t0,
@@ -263,13 +263,13 @@ struct ScenarioRunResult {
   runtime::BackendKind backend = runtime::BackendKind::kSim;
   std::vector<dsps::WindowSample> history;
   dsps::EngineTotals totals;      ///< sim backend
-  rt::RtTotals rt_totals;         ///< rt / async backends
+  rt::RtTotals rt_totals;         ///< async backend
   double stall_seconds = 0.0;
   std::size_t control_rounds = 0;
   double mean_round_ms = 0.0;     ///< wall clock — excluded from golden tables
   std::size_t rescales = 0;       ///< elastic controller: applied rescale actions
   double worker_seconds = 0.0;    ///< elastic controller: active-worker integral
-  /// Fault kinds the backend could not apply (rt/async: sim-only kinds).
+  /// Fault kinds the backend could not apply (async: sim-only kinds).
   std::vector<std::string> skipped_faults;
 };
 

@@ -39,8 +39,8 @@ struct ScenarioOptions {
 };
 
 /// Build just the scenario's application topology — shared by the
-/// simulator path (make_scenario) and the real-time backends, which drive
-/// the same BuiltApp on rt::RtEngine / rt::AsyncEngine.
+/// simulator path (make_scenario) and the async backend, which drives the
+/// same BuiltApp on rt::AsyncEngine.
 apps::BuiltApp make_app(const ScenarioOptions& options);
 
 /// Build the app + engine for a scenario (caller owns the engine).

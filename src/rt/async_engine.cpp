@@ -76,8 +76,7 @@ class AsyncEngine::Collector : public runtime::TaskCollectorBase {
 AsyncEngine::AsyncEngine(dsps::Topology topology, AsyncConfig config)
     : topo_(std::move(topology)),
       config_(config),
-      assignment_(make_assignment(topo_, config_)),
-      core_(topo_, assignment_, 0x9000),
+      core_(topo_, make_assignment(topo_, config_), 0x9000),
       flow_(config_.flow, core_.task_count()),
       acker_(config.ack_timeout),
       history_(config.history_capacity) {
@@ -98,17 +97,16 @@ AsyncEngine::AsyncEngine(dsps::Topology topology, AsyncConfig config)
   }
   spout_cap_.store(config_.max_spout_pending, std::memory_order_relaxed);
   tasks_.resize(core_.task_count());
-  task_worker_.resize(core_.task_count());
   for (std::size_t gid = 0; gid < tasks_.size(); ++gid) {
     tasks_[gid].collector = std::make_unique<Collector>(this, gid);
     tasks_[gid].queue = std::make_unique<TaskQueue>();
-    task_worker_[gid].store(core_.task(gid).worker, std::memory_order_relaxed);
   }
   workers_.resize(config_.workers);
 
   loop_ = std::make_unique<EventLoop>(
       default_threads(config_), core_.task_count(),
-      [this](std::uint32_t task, std::size_t slot) { return step_task(task, slot); });
+      [this](std::uint32_t task, std::size_t slot) { return step_task(task, slot); },
+      [this](std::uint32_t task) { return gated(task); });
 
   if (config_.flow.policy == runtime::OverflowPolicy::kBlockUpstream) {
     limiter_ = std::make_unique<InflightLimiter>(flow_, core_.task_count());
@@ -187,8 +185,8 @@ void AsyncEngine::run_for(std::chrono::milliseconds duration) {
 EventLoop::StepResult AsyncEngine::step_task(std::uint32_t task_id, std::size_t /*slot*/) {
   if (!running_.load(std::memory_order_relaxed)) return EventLoop::StepResult::kIdle;
   TaskAsync& task = tasks_[task_id];
-  std::size_t owner = task_worker_[task_id].load(std::memory_order_relaxed);
-  if (!workers_[owner].alive.load(std::memory_order_relaxed)) {
+  std::size_t owner = core_.owner(task_id);
+  if (!core_.alive(owner)) {
     // Dead owner: only possible during a total outage or the short window
     // before crash reassignment lands. Keep probing so spout pacing and
     // window chains survive until the task is re-placed or restarted.
@@ -254,7 +252,7 @@ void AsyncEngine::sample_window(std::chrono::steady_clock::time_point now) {
 
   std::vector<std::vector<std::size_t>> worker_tasks;
   {
-    std::lock_guard<std::mutex> lock(assignment_mutex_);
+    std::lock_guard<std::mutex> lock(placement_mutex_);
     worker_tasks = core_.worker_tasks();
   }
 
@@ -277,7 +275,7 @@ void AsyncEngine::sample_window(std::chrono::steady_clock::time_point now) {
     }
 
     const runtime::TaskInfo& info = core_.task(i);
-    std::size_t owner = task_worker_[i].load(std::memory_order_relaxed);
+    std::size_t owner = core_.owner(i);
     runtime::WorkerCounters& wc = worker_acc[owner];
     wc.executed += c.executed;
     wc.emitted += c.emitted;
@@ -515,7 +513,8 @@ void AsyncEngine::deliver_admitted(std::size_t src, std::size_t dest,
   TaskQueue& q = *tasks_[dest].queue;
   {
     std::lock_guard<std::mutex> lock(q.mutex);
-    // Destination-side re-coalescing, same as RtEngine::enqueue.
+    // Destination-side re-coalescing (batch > 1): fold the arriving
+    // fragment into the queue tail when it fits, as the simulator does.
     bool merged = false;
     if (config_.batch_size > 1 && !q.items.empty()) {
       runtime::TupleBatch& tail = q.items.back().batch;
@@ -535,9 +534,7 @@ void AsyncEngine::deliver_admitted(std::size_t src, std::size_t dest,
 void AsyncEngine::enqueue(std::size_t src_task, std::size_t dest, runtime::TupleBatch&& b) {
   TaskAsync& task = tasks_[dest];
   task.w_received.fetch_add(b.size(), std::memory_order_relaxed);
-  double p =
-      workers_[task_worker_[dest].load(std::memory_order_relaxed)].drop_prob.load(
-          std::memory_order_relaxed);
+  double p = workers_[core_.owner(dest)].drop_prob.load(std::memory_order_relaxed);
   if (p > 0.0) {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < b.size(); ++i) {
@@ -560,8 +557,8 @@ void AsyncEngine::enqueue(std::size_t src_task, std::size_t dest, runtime::Tuple
 
   if (flow_.config().policy == runtime::OverflowPolicy::kDropNewest) {
     // Admit the leading rows that fit, shed the tail — check + acquire +
-    // push under the queue mutex (like RtEngine) so concurrent producers
-    // cannot over-admit past the capacity.
+    // push under the queue mutex so concurrent producers cannot over-admit
+    // past the capacity.
     const std::size_t cap = flow_.config().queue_capacity;
     const std::size_t m = b.size();
     TaskQueue& q = *task.queue;
@@ -659,7 +656,7 @@ std::pair<std::size_t, std::size_t> AsyncEngine::tasks_of(const std::string& com
 }
 
 std::size_t AsyncEngine::worker_of_task(std::size_t global_task) const {
-  return task_worker_.at(global_task).load(std::memory_order_relaxed);
+  return core_.worker_of_task(global_task);
 }
 
 std::vector<std::size_t> AsyncEngine::workers_of(const std::string& component) const {
@@ -715,20 +712,17 @@ double AsyncEngine::worker_drop_prob(std::size_t worker) const {
 }
 
 void AsyncEngine::crash_worker(std::size_t worker) {
-  std::vector<std::size_t> moved;
+  std::vector<dsps::TaskMove> moved;
   {
-    std::lock_guard<std::mutex> lock(assignment_mutex_);
-    WorkerRt& w = workers_.at(worker);
-    if (!w.alive.load(std::memory_order_relaxed)) return;
-    w.alive.store(false, std::memory_order_relaxed);
-    w.slowdown.store(1.0, std::memory_order_relaxed);
-    w.drop_prob.store(0.0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(placement_mutex_);
+    if (!core_.mark_dead(worker)) return;
+    workers_[worker].slowdown.store(1.0, std::memory_order_relaxed);
+    workers_[worker].drop_prob.store(0.0, std::memory_order_relaxed);
     crashes_.fetch_add(1, std::memory_order_relaxed);
     // Everything queued at the dead worker's executors is discarded (those
     // roots fail at the ack timeout). A batch mid-step on a loop thread
-    // completes — same documented tolerance as RtEngine. The credit
-    // release below re-delivers any batches parked toward the wiped
-    // queues, the async analogue of RtEngine's dead-owner push bypass.
+    // completes. The credit release below re-delivers any batches parked
+    // toward the wiped queues.
     for (std::size_t t : core_.worker_tasks()[worker]) {
       TaskQueue& q = *tasks_[t].queue;
       std::size_t wiped;
@@ -741,168 +735,68 @@ void AsyncEngine::crash_worker(std::size_t worker) {
       }
       if (flow_.bounded()) flow_.release_n(t, wiped);
     }
-    // Reassignment candidates: alive AND active — a retired worker must
-    // not pick up a dead one's executors.
-    std::vector<bool> alive(workers_.size(), false);
-    bool any_alive = false;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      alive[i] = workers_[i].alive.load(std::memory_order_relaxed) &&
-                 workers_[i].active.load(std::memory_order_relaxed);
-      any_alive = any_alive || alive[i];
-    }
-    if (any_alive) {
-      for (const dsps::TaskMove& m :
-           dsps::plan_crash_reassignment(core_.worker_tasks(), worker, alive)) {
-        core_.reassign_task(m.task, m.to_worker);
-        task_worker_[m.task].store(m.to_worker, std::memory_order_relaxed);
-        moved.push_back(m.task);
-      }
-    }
+    moved = core_.reassign_dead(worker);
   }
-  // Wake the re-placed executors (outside the assignment mutex): spouts
+  // Wake the re-placed executors (outside the placement mutex): spouts
   // re-arm their pacing chain, bolts drain whatever arrives next.
-  for (std::size_t t : moved) loop_->notify(static_cast<std::uint32_t>(t));
+  for (const dsps::TaskMove& m : moved) loop_->notify(static_cast<std::uint32_t>(m.task));
 }
 
 void AsyncEngine::restart_worker(std::size_t worker) {
-  std::vector<std::size_t> reclaimed;
+  std::optional<std::vector<std::size_t>> reclaimed;
   {
-    std::lock_guard<std::mutex> lock(assignment_mutex_);
-    WorkerRt& w = workers_.at(worker);
-    if (w.alive.load(std::memory_order_relaxed)) return;
-    w.alive.store(true, std::memory_order_relaxed);
-    restarts_.fetch_add(1, std::memory_order_relaxed);
-    // Retired: rejoin the pool but host nothing until add_worker().
-    if (!w.active.load(std::memory_order_relaxed)) return;
-    for (std::size_t t = 0; t < core_.task_count(); ++t) {
-      if (assignment_.task_to_worker[t] == worker && core_.task(t).worker != worker) {
-        core_.reassign_task(t, worker);
-        task_worker_[t].store(worker, std::memory_order_relaxed);
-        reclaimed.push_back(t);
-      }
-    }
+    std::lock_guard<std::mutex> lock(placement_mutex_);
+    reclaimed = core_.restart(worker);
   }
-  for (std::size_t t : reclaimed) loop_->notify(static_cast<std::uint32_t>(t));
+  if (!reclaimed) return;
+  restarts_.fetch_add(1, std::memory_order_relaxed);
+  for (std::size_t t : *reclaimed) loop_->notify(static_cast<std::uint32_t>(t));
 }
 
-bool AsyncEngine::worker_alive(std::size_t worker) const {
-  return workers_.at(worker).alive.load(std::memory_order_relaxed);
-}
+bool AsyncEngine::worker_alive(std::size_t worker) const { return core_.worker_alive(worker); }
 
-bool AsyncEngine::worker_active(std::size_t worker) const {
-  return workers_.at(worker).active.load(std::memory_order_relaxed);
-}
+bool AsyncEngine::worker_active(std::size_t worker) const { return core_.worker_active(worker); }
 
 std::vector<std::vector<std::size_t>> AsyncEngine::worker_task_snapshot() const {
-  std::lock_guard<std::mutex> lock(assignment_mutex_);
+  std::lock_guard<std::mutex> lock(placement_mutex_);
   return core_.worker_tasks();
 }
 
 void AsyncEngine::add_worker(std::size_t worker) {
-  std::lock_guard<std::mutex> lock(assignment_mutex_);
-  WorkerRt& w = workers_.at(worker);
-  if (w.active.load(std::memory_order_relaxed)) return;
-  w.active.store(true, std::memory_order_relaxed);
-  adds_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(placement_mutex_);
+  if (core_.activate(worker)) adds_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AsyncEngine::retire_worker(std::size_t worker) {
-  std::vector<std::size_t> moved;
+  std::optional<std::vector<dsps::TaskMove>> drained;
   {
-    std::lock_guard<std::mutex> lock(assignment_mutex_);
-    WorkerRt& w = workers_.at(worker);
-    if (!w.active.load(std::memory_order_relaxed)) return;
-    w.active.store(false, std::memory_order_relaxed);
-    if (w.alive.load(std::memory_order_relaxed) && !core_.worker_tasks()[worker].empty()) {
-      std::vector<bool> hosts(workers_.size(), false);
-      bool any_host = false;
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        hosts[i] = workers_[i].alive.load(std::memory_order_relaxed) &&
-                   workers_[i].active.load(std::memory_order_relaxed);
-        any_host = any_host || hosts[i];
-      }
-      if (!any_host) {
-        w.active.store(true, std::memory_order_relaxed);  // fail closed
-        throw std::invalid_argument("retire_worker: no active worker left to host worker " +
-                                    std::to_string(worker) + "'s executors");
-      }
-      // Graceful drain via the shared deterministic policy; queued tuples
-      // travel with each task.
-      for (const dsps::TaskMove& m :
-           dsps::plan_crash_reassignment(core_.worker_tasks(), worker, hosts)) {
-        core_.reassign_task(m.task, m.to_worker);
-        task_worker_[m.task].store(m.to_worker, std::memory_order_relaxed);
-        migrations_.fetch_add(1, std::memory_order_relaxed);
-        moved.push_back(m.task);
-      }
-    }
-    retires_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(placement_mutex_);
+    drained = core_.retire(worker);
   }
-  // Resume the migrated executors on their new hosts (outside the mutex).
-  for (std::size_t t : moved) loop_->notify(static_cast<std::uint32_t>(t));
+  if (!drained) return;
+  retires_.fetch_add(1, std::memory_order_relaxed);
+  resume_migrated(*drained);
 }
 
 void AsyncEngine::migrate_tasks(const std::vector<dsps::TaskMove>& moves) {
-  std::vector<std::size_t> moved;
+  std::vector<dsps::TaskMove> applied;
   {
-    std::lock_guard<std::mutex> lock(assignment_mutex_);
-    // Fail closed: validate the whole batch before touching placement.
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-      const dsps::TaskMove& m = moves[i];
-      const std::string field = "migrate_tasks: moves[" + std::to_string(i) + "]";
-      if (m.task >= core_.task_count()) {
-        throw std::invalid_argument(field + ".task: no task " + std::to_string(m.task));
-      }
-      if (m.to_worker >= workers_.size()) {
-        throw std::invalid_argument(field + ".to_worker: no worker " +
-                                    std::to_string(m.to_worker));
-      }
-      if (!workers_[m.to_worker].alive.load(std::memory_order_relaxed)) {
-        throw std::invalid_argument(field + ".to_worker: worker " +
-                                    std::to_string(m.to_worker) + " is dead");
-      }
-      if (!workers_[m.to_worker].active.load(std::memory_order_relaxed)) {
-        throw std::invalid_argument(field + ".to_worker: worker " +
-                                    std::to_string(m.to_worker) + " is retired");
-      }
-    }
-    for (const dsps::TaskMove& m : moves) {
-      if (core_.task(m.task).worker == m.to_worker) continue;
-      core_.reassign_task(m.task, m.to_worker);
-      task_worker_[m.task].store(m.to_worker, std::memory_order_relaxed);
-      migrations_.fetch_add(1, std::memory_order_relaxed);
-      moved.push_back(m.task);
-    }
+    std::lock_guard<std::mutex> lock(placement_mutex_);
+    applied = core_.migrate(moves);
   }
-  for (std::size_t t : moved) loop_->notify(static_cast<std::uint32_t>(t));
+  resume_migrated(applied);
+}
+
+void AsyncEngine::resume_migrated(const std::vector<dsps::TaskMove>& applied) {
+  // Queued tuples travel with each task; the loop resumes it on its new
+  // host.
+  migrations_.fetch_add(applied.size(), std::memory_order_relaxed);
+  for (const dsps::TaskMove& m : applied) loop_->notify(static_cast<std::uint32_t>(m.task));
 }
 
 std::string AsyncEngine::placement_audit() const {
-  std::lock_guard<std::mutex> lock(assignment_mutex_);
-  std::string audit = core_.placement_audit();
-  if (!audit.empty()) return audit;
-  bool any_alive = false;
-  bool any_active = false;
-  for (const auto& w : workers_) {
-    bool a = w.alive.load(std::memory_order_relaxed);
-    any_alive = any_alive || a;
-    any_active = any_active || (a && w.active.load(std::memory_order_relaxed));
-  }
-  for (std::size_t t = 0; t < core_.task_count(); ++t) {
-    std::size_t owner = core_.task(t).worker;
-    if (task_worker_[t].load(std::memory_order_relaxed) != owner) {
-      return "task " + std::to_string(t) + "'s placement mirror is stale";
-    }
-    if (any_alive && !workers_[owner].alive.load(std::memory_order_relaxed)) {
-      return "task " + std::to_string(t) + " is placed on dead worker " + std::to_string(owner);
-    }
-    if (any_active && workers_[owner].alive.load(std::memory_order_relaxed) &&
-        !workers_[owner].active.load(std::memory_order_relaxed)) {
-      return "task " + std::to_string(t) + " is placed on retired worker " +
-             std::to_string(owner);
-    }
-  }
-  return {};
+  std::lock_guard<std::mutex> lock(placement_mutex_);
+  return core_.placement_audit();
 }
 
 }  // namespace repro::rt

@@ -78,10 +78,12 @@ TimerWheel::Clock::time_point TimerWheel::advance(Clock::time_point now,
 // ---------------------------------------------------------------------------
 // EventLoop
 
-EventLoop::EventLoop(std::size_t threads, std::size_t task_count, RunFn run)
+EventLoop::EventLoop(std::size_t threads, std::size_t task_count, RunFn run,
+                     SuspendCheck still_suspended)
     : threads_(threads == 0 ? 1 : threads),
       task_count_(task_count),
       run_(std::move(run)),
+      still_suspended_(std::move(still_suspended)),
       state_(new std::atomic<std::uint8_t>[task_count]),
       injector_next_(new std::atomic<std::uint32_t>[task_count]),
       wheel_(std::chrono::milliseconds(1), 256) {
@@ -140,12 +142,13 @@ void EventLoop::notify(std::uint32_t task) {
 
 void EventLoop::resume(std::uint32_t task) {
   std::atomic<std::uint8_t>& st = state_[task];
-  std::uint8_t cur = st.load(std::memory_order_acquire);
+  // seq_cst: one side of the suspend handshake (see the constructor).
+  std::uint8_t cur = st.load(std::memory_order_seq_cst);
   while (true) {
     switch (cur) {
       case kSuspended:
       case kIdle:
-        if (st.compare_exchange_weak(cur, kQueued, std::memory_order_acq_rel)) {
+        if (st.compare_exchange_weak(cur, kQueued, std::memory_order_seq_cst)) {
           push_ready(task);
           return;
         }
@@ -153,7 +156,7 @@ void EventLoop::resume(std::uint32_t task) {
       case kRunning:
         // The step that is about to suspend has not parked yet: convert the
         // resume into a re-run flag so it re-queues instead of parking.
-        if (st.compare_exchange_weak(cur, kRunningNotified, std::memory_order_acq_rel)) {
+        if (st.compare_exchange_weak(cur, kRunningNotified, std::memory_order_seq_cst)) {
           return;
         }
         break;
@@ -290,7 +293,15 @@ void EventLoop::run_task(std::uint32_t task, std::size_t self) {
     } else {
       next = (r == StepResult::kSuspend) ? kSuspended : kIdle;
     }
-    if (st.compare_exchange_weak(cur, next, std::memory_order_acq_rel)) {
+    if (next == kSuspended) {
+      if (st.compare_exchange_weak(cur, next, std::memory_order_seq_cst)) {
+        // A release that raced the step may have read the task as still
+        // queued or running before this transition: re-check (see the
+        // constructor) so its wakeup cannot be lost.
+        if (!still_suspended_(task)) resume(task);
+        return;
+      }
+    } else if (st.compare_exchange_weak(cur, next, std::memory_order_acq_rel)) {
       if (requeue) push_ready(task);
       return;
     }

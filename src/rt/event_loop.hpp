@@ -1,5 +1,5 @@
 #pragma once
-// Work-stealing ready-queue scheduler for the async rt backend.
+// Work-stealing ready-queue scheduler for the async backend.
 //
 // Executors are *tasks*, not threads: an executor becomes runnable when an
 // enqueue event notifies it, runs a bounded step on whichever loop thread
@@ -80,8 +80,26 @@ class EventLoop {
 
   /// Bounded task step: (task id, loop-thread index) -> what next.
   using RunFn = std::function<StepResult(std::uint32_t, std::size_t)>;
+  /// Is the task still blocked? Re-checked right after a kSuspend step
+  /// has parked it.
+  using SuspendCheck = std::function<bool(std::uint32_t)>;
 
-  EventLoop(std::size_t threads, std::size_t task_count, RunFn run);
+  /// `still_suspended` closes the suspend/resume race. A step reads its
+  /// wake condition (e.g. a backpressure gate) after publishing kRunning,
+  /// while the releasing side clears the condition and then reads the
+  /// task state in resume(): a store-buffering pattern in which both reads
+  /// can be stale, so resume() sees the task still queued and does nothing
+  /// while the step still sees the old condition and suspends for good.
+  /// So the kSuspended transition is a seq_cst RMW followed by
+  /// `still_suspended(task)`; when that reads the condition already
+  /// cleared, the task resumes itself. The check must read the condition
+  /// seq_cst and the releasing side must clear it seq_cst before calling
+  /// resume(): in the single order of those four seq_cst operations,
+  /// either the check sees the clear or resume() sees kSuspended. Only
+  /// kSuspend steps pay for it. A task that stays suspended until an
+  /// explicit resume() has a check that always returns true.
+  EventLoop(std::size_t threads, std::size_t task_count, RunFn run,
+            SuspendCheck still_suspended);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -142,6 +160,7 @@ class EventLoop {
   std::size_t threads_;
   std::size_t task_count_;
   RunFn run_;
+  SuspendCheck still_suspended_;
   std::unique_ptr<std::atomic<std::uint8_t>[]> state_;
 
   // Global injector: intrusive Treiber stack over task ids. A task id can

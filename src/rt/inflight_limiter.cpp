@@ -18,7 +18,9 @@ void InflightLimiter::gate_up(std::size_t src) {
 }
 
 void InflightLimiter::gate_down(std::size_t src) {
-  if (gate_[src].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+  // seq_cst: the releasing side of the suspend handshake, ordered before
+  // resume()'s state load (see the EventLoop constructor).
+  if (gate_[src].fetch_sub(1, std::memory_order_seq_cst) == 1) {
     resumes_.fetch_add(1, std::memory_order_relaxed);
     resume_(src);
   }

@@ -1,17 +1,14 @@
 #pragma once
 // The async backend's home for the runtime::FlowControl credits.
 //
-// Under kBlockUpstream the cv-based rt engine blocks the emitting *thread*
-// on the destination queue's condition variable, sliced into <=20ms waits
-// (`bp_max_wait`) with a soft-push escape valve for self-cycles and thread
-// wait cycles. The limiter replaces all of that with task suspension: a
-// batch that does not fit is parked in a per-destination FIFO, the emitting
-// task is gated (its scheduler step returns kSuspend, so it stops consuming
-// input / polling the workload), and the next credit release on that
-// destination — wired through FlowControl's release listener — delivers the
-// parked batches in order and resumes the emitters whose last parked batch
-// drained. No thread ever blocks, so there is nothing for a wait cycle to
-// deadlock and no escape valve that can overshoot the queue bound.
+// Under kBlockUpstream no thread ever blocks on a full queue. A batch that
+// does not fit is parked in a per-destination FIFO, the emitting task is
+// gated (its scheduler step returns kSuspend, so it stops consuming input
+// / polling the workload), and the next credit release on that
+// destination — wired through FlowControl's release listener — delivers
+// the parked batches in order and resumes the emitters whose last parked
+// batch drained. There is nothing for a thread wait cycle to deadlock and
+// no escape valve that can overshoot the queue bound.
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -57,9 +54,11 @@ class InflightLimiter {
   void on_release(std::size_t dest);
 
   /// True while `src` has at least one parked batch anywhere: the task
-  /// must not consume more input or poll the workload.
+  /// must not consume more input or poll the workload. seq_cst, paired
+  /// with gate_down's decrement: this is the condition the event loop
+  /// re-checks after suspending a task (the EventLoop constructor).
   bool gated(std::size_t src) const {
-    return gate_[src].load(std::memory_order_acquire) > 0;
+    return gate_[src].load(std::memory_order_seq_cst) > 0;
   }
 
   std::size_t parked_tuples() const { return parked_tuples_.load(std::memory_order_relaxed); }

@@ -4,8 +4,8 @@
 // only Storm-level abstractions — multilevel window statistics, component
 // -> task -> worker placement, and the dynamic-grouping split-ratio handle
 // — so it is written against this interface and attaches unchanged to the
-// discrete-event engine (dsps::Engine) or the real-threads runtime
-// (rt::RtEngine).
+// discrete-event engine (dsps::Engine) or the event-loop wall-clock
+// runtime (rt::AsyncEngine).
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,13 +32,13 @@ class ControlSurface {
  public:
   /// Periodic control callback. Fired at window boundaries, every
   /// `interval` seconds (rounded to a whole number of windows), from the
-  /// backend's metrics context — on the threads runtime that is the
+  /// backend's metrics context — on the async runtime that is the
   /// sampler thread, so hooks may freely read history().
   using ControlHook = std::function<void(ControlSurface&)>;
 
   virtual ~ControlSurface();
 
-  /// Short backend identifier ("sim", "rt").
+  /// Short backend identifier ("sim", "async").
   virtual std::string backend_name() const = 0;
   /// Current time in seconds: simulated time or wall-clock since start().
   virtual double now_seconds() const = 0;

@@ -51,7 +51,6 @@ FlowControlConfig flow_config_from_flags(long long queue_capacity, const std::st
 const char* backend_kind_name(BackendKind backend) {
   switch (backend) {
     case BackendKind::kSim: return "sim";
-    case BackendKind::kRt: return "rt";
     case BackendKind::kAsync: return "async";
   }
   return "?";
@@ -59,10 +58,14 @@ const char* backend_kind_name(BackendKind backend) {
 
 BackendKind parse_backend_kind(const std::string& name) {
   if (name == "sim") return BackendKind::kSim;
-  if (name == "rt") return BackendKind::kRt;
   if (name == "async") return BackendKind::kAsync;
+  if (name == "rt") {
+    throw std::invalid_argument(
+        "parse_backend_kind: backend 'rt' (thread per worker) was removed; use async, "
+        "the event-loop wall-clock backend");
+  }
   throw std::invalid_argument("parse_backend_kind: unknown backend '" + name +
-                              "' (use sim|rt|async)");
+                              "' (use sim|async)");
 }
 
 const std::vector<std::string>& data_path_flag_names() {
@@ -73,7 +76,7 @@ const std::vector<std::string>& data_path_flag_names() {
 
 const char* data_path_flag_usage() {
   return "  [--queue-cap=N --overflow-policy=unbounded|block|drop] [--max-pending=N]\n"
-         "  [--batch-size=N] [--backend=sim|rt|async]";
+         "  [--batch-size=N] [--backend=sim|async]";
 }
 
 bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,

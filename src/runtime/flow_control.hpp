@@ -18,20 +18,21 @@
 //   kBlockUpstream — a full destination parks the tuple at the emit site
 //                    and stalls the emitting task (the simulator replays
 //                    the parked tuple on the next credit release; the
-//                    threads runtime waits on the queue's condition
-//                    variable). Backpressure propagates hop by hop until
-//                    the spouts stop consuming from the workload.
+//                    async runtime parks it in rt::InflightLimiter and
+//                    suspends the emitting task). Backpressure propagates
+//                    hop by hop until the spouts stop consuming from the
+//                    workload.
 //   kDropNewest    — a full destination sheds the newly arriving tuple;
 //                    the loss is counted per task (tuples_dropped_overflow)
 //                    and the root fails at the ack-timeout sweep, so
 //                    at-least-once replay still covers the loss.
 //
-// Thread-safety: counters are relaxed atomics so the threads runtime can
-// update them from worker threads; the simulator's single-threaded event
+// Thread-safety: counters are relaxed atomics so the async runtime can
+// update them from loop threads; the simulator's single-threaded event
 // context pays only uncontended atomic ops. The admit/acquire pair is NOT
 // atomic as a unit — the simulator is single-threaded so it composes
-// exactly, and the threads runtime re-checks under the destination
-// queue's mutex (see rt::RtEngine::enqueue).
+// exactly, and the async runtime admits under a per-destination mutex
+// (the queue mutex for kDropNewest, the limiter's for kBlockUpstream).
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -74,18 +75,18 @@ struct FlowControlConfig {
 FlowControlConfig flow_config_from_flags(long long queue_capacity, const std::string& policy);
 
 /// Which engine drives the topology: the deterministic discrete-event
-/// simulator, the thread-per-worker rt engine, or the event-loop async
-/// engine.
-enum class BackendKind { kSim, kRt, kAsync };
+/// simulator or the event-loop async engine (wall clock).
+enum class BackendKind { kSim, kAsync };
 
 const char* backend_kind_name(BackendKind backend);
-/// Parse "sim" | "rt" | "async" (the CLI flag spellings). Throws
-/// std::invalid_argument naming the unknown spelling.
+/// Parse "sim" | "async" (the CLI flag spellings). Throws
+/// std::invalid_argument naming the unknown spelling; the removed
+/// thread-per-worker "rt" backend is rejected with a pointer to "async".
 BackendKind parse_backend_kind(const std::string& name);
 
 /// The data-path CLI flags shared by every example binary — append to the
 /// binary's `known` list: --queue-cap=N, --overflow-policy=POLICY,
-/// --max-pending=N, --batch-size=N, --backend=sim|rt|async.
+/// --max-pending=N, --batch-size=N, --backend=sim|async.
 const std::vector<std::string>& data_path_flag_names();
 /// One usage line documenting those flags (no trailing newline).
 const char* data_path_flag_usage();
@@ -158,8 +159,8 @@ class FlowControl {
   /// limiter can drain batches parked behind that task and resume the
   /// suspended emitters. Set once before the engine starts (not
   /// thread-safe against concurrent releases); never fires under
-  /// kUnbounded. The cv-based rt engine and the simulator leave it unset
-  /// and pay one untaken branch.
+  /// kUnbounded. The simulator leaves it unset and pays one untaken
+  /// branch.
   void set_release_listener(std::function<void(std::size_t, std::size_t)> listener);
 
   // --- loss / stall accounting -----------------------------------------

@@ -24,16 +24,25 @@ TopologyState::TopologyState(const dsps::Topology& topo, const dsps::Assignment&
     throw std::invalid_argument("TopologyState: assignment does not cover all tasks");
   }
   worker_tasks_.resize(assignment.workers());
+  alive_ = std::vector<std::atomic<bool>>(assignment.workers());
+  active_ = std::vector<std::atomic<bool>>(assignment.workers());
+  for (std::size_t w = 0; w < assignment.workers(); ++w) {
+    alive_[w].store(true, std::memory_order_relaxed);
+    active_[w].store(true, std::memory_order_relaxed);
+  }
 
   tasks_.resize(topo.total_tasks());
+  owner_ = std::vector<std::atomic<std::size_t>>(topo.total_tasks());
+  home_.assign(assignment.task_to_worker.begin(),
+               assignment.task_to_worker.begin() + static_cast<std::ptrdiff_t>(tasks_.size()));
   std::size_t gid = 0;
   auto init_task = [&](std::size_t comp, std::size_t idx) {
     TaskInfo& t = tasks_[gid];
     t.global_id = gid;
     t.component = comp;
     t.comp_index = idx;
-    t.worker = assignment.task_to_worker[gid];
-    worker_tasks_[t.worker].push_back(gid);
+    owner_[gid].store(home_[gid], std::memory_order_relaxed);
+    worker_tasks_[home_[gid]].push_back(gid);
     ++gid;
   };
   for (std::size_t s = 0; s < topo.spouts.size(); ++s) {
@@ -67,7 +76,7 @@ TopologyState::TopologyState(const dsps::Topology& topo, const dsps::Assignment&
         // Downstream tasks co-located with this emitter (local-or-shuffle).
         std::vector<std::size_t> local;
         for (std::size_t j = 0; j < dst.parallelism; ++j) {
-          if (tasks_[dst.first_task + j].worker == src_task.worker) local.push_back(j);
+          if (home_[dst.first_task + j] == home_[src_task.global_id]) local.push_back(j);
         }
         OutRoute route;
         route.stream = sub.stream;
@@ -96,13 +105,98 @@ void TopologyState::reassign_task(std::size_t global_task, std::size_t new_worke
   if (new_worker >= worker_tasks_.size()) {
     throw std::invalid_argument("reassign_task: unknown worker " + std::to_string(new_worker));
   }
-  TaskInfo& t = tasks_[global_task];
-  if (t.worker == new_worker) return;
-  std::vector<std::size_t>& old_list = worker_tasks_[t.worker];
+  const std::size_t old_worker = owner_[global_task].load(std::memory_order_relaxed);
+  if (old_worker == new_worker) return;
+  std::vector<std::size_t>& old_list = worker_tasks_[old_worker];
   old_list.erase(std::remove(old_list.begin(), old_list.end(), global_task), old_list.end());
   std::vector<std::size_t>& new_list = worker_tasks_[new_worker];
   new_list.insert(std::upper_bound(new_list.begin(), new_list.end(), global_task), global_task);
-  t.worker = new_worker;
+  owner_[global_task].store(new_worker, std::memory_order_relaxed);
+}
+
+std::vector<bool> TopologyState::host_mask() const {
+  std::vector<bool> hosts(alive_.size(), false);
+  for (std::size_t w = 0; w < hosts.size(); ++w) {
+    hosts[w] = alive_[w].load(std::memory_order_relaxed) &&
+               active_[w].load(std::memory_order_relaxed);
+  }
+  return hosts;
+}
+
+bool TopologyState::mark_dead(std::size_t worker) {
+  return alive_.at(worker).exchange(false, std::memory_order_relaxed);
+}
+
+std::vector<dsps::TaskMove> TopologyState::reassign_dead(std::size_t worker) {
+  // Candidates are alive AND active: a retired worker must not pick up a
+  // dead one's executors.
+  const std::vector<bool> hosts = host_mask();
+  if (std::find(hosts.begin(), hosts.end(), true) == hosts.end()) return {};
+  std::vector<dsps::TaskMove> moves = dsps::plan_crash_reassignment(worker_tasks_, worker, hosts);
+  for (const dsps::TaskMove& m : moves) reassign_task(m.task, m.to_worker);
+  return moves;
+}
+
+std::optional<std::vector<std::size_t>> TopologyState::restart(std::size_t worker) {
+  if (alive_.at(worker).exchange(true, std::memory_order_relaxed)) return std::nullopt;
+  std::vector<std::size_t> reclaimed;
+  if (!active_[worker].load(std::memory_order_relaxed)) return reclaimed;  // hosts nothing
+  for (std::size_t t = 0; t < tasks_.size(); ++t) {
+    if (home_[t] == worker && owner_[t].load(std::memory_order_relaxed) != worker) {
+      reassign_task(t, worker);
+      reclaimed.push_back(t);
+    }
+  }
+  return reclaimed;
+}
+
+bool TopologyState::activate(std::size_t worker) {
+  return !active_.at(worker).exchange(true, std::memory_order_relaxed);
+}
+
+std::optional<std::vector<dsps::TaskMove>> TopologyState::retire(std::size_t worker) {
+  if (!active_.at(worker).exchange(false, std::memory_order_relaxed)) return std::nullopt;
+  std::vector<dsps::TaskMove> moves;
+  if (alive_[worker].load(std::memory_order_relaxed) && !worker_tasks_[worker].empty()) {
+    const std::vector<bool> hosts = host_mask();
+    if (std::find(hosts.begin(), hosts.end(), true) == hosts.end()) {
+      active_[worker].store(true, std::memory_order_relaxed);  // the pool must keep a host
+      throw std::invalid_argument("retire_worker: no active worker left to host worker " +
+                                  std::to_string(worker) + "'s executors");
+    }
+    moves = dsps::plan_crash_reassignment(worker_tasks_, worker, hosts);
+    for (const dsps::TaskMove& m : moves) reassign_task(m.task, m.to_worker);
+  }
+  return moves;
+}
+
+std::vector<dsps::TaskMove> TopologyState::migrate(const std::vector<dsps::TaskMove>& moves) {
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const dsps::TaskMove& m = moves[i];
+    const std::string field = "migrate_tasks: moves[" + std::to_string(i) + "]";
+    if (m.task >= tasks_.size()) {
+      throw std::invalid_argument(field + ".task: no task " + std::to_string(m.task));
+    }
+    if (m.to_worker >= alive_.size()) {
+      throw std::invalid_argument(field + ".to_worker: no worker " + std::to_string(m.to_worker));
+    }
+    if (!alive_[m.to_worker].load(std::memory_order_relaxed)) {
+      throw std::invalid_argument(field + ".to_worker: worker " + std::to_string(m.to_worker) +
+                                  " is dead");
+    }
+    if (!active_[m.to_worker].load(std::memory_order_relaxed)) {
+      throw std::invalid_argument(field + ".to_worker: worker " + std::to_string(m.to_worker) +
+                                  " is retired");
+    }
+  }
+  std::vector<dsps::TaskMove> applied;
+  for (const dsps::TaskMove& m : moves) {
+    const std::size_t from = owner_[m.task].load(std::memory_order_relaxed);
+    if (from == m.to_worker) continue;
+    reassign_task(m.task, m.to_worker);
+    applied.push_back({m.task, from, m.to_worker});
+  }
+  return applied;
 }
 
 std::string TopologyState::placement_audit() const {
@@ -117,20 +211,39 @@ std::string TopologyState::placement_audit() const {
       if (i > 0 && list[i - 1] >= t) {
         return "worker " + std::to_string(w) + " task list not in ascending task-id order";
       }
-      if (tasks_[t].worker != w) {
+      const std::size_t owner = owner_[t].load(std::memory_order_relaxed);
+      if (owner != w) {
         return "task " + std::to_string(t) + " listed under worker " + std::to_string(w) +
-               " but records worker " + std::to_string(tasks_[t].worker);
+               " but records worker " + std::to_string(owner);
       }
       ++seen[t];
     }
   }
   for (std::size_t t = 0; t < tasks_.size(); ++t) {
-    if (tasks_[t].worker >= worker_tasks_.size()) {
+    const std::size_t owner = owner_[t].load(std::memory_order_relaxed);
+    if (owner >= worker_tasks_.size()) {
       return "task " + std::to_string(t) + " records out-of-range worker " +
-             std::to_string(tasks_[t].worker);
+             std::to_string(owner);
     }
     if (seen[t] == 0) return "task " + std::to_string(t) + " is orphaned (listed by no worker)";
     if (seen[t] > 1) return "task " + std::to_string(t) + " listed by multiple workers";
+  }
+  bool any_alive = false;
+  bool any_host = false;
+  for (std::size_t w = 0; w < alive_.size(); ++w) {
+    const bool alive = alive_[w].load(std::memory_order_relaxed);
+    any_alive = any_alive || alive;
+    any_host = any_host || (alive && active_[w].load(std::memory_order_relaxed));
+  }
+  for (std::size_t w = 0; w < worker_tasks_.size(); ++w) {
+    if (worker_tasks_[w].empty()) continue;
+    const bool alive = alive_[w].load(std::memory_order_relaxed);
+    if (!alive && any_alive) {
+      return "dead worker " + std::to_string(w) + " still hosts executors";
+    }
+    if (alive && !active_[w].load(std::memory_order_relaxed) && any_host) {
+      return "retired worker " + std::to_string(w) + " still hosts executors";
+    }
   }
   return "";
 }
@@ -144,15 +257,11 @@ std::pair<std::size_t, std::size_t> TopologyState::tasks_of(const std::string& c
   return {c.first_task, c.first_task + c.parallelism};
 }
 
-std::size_t TopologyState::worker_of_task(std::size_t global_task) const {
-  return tasks_.at(global_task).worker;
-}
-
 std::vector<std::size_t> TopologyState::workers_of(const std::string& component) const {
   auto [lo, hi] = tasks_of(component);
   std::vector<std::size_t> out;
   for (std::size_t t = lo; t < hi; ++t) {
-    std::size_t w = tasks_[t].worker;
+    std::size_t w = owner_[t].load(std::memory_order_relaxed);
     if (std::find(out.begin(), out.end(), w) == out.end()) out.push_back(w);
   }
   return out;

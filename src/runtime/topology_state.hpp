@@ -1,18 +1,22 @@
 #pragma once
 // The shared execution substrate behind both engines: topology
 // instantiation (component/task tables, per-emitter route/grouping state)
-// built once from a Topology + Assignment. The discrete-event engine
-// (dsps::Engine) and the real-threads engine (rt::RtEngine) are thin
-// drivers over this core — they own scheduling (event queue vs worker
-// threads) and queueing, while the component model, routing, and grouping
-// semantics live here and are therefore identical across backends.
+// and worker placement, built once from a Topology + Assignment. The
+// discrete-event engine (dsps::Engine) and the event-loop engine
+// (rt::AsyncEngine) are thin layers over this core — they own scheduling
+// (event queue vs loop threads) and queueing, while the component model,
+// routing, grouping semantics and the placement policies live here and
+// are therefore identical across backends.
 //
 // Construction order is part of the deterministic-engine contract and must
 // not change: components are laid out spouts first then bolts, each
 // component's tasks consecutive in declaration order, and every route's
 // grouping state is seeded `seed_base + 31 * emitter_task + 7 * bolt_index`.
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -57,7 +61,6 @@ struct TaskInfo {
   std::size_t global_id = 0;
   std::size_t component = 0;  ///< index into components()
   std::size_t comp_index = 0; ///< index within the component
-  std::size_t worker = 0;
   std::unique_ptr<dsps::Spout> spout;
   std::unique_ptr<dsps::Bolt> bolt;
   std::vector<OutRoute> routes;
@@ -68,7 +71,7 @@ class TopologyState {
   /// Instantiate the topology over `assignment` (task -> worker). Grouping
   /// states are seeded from `route_seed_base` so the discrete-event engine
   /// can reproduce its historical draws (it passes the cluster seed) while
-  /// the threads runtime uses an arbitrary fixed base.
+  /// the async runtime uses an arbitrary fixed base.
   TopologyState(const dsps::Topology& topo, const dsps::Assignment& assignment,
                 std::uint64_t route_seed_base);
 
@@ -91,28 +94,78 @@ class TopologyState {
   const std::vector<std::vector<std::size_t>>& worker_tasks() const { return worker_tasks_; }
   std::size_t worker_count() const { return worker_tasks_.size(); }
 
-  // --- supervisor reassignment -----------------------------------------
-  /// Move one task to a new worker (crash recovery / rebalance). Updates
-  /// the task table and the worker_tasks index (task-id order preserved).
-  /// Global task ids are stable, so every route/grouping stays valid; the
-  /// local-or-shuffle co-location preference is intentionally NOT
-  /// recomputed (like Storm, the locality hint reflects the schedule the
-  /// grouping was instantiated with). Throws std::out_of_range /
-  /// std::invalid_argument on bad ids.
-  void reassign_task(std::size_t global_task, std::size_t new_worker);
+  // --- worker placement ------------------------------------------------
+  // The one placement component every engine shares: the task -> worker
+  // owner table, each worker's liveness (`alive`: crash/restart) and
+  // scaling eligibility (`active`: retire/add, orthogonal to alive), and
+  // the supervisor policies that move executors between workers. The
+  // owner and flag reads are lock-free relaxed loads, safe from any
+  // thread. The mutators are not synchronized: the simulator is
+  // single-threaded, and a threaded engine serializes them — and its
+  // worker_tasks() reads — under its own placement mutex. Engines keep
+  // only the side effects (queue wipes, loss counters, wakeups, stalls).
 
-  /// Audit the placement tables: every task's worker in range, the
+  /// Hot-path reads for the engines: a task's current worker and a
+  /// worker's liveness. Unchecked, like task().
+  std::size_t owner(std::size_t global_task) const {
+    return owner_[global_task].load(std::memory_order_relaxed);
+  }
+  bool alive(std::size_t worker) const { return alive_[worker].load(std::memory_order_relaxed); }
+
+  /// Checked forms for the ControlSurface lookups: worker_of_task throws
+  /// std::out_of_range on a bad task id, the flags on a bad worker id.
+  std::size_t worker_of_task(std::size_t global_task) const {
+    if (global_task >= tasks_.size()) {
+      throw std::out_of_range("worker_of_task: unknown task " + std::to_string(global_task));
+    }
+    return owner(global_task);
+  }
+  bool worker_alive(std::size_t worker) const {
+    return alive_.at(worker).load(std::memory_order_relaxed);
+  }
+  bool worker_active(std::size_t worker) const {
+    return active_.at(worker).load(std::memory_order_relaxed);
+  }
+  /// Crash: mark `worker` dead. Returns false (no-op) if it already was.
+  bool mark_dead(std::size_t worker);
+  /// Supervisor reassignment of a dead worker's executors onto the host
+  /// mask (dsps::plan_crash_reassignment), applied to the tables and
+  /// returned. Empty on a total outage: the executors stay on the dead
+  /// worker until restart() reclaims them.
+  std::vector<dsps::TaskMove> reassign_dead(std::size_t worker);
+  /// Rejoin a crashed worker and, unless it is retired, reclaim its
+  /// originally assigned executors (queues travel with the task). Returns
+  /// the reclaimed task ids, or nullopt (no-op) if it was alive.
+  std::optional<std::vector<std::size_t>> restart(std::size_t worker);
+  /// Re-activate a retired worker. Returns false (no-op) if it was active.
+  bool activate(std::size_t worker);
+  /// Gracefully drain `worker` out of the pool: mark it retired and, if
+  /// it is alive and hosts executors, move them onto the host mask via
+  /// dsps::plan_crash_reassignment. Returns the applied moves, or nullopt
+  /// (no-op) if it was already retired. Fail closed: throws
+  /// std::invalid_argument, leaving the worker active, when no host would
+  /// remain for its executors.
+  std::optional<std::vector<dsps::TaskMove>> retire(std::size_t worker);
+  /// Planned executor migrations, validate-all-then-apply: every move is
+  /// checked first (task range, destination range, destination alive and
+  /// active — diagnostics name the field, e.g. "moves[2].to_worker:
+  /// worker 5 is retired"), then all are applied in order. Returns the
+  /// moves that changed placement, with from_worker filled in.
+  std::vector<dsps::TaskMove> migrate(const std::vector<dsps::TaskMove>& moves);
+
+  /// Audit the placement tables: every task's worker in range; the
   /// worker_tasks lists sorted, duplicate-free, consistent with each
-  /// task's recorded worker, and covering every task exactly once.
-  /// Returns an empty string when consistent, else a diagnostic — the
-  /// chaos harness's routing-consistency invariant.
+  /// task's recorded worker, and covering every task exactly once; no
+  /// executor left on a dead worker while another is alive, nor on a
+  /// retired (alive) worker while an active one exists. Returns an empty
+  /// string when consistent, else a diagnostic — the chaos harness's
+  /// routing-consistency invariant.
   std::string placement_audit() const;
 
   // --- lookups ---------------------------------------------------------
   /// Global task-id range [first, first+parallelism) of a component.
   /// Throws std::invalid_argument for unknown components.
   std::pair<std::size_t, std::size_t> tasks_of(const std::string& component) const;
-  std::size_t worker_of_task(std::size_t global_task) const;
   /// Workers hosting at least one task of `component` (first-seen order).
   std::vector<std::size_t> workers_of(const std::string& component) const;
 
@@ -183,9 +236,25 @@ class TopologyState {
   }
 
  private:
+  /// Placement candidates: the workers both alive and active.
+  std::vector<bool> host_mask() const;
+
+  /// Move one task to a new worker (crash recovery / rebalance). Updates
+  /// the owner table and the worker_tasks index (task-id order preserved).
+  /// Global task ids are stable, so every route/grouping stays valid; the
+  /// local-or-shuffle co-location preference is intentionally NOT
+  /// recomputed (like Storm, the locality hint reflects the schedule the
+  /// grouping was instantiated with). Throws std::out_of_range /
+  /// std::invalid_argument on bad ids.
+  void reassign_task(std::size_t global_task, std::size_t new_worker);
+
   std::vector<ComponentInfo> components_;
   std::vector<TaskInfo> tasks_;
   std::vector<std::vector<std::size_t>> worker_tasks_;
+  std::vector<std::atomic<std::size_t>> owner_;  ///< task -> current worker
+  std::vector<std::size_t> home_;                ///< task -> originally assigned worker
+  std::vector<std::atomic<bool>> alive_;
+  std::vector<std::atomic<bool>> active_;
   std::unordered_map<std::string, std::size_t> component_index_;
 };
 

@@ -18,7 +18,6 @@
 #include "control/rate_controller.hpp"
 #include "exp/chaos.hpp"
 #include "rt/async_engine.hpp"
-#include "rt/rt_engine.hpp"
 
 namespace repro {
 namespace {
@@ -113,26 +112,8 @@ TEST(ChaosInvariants, ScenariosAreDeterministic) {
 }
 
 /// The crash-free projection of a parity-friendly scenario (deterministic
-/// groupings only) routes identically on both backends, task by task.
-TEST(ChaosInvariants, CrashFreeProjectionMatchesRtBackend) {
-  std::size_t compared = 0;
-  for (std::uint64_t seed = kSeedBase; seed < kSeedBase + 50 && compared < 3; ++seed) {
-    exp::ChaosSpec spec = exp::make_chaos_spec(seed);
-    if (!spec.parity_friendly) continue;
-    ++compared;
-    exp::ChaosReport sim = exp::run_chaos_sim(spec, /*include_faults=*/false);
-    std::vector<std::uint64_t> rt_counts = exp::run_chaos_rt(spec);
-    ASSERT_EQ(sim.executed_per_task.size(), rt_counts.size()) << "seed " << seed;
-    for (std::size_t t = 0; t < rt_counts.size(); ++t) {
-      EXPECT_EQ(sim.executed_per_task[t], rt_counts[t])
-          << "seed " << seed << " task " << t << " (sim vs rt crash-free projection)";
-    }
-  }
-  EXPECT_EQ(compared, 3u) << "expected parity-friendly seeds in the sweep prefix";
-}
-
-/// The same crash-free projection routes identically on the async
-/// event-loop backend — the third driver over the shared runtime core.
+/// groupings only) routes identically on the async event-loop backend,
+/// task by task.
 TEST(ChaosInvariants, AsyncCrashFreeProjectionMatchesSim) {
   std::size_t compared = 0;
   for (std::uint64_t seed = kSeedBase; seed < kSeedBase + 50 && compared < 3; ++seed) {
@@ -429,23 +410,19 @@ TEST(ChaosInvariants, RescaleEventsAreExercisedAcrossTheSweep) {
 }
 
 /// Invariant 6 cross-backend: a parity-friendly scenario with scripted
-/// rescales routes identically on all three backends — the graceful
+/// rescales routes identically on both backends — the graceful
 /// retire -> re-add sequence must not change where the finite stream's
 /// tuples execute (task identity and queues travel with the migration).
-TEST(ChaosInvariants, RescaledCrashFreeProjectionMatchesRtAndAsync) {
+TEST(ChaosInvariants, RescaledCrashFreeProjectionMatchesAsync) {
   std::size_t compared = 0;
   for (std::uint64_t seed = kSeedBase; seed < kSeedBase + 120 && compared < 2; ++seed) {
     exp::ChaosSpec spec = exp::make_chaos_spec(seed);
     if (!spec.parity_friendly || !spec.has_rescale) continue;
     ++compared;
     exp::ChaosReport sim = exp::run_chaos_sim(spec, /*include_faults=*/false);
-    std::vector<std::uint64_t> rt_counts = exp::run_chaos_rt(spec);
     std::vector<std::uint64_t> async_counts = exp::run_chaos_async(spec);
-    ASSERT_EQ(sim.executed_per_task.size(), rt_counts.size()) << "seed " << seed;
     ASSERT_EQ(sim.executed_per_task.size(), async_counts.size()) << "seed " << seed;
-    for (std::size_t t = 0; t < rt_counts.size(); ++t) {
-      EXPECT_EQ(sim.executed_per_task[t], rt_counts[t])
-          << "seed " << seed << " task " << t << " (sim vs rt, rescaled)";
+    for (std::size_t t = 0; t < async_counts.size(); ++t) {
       EXPECT_EQ(sim.executed_per_task[t], async_counts[t])
           << "seed " << seed << " task " << t << " (sim vs async, rescaled)";
     }
@@ -559,10 +536,10 @@ dsps::Topology topo(bool dynamic_edge) {
 /// the placement stayed audit-clean.
 TEST(ChaosInvariants, ControllerActuationUnderLiveChurn) {
   {
-    rt::RtConfig cfg;
+    rt::AsyncConfig cfg;
     cfg.workers = 3;
     cfg.window_seconds = 0.1;
-    rt::RtEngine engine(churn::topo(/*dynamic_edge=*/true), cfg);
+    rt::AsyncEngine engine(churn::topo(/*dynamic_edge=*/true), cfg);
     control::DrlControllerConfig dcfg;
     dcfg.control_interval = 0.2;
     control::DrlController drl(dcfg);

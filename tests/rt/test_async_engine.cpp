@@ -1,10 +1,10 @@
 // Async event-loop runtime tests: the same Topology API driven by the
-// work-stealing ready-queue scheduler instead of per-queue cv waits.
-// Assertions are conservation/semantics properties, not exact counts
-// (wall-clock execution is nondeterministic by nature) — plus the
-// regression suite for the kBlockUpstream *task suspension* path: the
-// producer/consumer-share-a-worker and adversarial-cycle cases the rt
-// engine's bp_max_wait escape valve papered over must terminate, stay
+// work-stealing ready-queue scheduler on real loop threads. Assertions are
+// conservation/semantics properties, not exact counts (wall-clock
+// execution is nondeterministic by nature) — plus the regression suite
+// for the kBlockUpstream *task suspension* path: producer/consumer pairs
+// sharing a worker and adversarial worker cycles, which would deadlock a
+// runtime that blocks threads on full queues, must terminate, stay
 // lossless, and never overshoot the queue bound here.
 #include "rt/async_engine.hpp"
 
@@ -21,14 +21,18 @@ namespace {
 
 class CountingSpout : public dsps::Spout {
  public:
-  explicit CountingSpout(double rate) : rate_(rate) {}
+  /// Emits 0, 1, 2, ... at `rate` tuples/s; dries up after `limit` values
+  /// when one is given.
+  explicit CountingSpout(double rate, std::int64_t limit = -1) : rate_(rate), limit_(limit) {}
   double next_delay(sim::SimTime) override { return 1.0 / rate_; }
   std::optional<dsps::Values> next(sim::SimTime) override {
+    if (limit_ >= 0 && n_ >= limit_) return std::nullopt;
     return dsps::Values{static_cast<std::int64_t>(n_++)};
   }
 
  private:
   double rate_;
+  std::int64_t limit_;
   std::int64_t n_ = 0;
 };
 
@@ -125,6 +129,17 @@ TEST(AsyncEngine, OnWindowFiresFromTimerWheel) {
   EXPECT_GE(WindowCounter::windows_.load(), 4);
 }
 
+TEST(AsyncEngine, MeanLatencyIsPlausible) {
+  AsyncConfig cfg;
+  cfg.workers = 2;
+  AsyncEngine engine(relay_topology(1000.0, false, nullptr), cfg);
+  engine.run_for(std::chrono::milliseconds(300));
+  ASSERT_GT(engine.totals().acked, 0u);
+  double latency = engine.mean_complete_latency();
+  EXPECT_GT(latency, 0.0);
+  EXPECT_LT(latency, 0.5);  // relays are trivial; anything near 500ms is a bug
+}
+
 TEST(AsyncEngine, StopIsIdempotentAndRestartForbidden) {
   AsyncConfig cfg;
   cfg.workers = 1;
@@ -133,6 +148,57 @@ TEST(AsyncEngine, StopIsIdempotentAndRestartForbidden) {
   engine.stop();
   engine.stop();  // no-op
   EXPECT_THROW(engine.start(), std::logic_error);
+}
+
+TEST(AsyncEngine, HistoryIsBoundedByDefault) {
+  // A long-lived runtime must not grow metrics memory with run length:
+  // the default config bounds the window-history spine.
+  AsyncConfig cfg;
+  EXPECT_GT(cfg.history_capacity, 0u);
+
+  cfg.workers = 1;
+  cfg.window_seconds = 0.002;  // very fast windows to collect hundreds
+  cfg.history_capacity = 32;
+  AsyncEngine engine(relay_topology(50.0, false, nullptr), cfg);
+  engine.run_for(std::chrono::milliseconds(1500));
+
+  const runtime::WindowHistory& h = engine.window_history();
+  EXPECT_GT(h.total(), 64u) << "run too short to exercise eviction";
+  // Flat memory high-water mark: never more than 2*capacity retained.
+  EXPECT_LE(h.storage_high_water(), 64u);
+  EXPECT_LE(h.size(), 63u);
+  EXPECT_GE(h.size(), 32u);
+  // The retained block is the most recent tail with stable indices.
+  EXPECT_EQ(h.first_index() + h.size(), h.total());
+  EXPECT_DOUBLE_EQ(h.at_global(h.total() - 1).time, h.back().time);
+  // Legacy vector view stays usable and aliases the retained block.
+  EXPECT_EQ(engine.history().size(), h.size());
+}
+
+TEST(AsyncEngine, HistoryCapZeroOptsOutOfBounding) {
+  AsyncConfig cfg;
+  cfg.workers = 1;
+  cfg.window_seconds = 0.005;
+  cfg.history_capacity = 0;  // explicit opt-out: keep every window
+  AsyncEngine engine(relay_topology(50.0, false, nullptr), cfg);
+  engine.run_for(std::chrono::milliseconds(300));
+  const runtime::WindowHistory& h = engine.window_history();
+  EXPECT_FALSE(h.bounded());
+  EXPECT_EQ(h.first_index(), 0u);
+  EXPECT_EQ(h.size(), h.total());
+}
+
+TEST(AsyncEngine, DynamicEdgesDiscovered) {
+  AsyncConfig cfg;
+  cfg.workers = 2;
+  AsyncEngine dynamic_engine(relay_topology(100.0, true, nullptr), cfg);
+  auto edges = dynamic_engine.dynamic_edges();
+  ASSERT_EQ(edges.size(), 1u);
+  EXPECT_EQ(edges[0].from, "src");
+  EXPECT_EQ(edges[0].to, "relay");
+
+  AsyncEngine static_engine(relay_topology(100.0, false, nullptr), cfg);
+  EXPECT_TRUE(static_engine.dynamic_edges().empty());
 }
 
 class SlowSink : public dsps::Bolt {
@@ -156,8 +222,8 @@ TEST(AsyncEngine, BoundedBlockSuspendsTasksAndStaysLossless) {
   // kBlockUpstream under overload: the emitter is *suspended* (scheduler
   // counters move) instead of blocking a thread, the run terminates, and
   // nothing is shed. The queue bound is a hard invariant on this backend —
-  // there is no bp_max_wait overshoot — so every sampled queue depth obeys
-  // the cap.
+  // no escape valve ever pushes past it — so every sampled queue depth
+  // obeys the cap.
   AsyncConfig cfg;
   cfg.workers = 3;
   // Explicit loop threads: on a small host the default (hw_concurrency)
@@ -205,6 +271,34 @@ TEST(AsyncEngine, BoundedDropShedsUnderOverload) {
   EXPECT_GT(t.executed, 0u);
 }
 
+TEST(AsyncEngine, BatchedDropShedsPartialBatchesPerTuple) {
+  // batch 8 against a cap-6 drop queue: a full batch can never be
+  // admitted whole, so every admission splits — heads fill the queue,
+  // tails land in dropped_overflow per tuple.
+  AsyncConfig cfg;
+  cfg.workers = 3;
+  cfg.threads = 3;  // see BoundedBlockSuspendsTasksAndStaysLossless
+  cfg.flow = {6, runtime::OverflowPolicy::kDropNewest};
+  cfg.ack_timeout = 30.0;
+  cfg.batch_size = 8;
+  AsyncEngine engine(slow_sink_topology(5000.0), cfg);
+  engine.run_for(std::chrono::milliseconds(500));
+
+  RtTotals t = engine.totals();
+  EXPECT_GT(t.dropped_overflow, 0u);
+  EXPECT_EQ(t.dropped_overflow, engine.flow_control()->total_dropped_overflow());
+  EXPECT_GT(t.executed, 0u);
+  // Partial admission happened: the sink behind the cap-6 queue executed
+  // tuples even though a full batch exceeds the capacity — heads were
+  // admitted while tails shed.
+  auto [sink_lo, sink_hi] = engine.tasks_of("sink");
+  std::uint64_t sink_executed = 0;
+  for (std::size_t task = sink_lo; task < sink_hi; ++task) {
+    sink_executed += engine.executed_per_task()[task];
+  }
+  EXPECT_GT(sink_executed, 0u);
+}
+
 TEST(AsyncEngine, BatchedBlockParksWholeBatchesLossless) {
   AsyncConfig cfg;
   cfg.workers = 3;
@@ -221,18 +315,17 @@ TEST(AsyncEngine, BatchedBlockParksWholeBatchesLossless) {
   EXPECT_GT(engine.flow_control()->total_stall_seconds(), 0.0);
 }
 
-// --- the bp_max_wait regression suite ----------------------------------
-// These are the configurations where the rt engine's thread-blocking
-// backpressure needed escape valves (soft push on self-cycles, sliced
-// waits bounded by bp_max_wait) and could transiently overshoot the queue
-// bound. Task suspension has no such cases: they must all terminate
-// lossless with the bound intact.
+// --- the task-suspension regression suite --------------------------------
+// Configurations where backpressure that blocks threads would need escape
+// valves (a push that may not wait on its own thread, sliced waits) and
+// could overshoot the queue bound. Task suspension has no such cases:
+// they must all terminate lossless with the bound intact.
 
 TEST(AsyncEngine, ProducerConsumerSharingOneWorkerTerminates) {
   // workers=1: every executor — spout, relays, slow sink — lives on the
-  // same logical worker, so on rt the emitting thread IS the thread that
-  // must drain the full queue (the self-cycle soft-push hack). Here the
-  // emitter suspends and the loop thread simply runs the sink task.
+  // same logical worker, so a blocking emitter would be the very thread
+  // that must drain the full queue. Here the emitter suspends and the
+  // loop thread simply runs the sink task.
   CountingSink::count_ = 0;
   AsyncConfig cfg;
   cfg.workers = 1;
@@ -260,33 +353,55 @@ class FanoutBolt : public dsps::Bolt {
 
 TEST(AsyncEngine, AdversarialCycleChainDrains) {
   // A 4-hop amplifying chain with tiny caps, interleaved over 2 workers:
-  // on rt, hop i's worker blocks pushing into hop i+1 hosted on the other
-  // worker and vice versa — a worker-thread wait cycle that only
-  // bp_max_wait breaks. With task suspension the loop threads never
-  // block, so the chain must drain with the bound intact.
-  CountingSink::count_ = 0;
-  dsps::TopologyBuilder b("async-cycle");
-  b.set_spout("src", [] { return std::make_unique<CountingSpout>(4000.0); });
-  b.set_bolt("f1", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("src");
-  b.set_bolt("f2", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("f1");
-  b.set_bolt("f3", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("f2");
-  b.set_bolt("sink", [] { return std::make_unique<CountingSink>(); }, 1)
-      .global_grouping("f3");
-  AsyncConfig cfg;
-  cfg.workers = 2;
-  cfg.threads = 2;
-  cfg.flow = {4, runtime::OverflowPolicy::kBlockUpstream};
-  cfg.max_spout_pending = 32;
-  AsyncEngine engine(b.build(), cfg);
-  engine.run_for(std::chrono::milliseconds(600));
-
-  RtTotals t = engine.totals();
-  EXPECT_GT(t.roots_emitted, 20u) << "amplifying chain must not wedge";
-  EXPECT_EQ(t.dropped_overflow, 0u);
-  // 8x amplification reached the sink.
-  EXPECT_GT(CountingSink::count_.load(), 100u);
-  EXPECT_GT(t.suspends, 0u) << "tiny caps must engage the suspension path";
-  EXPECT_EQ(t.suspends, t.resumes) << "every suspend resumed by quiesce";
+  // hop i's worker pushes into hop i+1 hosted on the other worker and
+  // vice versa — a worker wait cycle for any runtime that blocks threads
+  // on full queues. A finite stream is drained to quiescence (every root
+  // acked, or a deadline): a stop mid-run could legitimately catch a task
+  // suspended, but once every root is acked nothing is parked, so
+  // suspends == resumes exactly. Repeated, because a resume lost to a
+  // race with the suspending step wedges the chain only now and then.
+  static constexpr std::int64_t kRoots = 200;
+  std::uint64_t suspends = 0;
+  for (int rep = 0; rep < 20; ++rep) {
+    CountingSink::count_ = 0;
+    dsps::TopologyBuilder b("async-cycle");
+    b.set_spout("src", [] { return std::make_unique<CountingSpout>(4000.0, kRoots); });
+    b.set_bolt("f1", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("src");
+    b.set_bolt("f2", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("f1");
+    b.set_bolt("f3", [] { return std::make_unique<FanoutBolt>(); }, 2).shuffle_grouping("f2");
+    b.set_bolt("sink", [] { return std::make_unique<CountingSink>(); }, 1)
+        .global_grouping("f3");
+    AsyncConfig cfg;
+    cfg.workers = 2;
+    cfg.threads = 2;
+    cfg.flow = {4, runtime::OverflowPolicy::kBlockUpstream};
+    cfg.max_spout_pending = 32;
+    // A wedged chain must show up as a missed drain deadline, not as roots
+    // failing at the ack timeout while their batches stay parked.
+    cfg.ack_timeout = 60.0;
+    AsyncEngine engine(b.build(), cfg);
+    engine.start();
+    bool drained = false;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!drained && std::chrono::steady_clock::now() < deadline) {
+      RtTotals t = engine.totals();
+      drained = t.roots_emitted == static_cast<std::uint64_t>(kRoots) &&
+                t.acked + t.failed == t.roots_emitted;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    engine.stop();
+    const RtTotals t = engine.totals();
+    ASSERT_TRUE(drained) << "rep " << rep << ": amplifying chain wedged with " << t.acked
+                         << " of " << t.roots_emitted << " roots acked, " << t.suspends
+                         << " suspends vs " << t.resumes << " resumes";
+    EXPECT_EQ(t.failed, 0u) << "rep " << rep;
+    EXPECT_EQ(t.dropped_overflow, 0u) << "rep " << rep;
+    // 8x amplification reached the sink for every root.
+    EXPECT_EQ(CountingSink::count_.load(), 8u * kRoots) << "rep " << rep;
+    EXPECT_EQ(t.suspends, t.resumes) << "rep " << rep << ": every suspend resumed by quiesce";
+    suspends += t.suspends;
+  }
+  EXPECT_GT(suspends, 0u) << "tiny caps must engage the suspension path";
 }
 
 class RecordingSink : public dsps::Bolt {
@@ -359,14 +474,24 @@ TEST(AsyncEngine, CtorValidation) {
   cfg.max_spout_pending = 0;  // unthrottled spout against blocking queues
   EXPECT_THROW(AsyncEngine(relay_topology(100.0, false, nullptr), cfg), std::invalid_argument);
 
-  // bp_max_wait is rt-only: the async backend has no blocking wait to
-  // bound, so a zero value must NOT be rejected here.
   cfg = AsyncConfig{};
   cfg.workers = 1;
-  cfg.flow = {16, runtime::OverflowPolicy::kBlockUpstream};
-  cfg.max_spout_pending = 100;
-  cfg.bp_max_wait = 0.0;
-  EXPECT_NO_THROW(AsyncEngine(relay_topology(100.0, false, nullptr), cfg));
+  cfg.flow.queue_capacity = 8;  // capacity without a bounded policy
+  EXPECT_THROW(AsyncEngine(relay_topology(100.0, false, nullptr), cfg), std::invalid_argument);
+
+  cfg = AsyncConfig{};
+  cfg.workers = 0;  // no placement domain
+  EXPECT_THROW(AsyncEngine(relay_topology(100.0, false, nullptr), cfg), std::invalid_argument);
+}
+
+TEST(AsyncEngine, TasksOfAndIntrospection) {
+  AsyncConfig cfg;
+  cfg.workers = 2;
+  AsyncEngine engine(relay_topology(100.0, false, nullptr), cfg);
+  auto [lo, hi] = engine.tasks_of("relay");
+  EXPECT_EQ(hi - lo, 4u);
+  EXPECT_THROW(engine.tasks_of("nope"), std::invalid_argument);
+  EXPECT_EQ(engine.worker_count(), 2u);
 }
 
 TEST(AsyncEngine, SchedulerCountersSurface) {

@@ -17,6 +17,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using std::chrono::milliseconds;
 
+// Suspend check for loops whose tasks never suspend, or stay suspended
+// until an explicit resume(): no wake condition, so always still blocked.
+bool blocked_until_resume(std::uint32_t) { return true; }
+
 TEST(TimerWheel, FiresDueEntriesAndReportsNextDeadline) {
   TimerWheel wheel(milliseconds(1), 16);
   Clock::time_point t0 = Clock::now();
@@ -75,7 +79,7 @@ TEST(EventLoop, RunsNotifiedTasksExactlyOncePerNotify) {
   EventLoop loop(2, kTasks, [&](std::uint32_t task, std::size_t) {
     runs[task].fetch_add(1, std::memory_order_relaxed);
     return EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   for (std::uint32_t t = 0; t < kTasks; ++t) loop.notify(t);
   std::this_thread::sleep_for(milliseconds(100));
@@ -99,7 +103,7 @@ TEST(EventLoop, SingleRunnerGuaranteeUnderNotifyStorm) {
     std::this_thread::sleep_for(std::chrono::microseconds(50));
     inside.fetch_sub(1);
     return EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   std::atomic<bool> stop{false};
   std::vector<std::thread> pokers;
@@ -126,7 +130,7 @@ TEST(EventLoop, SuspendIgnoresNotifyUntilResume) {
   EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
     int n = steps.fetch_add(1, std::memory_order_relaxed);
     return n == 0 ? EventLoop::StepResult::kSuspend : EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   loop.notify(0);
   std::this_thread::sleep_for(milliseconds(50));
@@ -160,7 +164,7 @@ TEST(EventLoop, ResumeDuringStepIsNotLost) {
       return EventLoop::StepResult::kSuspend;
     }
     return EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   loop.notify(0);
   while (!in_step.load()) std::this_thread::yield();
@@ -169,6 +173,48 @@ TEST(EventLoop, ResumeDuringStepIsNotLost) {
   std::this_thread::sleep_for(milliseconds(100));
   loop.stop();
   EXPECT_EQ(steps.load(), 2) << "resume during a suspending step must re-run the task";
+}
+
+TEST(EventLoop, GateReleaseRacingSuspendIsNotLost) {
+  // The store-buffering race behind a lost wakeup: the step reads its gate
+  // after the loop published kRunning, while the releaser opens the gate
+  // and then reads the task state in resume(). Both reads can be stale:
+  // resume() sees the task still queued and does nothing, the step still
+  // sees the gate shut and suspends — for good. The post-suspend re-check
+  // must close that window. Each round sweeps the release across the
+  // step's start with a different spin delay.
+  std::atomic<int> gate{0};
+  std::atomic<std::uint64_t> open_runs{0};
+  EventLoop loop(
+      1, 1,
+      [&](std::uint32_t, std::size_t) {
+        if (gate.load(std::memory_order_seq_cst) > 0) return EventLoop::StepResult::kSuspend;
+        open_runs.fetch_add(1, std::memory_order_relaxed);
+        return EventLoop::StepResult::kIdle;
+      },
+      [&](std::uint32_t) { return gate.load(std::memory_order_seq_cst) > 0; });
+  loop.start();
+  constexpr int kRounds = 100000;
+  int wedged_round = -1;
+  for (int round = 0; round < kRounds && wedged_round < 0; ++round) {
+    gate.store(1, std::memory_order_seq_cst);
+    const std::uint64_t before = open_runs.load(std::memory_order_relaxed);
+    loop.notify(0);
+    const Clock::time_point release_at = Clock::now() + std::chrono::nanoseconds(round % 4000);
+    while (Clock::now() < release_at) {
+    }
+    gate.fetch_sub(1, std::memory_order_seq_cst);
+    loop.resume(0);
+    const auto deadline = Clock::now() + milliseconds(2000);
+    while (open_runs.load(std::memory_order_relaxed) == before) {
+      if (Clock::now() > deadline) {
+        wedged_round = round;
+        break;
+      }
+    }
+  }
+  loop.stop();
+  EXPECT_EQ(wedged_round, -1) << "task stayed suspended with its gate open";
 }
 
 TEST(EventLoop, YieldRequeuesForFairness) {
@@ -185,7 +231,7 @@ TEST(EventLoop, YieldRequeuesForFairness) {
     if (other_ran.load() && yields_left.load() > 0) other_ran_before_drain.store(true);
     return yields_left.fetch_sub(1) > 1 ? EventLoop::StepResult::kYield
                                         : EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   loop.notify(0);
   loop.notify(1);
@@ -202,7 +248,7 @@ TEST(EventLoop, TimersNotifyOwnersNearDeadline) {
   EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
     if (runs.fetch_add(1) == 0) fired_at = Clock::now();
     return EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   Clock::time_point deadline = Clock::now() + milliseconds(30);
   loop.schedule_at(0, deadline);
@@ -225,7 +271,7 @@ TEST(EventLoop, CountsStealsAcrossThreads) {
     runs.fetch_add(1, std::memory_order_relaxed);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return EventLoop::StepResult::kIdle;
-  });
+  }, blocked_until_resume);
   loop.start();
   // Let both loop threads park first: wakeup attribution counts passes that
   // follow an actual sleep, so a burst into an already-spinning loop would

@@ -67,28 +67,35 @@ common::Flags make_flags(std::vector<const char*> args) {
 
 TEST(BackendKind, ParsesBackendNames) {
   EXPECT_EQ(parse_backend_kind("sim"), BackendKind::kSim);
-  EXPECT_EQ(parse_backend_kind("rt"), BackendKind::kRt);
   EXPECT_EQ(parse_backend_kind("async"), BackendKind::kAsync);
   EXPECT_THROW(parse_backend_kind("asink"), std::invalid_argument);
   EXPECT_THROW(parse_backend_kind(""), std::invalid_argument);
   // Round trip through the canonical names.
   EXPECT_EQ(parse_backend_kind(backend_kind_name(BackendKind::kSim)), BackendKind::kSim);
-  EXPECT_EQ(parse_backend_kind(backend_kind_name(BackendKind::kRt)), BackendKind::kRt);
   EXPECT_EQ(parse_backend_kind(backend_kind_name(BackendKind::kAsync)), BackendKind::kAsync);
+}
+
+TEST(BackendKind, RemovedRtBackendFailsClosedPointingToAsync) {
+  try {
+    parse_backend_kind("rt");
+    FAIL() << "backend 'rt' must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("async"), std::string::npos) << e.what();
+  }
 }
 
 TEST(DataPathFlags, AppliesOnlyPresentFlags) {
   FlowControlConfig flow;
   std::size_t pending = 1234;
   std::size_t batch = 1;
-  BackendKind backend = BackendKind::kRt;
+  BackendKind backend = BackendKind::kSim;
   // No data-path flags at all: everything keeps the caller's defaults
   // (including the caller's default backend).
   EXPECT_TRUE(apply_data_path_flags(make_flags({"--other=x"}), flow, pending, batch, backend));
   EXPECT_FALSE(flow.bounded());
   EXPECT_EQ(pending, 1234u);
   EXPECT_EQ(batch, 1u);
-  EXPECT_EQ(backend, BackendKind::kRt);
+  EXPECT_EQ(backend, BackendKind::kSim);
 
   EXPECT_TRUE(apply_data_path_flags(
       make_flags({"--queue-cap=64", "--overflow-policy=drop", "--max-pending=500",
@@ -101,7 +108,8 @@ TEST(DataPathFlags, AppliesOnlyPresentFlags) {
   EXPECT_EQ(backend, BackendKind::kAsync);
 
   // The 4-arg overload (fixed-backend binaries) still validates --backend.
-  EXPECT_TRUE(apply_data_path_flags(make_flags({"--backend=rt"}), flow, pending, batch));
+  EXPECT_TRUE(apply_data_path_flags(make_flags({"--backend=sim"}), flow, pending, batch));
+  EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=rt"}), flow, pending, batch));
   EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=nope"}), flow, pending, batch));
 }
 
@@ -117,6 +125,7 @@ TEST(DataPathFlags, BadValuesReturnFalseForExit2) {
       {"--batch-size=0"},                             // batch must be >= 1
       {"--batch-size=-8"},
       {"--backend=threads"},                          // unknown backend
+      {"--backend=rt"},                               // removed backend
       {"--backend="},
   };
   for (const auto& args : bad) {

@@ -15,7 +15,6 @@
 #include "control/rate_controller.hpp"
 #include "dsps/engine.hpp"
 #include "rt/async_engine.hpp"
-#include "rt/rt_engine.hpp"
 #include "runtime/control_surface.hpp"
 #include "runtime/topology_state.hpp"
 
@@ -130,7 +129,7 @@ TEST(RuntimeCore, SimEngineIsDeterministic) {
   EXPECT_NE(latency_sum(*a), latency_sum(*c));
 }
 
-// --- sim/rt routing parity ---------------------------------------------
+// --- sim/async routing parity ------------------------------------------
 
 /// A finite stream through a deterministic (hash-based) grouping must land
 /// on exactly the same relay tasks under both backends: routing semantics
@@ -150,32 +149,21 @@ TEST(RuntimeCore, FieldsRoutingParityAcrossBackends) {
     for (std::size_t t = slo; t < shi; ++t) sim_counts[t - slo] += w.tasks[t].executed;
   }
 
-  BuiltTopo rt_t = relay_topo(1000.0, kTuples, "fields");
-  rt::RtConfig rcfg;
-  rcfg.workers = 3;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
-  rt_engine.run_for(std::chrono::milliseconds(800));
-
-  auto [rlo, rhi] = rt_engine.tasks_of("relay");
-  ASSERT_EQ(rhi - rlo, shi - slo);
-  std::vector<std::uint64_t> rt_counts = rt_engine.executed_per_task();
-  std::uint64_t sim_total = 0;
-  for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], rt_counts[rlo + i]) << "relay task " << i;
-    sim_total += sim_counts[i];
-  }
-  EXPECT_EQ(sim_total, static_cast<std::uint64_t>(kTuples));
-
-  // Third backend, same routing core: the async event-loop engine.
   BuiltTopo async_t = relay_topo(1000.0, kTuples, "fields");
   rt::AsyncConfig acfg;
   acfg.workers = 3;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
   async_engine.run_for(std::chrono::milliseconds(800));
+
+  auto [alo, ahi] = async_engine.tasks_of("relay");
+  ASSERT_EQ(ahi - alo, shi - slo);
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
+  std::uint64_t sim_total = 0;
   for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], async_counts[rlo + i]) << "relay task " << i;
+    EXPECT_EQ(sim_counts[i], async_counts[alo + i]) << "relay task " << i;
+    sim_total += sim_counts[i];
   }
+  EXPECT_EQ(sim_total, static_cast<std::uint64_t>(kTuples));
 }
 
 /// Dynamic grouping with a pinned ratio is exact SWRR on both backends.
@@ -189,37 +177,27 @@ TEST(RuntimeCore, DynamicRoutingParityAcrossBackends) {
   dsps::Engine sim(sim_t.topo, cfg);
   sim.run_for(3.0);
 
-  BuiltTopo rt_t = relay_topo(1000.0, kTuples, "dynamic");
-  rt_t.ratio->set_ratios({3.0, 1.0, 0.0, 0.0});
-  rt::RtConfig rcfg;
-  rcfg.workers = 2;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
-  rt_engine.run_for(std::chrono::milliseconds(800));
-
-  auto [slo, shi] = sim.tasks_of("relay");
-  std::vector<std::uint64_t> sim_counts(shi - slo, 0);
-  for (const auto& w : sim.history()) {
-    for (std::size_t t = slo; t < shi; ++t) sim_counts[t - slo] += w.tasks[t].executed;
-  }
-  auto [rlo, rhi] = rt_engine.tasks_of("relay");
-  std::vector<std::uint64_t> rt_counts = rt_engine.executed_per_task();
-  for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], rt_counts[rlo + i]) << "relay task " << i;
-  }
-  EXPECT_EQ(sim_counts[0], 75u);  // 3:1 split over 100 tuples
-  EXPECT_EQ(sim_counts[1], 25u);
-  EXPECT_EQ(sim_counts[2], 0u);
-
   BuiltTopo async_t = relay_topo(1000.0, kTuples, "dynamic");
   async_t.ratio->set_ratios({3.0, 1.0, 0.0, 0.0});
   rt::AsyncConfig acfg;
   acfg.workers = 2;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
   async_engine.run_for(std::chrono::milliseconds(800));
+
+  auto [slo, shi] = sim.tasks_of("relay");
+  std::vector<std::uint64_t> sim_counts(shi - slo, 0);
+  for (const auto& w : sim.history()) {
+    for (std::size_t t = slo; t < shi; ++t) sim_counts[t - slo] += w.tasks[t].executed;
+  }
+  auto [alo, ahi] = async_engine.tasks_of("relay");
+  ASSERT_EQ(ahi - alo, shi - slo);
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
   for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], async_counts[rlo + i]) << "relay task " << i;
+    EXPECT_EQ(sim_counts[i], async_counts[alo + i]) << "relay task " << i;
   }
+  EXPECT_EQ(sim_counts[0], 75u);  // 3:1 split over 100 tuples
+  EXPECT_EQ(sim_counts[1], 25u);
+  EXPECT_EQ(sim_counts[2], 0u);
 }
 
 // --- crash/recovery parity ---------------------------------------------
@@ -230,7 +208,7 @@ TEST(RuntimeCore, DynamicRoutingParityAcrossBackends) {
 /// and the comparison is exact: the recovered routing tables must be
 /// identical (both backends use dsps::plan_crash_reassignment), and the
 /// per-task executed counts must match task for task. (For mid-traffic
-/// crashes the rt backend loses a timing-dependent set of queued tuples —
+/// crashes the async backend loses a timing-dependent set of queued tuples —
 /// the documented tolerance — so exact count parity is only asserted on
 /// this crash-before-traffic projection; the chaos suite covers the
 /// timing-dependent cases statistically.)
@@ -242,91 +220,71 @@ TEST(RuntimeCore, CrashRecoveryParityAcrossBackends) {
 
   BuiltTopo sim_t = relay_topo(1000.0, kTuples, "fields");
   dsps::Engine sim(sim_t.topo, cfg);
-  BuiltTopo rt_t = relay_topo(1000.0, kTuples, "fields");
-  rt::RtConfig rcfg;
-  rcfg.workers = 4;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
   BuiltTopo async_t = relay_topo(1000.0, kTuples, "fields");
   rt::AsyncConfig acfg;
   acfg.workers = 4;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
 
   ASSERT_TRUE(sim.supports_crash_recovery());
-  ASSERT_TRUE(rt_engine.supports_crash_recovery());
   ASSERT_TRUE(async_engine.supports_crash_recovery());
 
   // Pick a worker that hosts at least one relay task; identical placement
-  // means the same worker qualifies on every backend.
+  // means the same worker qualifies on both backends.
   auto [rlo, rhi] = sim.tasks_of("relay");
   std::size_t victim = sim.worker_of_task(rlo);
-  ASSERT_EQ(victim, rt_engine.worker_of_task(rlo));
   ASSERT_EQ(victim, async_engine.worker_of_task(rlo));
 
   sim.crash_worker(victim);
-  rt_engine.crash_worker(victim);
   async_engine.crash_worker(victim);
   EXPECT_FALSE(sim.worker_alive(victim));
-  EXPECT_FALSE(rt_engine.worker_alive(victim));
   EXPECT_FALSE(async_engine.worker_alive(victim));
 
   // Recovered routing tables agree task for task.
   for (std::size_t t = rlo; t < rhi; ++t) {
-    EXPECT_EQ(sim.worker_of_task(t), rt_engine.worker_of_task(t)) << "task " << t;
     EXPECT_EQ(sim.worker_of_task(t), async_engine.worker_of_task(t)) << "task " << t;
     EXPECT_NE(sim.worker_of_task(t), victim) << "task " << t << " left on the dead worker";
   }
   EXPECT_TRUE(sim.placement_audit().empty()) << sim.placement_audit();
-  EXPECT_TRUE(rt_engine.placement_audit().empty()) << rt_engine.placement_audit();
   EXPECT_TRUE(async_engine.placement_audit().empty()) << async_engine.placement_audit();
 
   // Run the finite stream to completion on the recovered placement.
   sim.run_for(3.0);
-  rt_engine.run_for(std::chrono::milliseconds(900));
   async_engine.run_for(std::chrono::milliseconds(900));
 
   std::vector<std::uint64_t> sim_counts(rhi - rlo, 0);
   for (const auto& w : sim.history()) {
     for (std::size_t t = rlo; t < rhi; ++t) sim_counts[t - rlo] += w.tasks[t].executed;
   }
-  std::vector<std::uint64_t> rt_counts = rt_engine.executed_per_task();
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], rt_counts[rlo + i]) << "relay task " << i;
     EXPECT_EQ(sim_counts[i], async_counts[rlo + i]) << "relay task " << i;
     total += sim_counts[i];
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kTuples)) << "crash-before-traffic loses nothing";
   EXPECT_EQ(sim.totals().tuples_lost, 0u);
-  EXPECT_EQ(rt_engine.totals().lost, 0u);
   EXPECT_EQ(async_engine.totals().lost, 0u);
 
-  // Restart: every backend reclaims the original placement.
+  // Restart: both backends reclaim the original placement.
   sim.restart_worker(victim);
-  rt_engine.restart_worker(victim);
   async_engine.restart_worker(victim);
   EXPECT_TRUE(sim.worker_alive(victim));
-  EXPECT_TRUE(rt_engine.worker_alive(victim));
   EXPECT_TRUE(async_engine.worker_alive(victim));
   for (std::size_t t = rlo; t < rhi; ++t) {
-    EXPECT_EQ(sim.worker_of_task(t), rt_engine.worker_of_task(t)) << "task " << t;
     EXPECT_EQ(sim.worker_of_task(t), async_engine.worker_of_task(t)) << "task " << t;
   }
   EXPECT_TRUE(sim.placement_audit().empty()) << sim.placement_audit();
-  EXPECT_TRUE(rt_engine.placement_audit().empty()) << rt_engine.placement_audit();
   EXPECT_TRUE(async_engine.placement_audit().empty()) << async_engine.placement_audit();
   EXPECT_EQ(sim.totals().worker_crashes, 1u);
   EXPECT_EQ(sim.totals().worker_restarts, 1u);
-  EXPECT_EQ(rt_engine.totals().worker_crashes, 1u);
-  EXPECT_EQ(rt_engine.totals().worker_restarts, 1u);
   EXPECT_EQ(async_engine.totals().worker_crashes, 1u);
   EXPECT_EQ(async_engine.totals().worker_restarts, 1u);
 }
 
 // --- elastic rescale parity --------------------------------------------
 
-/// The same scripted scale-out -> migrate -> scale-in sequence on all
-/// three backends: retire a worker (graceful drain through the shared
+/// The same scripted scale-out -> migrate -> scale-in sequence on both
+/// backends: retire a worker (graceful drain through the shared
 /// plan_crash_reassignment policy), re-activate it, migrate an executor
 /// onto it explicitly, then retire another worker. After every step the
 /// routing tables must agree task for task, and the finite stream must
@@ -340,34 +298,25 @@ TEST(RuntimeCore, ElasticRescaleParityAcrossBackends) {
 
   BuiltTopo sim_t = relay_topo(1000.0, kTuples, "fields");
   dsps::Engine sim(sim_t.topo, cfg);
-  BuiltTopo rt_t = relay_topo(1000.0, kTuples, "fields");
-  rt::RtConfig rcfg;
-  rcfg.workers = 4;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
   BuiltTopo async_t = relay_topo(1000.0, kTuples, "fields");
   rt::AsyncConfig acfg;
   acfg.workers = 4;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
 
   ASSERT_TRUE(sim.supports_elastic_scaling());
-  ASSERT_TRUE(rt_engine.supports_elastic_scaling());
   ASSERT_TRUE(async_engine.supports_elastic_scaling());
 
-  std::vector<runtime::ControlSurface*> backends{&sim, &rt_engine, &async_engine};
+  std::vector<runtime::ControlSurface*> backends{&sim, &async_engine};
   auto [rlo, rhi] = sim.tasks_of("relay");
   std::size_t task_count = 0;
   for (const auto& tasks : sim.worker_task_snapshot()) task_count += tasks.size();
 
   auto expect_parity = [&](const char* step) {
     for (std::size_t t = 0; t < task_count; ++t) {
-      EXPECT_EQ(sim.worker_of_task(t), rt_engine.worker_of_task(t))
-          << step << ": task " << t;
       EXPECT_EQ(sim.worker_of_task(t), async_engine.worker_of_task(t))
           << step << ": task " << t;
     }
     EXPECT_TRUE(sim.placement_audit().empty()) << step << ": " << sim.placement_audit();
-    EXPECT_TRUE(rt_engine.placement_audit().empty())
-        << step << ": " << rt_engine.placement_audit();
     EXPECT_TRUE(async_engine.placement_audit().empty())
         << step << ": " << async_engine.placement_audit();
   };
@@ -400,67 +349,29 @@ TEST(RuntimeCore, ElasticRescaleParityAcrossBackends) {
   // Run the finite stream on the rescaled placement: identical per-task
   // window counters, nothing lost on any backend.
   sim.run_for(3.0);
-  rt_engine.run_for(std::chrono::milliseconds(900));
   async_engine.run_for(std::chrono::milliseconds(900));
 
   std::vector<std::uint64_t> sim_counts(rhi - rlo, 0);
   for (const auto& w : sim.history()) {
     for (std::size_t t = rlo; t < rhi; ++t) sim_counts[t - rlo] += w.tasks[t].executed;
   }
-  std::vector<std::uint64_t> rt_counts = rt_engine.executed_per_task();
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < sim_counts.size(); ++i) {
-    EXPECT_EQ(sim_counts[i], rt_counts[rlo + i]) << "relay task " << i;
     EXPECT_EQ(sim_counts[i], async_counts[rlo + i]) << "relay task " << i;
     total += sim_counts[i];
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kTuples)) << "migration must conserve tuples";
   EXPECT_EQ(sim.totals().tuples_lost, 0u);
-  EXPECT_EQ(rt_engine.totals().lost, 0u);
   EXPECT_EQ(async_engine.totals().lost, 0u);
 
   // Identical rescale accounting across backends.
   EXPECT_EQ(sim.totals().worker_retires, 2u);
   EXPECT_EQ(sim.totals().worker_adds, 1u);
-  EXPECT_EQ(rt_engine.totals().worker_retires, 2u);
-  EXPECT_EQ(rt_engine.totals().worker_adds, 1u);
   EXPECT_EQ(async_engine.totals().worker_retires, 2u);
   EXPECT_EQ(async_engine.totals().worker_adds, 1u);
-  EXPECT_EQ(sim.totals().task_migrations, rt_engine.totals().task_migrations);
   EXPECT_EQ(sim.totals().task_migrations, async_engine.totals().task_migrations);
   EXPECT_GT(sim.totals().task_migrations, 0u);
-}
-
-/// Mid-run crash on the threads runtime: queued tuples are discarded (the
-/// lost counter moves or the stream simply drains first), the placement
-/// heals, and the engine keeps processing on the survivors.
-TEST(RuntimeCore, RtMidRunCrashHealsAndContinues) {
-  BuiltTopo t = relay_topo(3000.0, 1 << 30, "shuffle");
-  rt::RtConfig cfg;
-  cfg.workers = 3;
-  rt::RtEngine engine(t.topo, cfg);
-  engine.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  auto [lo, hi] = engine.tasks_of("relay");
-  std::size_t victim = engine.worker_of_task(lo);
-  engine.crash_worker(victim);
-  EXPECT_FALSE(engine.worker_alive(victim));
-  EXPECT_TRUE(engine.placement_audit().empty()) << engine.placement_audit();
-  for (std::size_t task = lo; task < hi; ++task) {
-    EXPECT_NE(engine.worker_of_task(task), victim);
-  }
-  std::uint64_t executed_at_crash = engine.totals().executed;
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  engine.restart_worker(victim);
-  EXPECT_TRUE(engine.worker_alive(victim));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  engine.stop();
-  EXPECT_GT(engine.totals().executed, executed_at_crash)
-      << "the topology must keep processing through crash and restart";
-  EXPECT_TRUE(engine.placement_audit().empty()) << engine.placement_audit();
-  EXPECT_EQ(engine.totals().worker_crashes, 1u);
-  EXPECT_EQ(engine.totals().worker_restarts, 1u);
 }
 
 // --- control surface ---------------------------------------------------
@@ -479,19 +390,6 @@ TEST(RuntimeCore, ControllerAttachesToBothBackends) {
   sim.run_for(4.0);
   EXPECT_GT(sim_ctrl.actions().size(), 0u);
 
-  BuiltTopo rt_t = relay_topo(500.0, 1 << 30, "dynamic");
-  rt::RtConfig rcfg;
-  rcfg.workers = 2;
-  rcfg.window_seconds = 0.1;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
-  control::PredictiveController rt_ctrl(ccfg,
-                                        std::make_shared<control::ObservedPredictor>());
-  rt_ctrl.attach(rt_engine, "src", "relay");
-  EXPECT_EQ(rt_engine.backend_name(), "rt");
-  rt_engine.run_for(std::chrono::milliseconds(1200));
-  EXPECT_GT(rt_ctrl.actions().size(), 0u);
-  EXPECT_GT(rt_engine.history().size(), 5u);  // wall-clock windows collected
-
   BuiltTopo async_t = relay_topo(500.0, 1 << 30, "dynamic");
   rt::AsyncConfig acfg;
   acfg.workers = 2;
@@ -503,13 +401,13 @@ TEST(RuntimeCore, ControllerAttachesToBothBackends) {
   EXPECT_EQ(async_engine.backend_name(), "async");
   async_engine.run_for(std::chrono::milliseconds(1200));
   EXPECT_GT(async_ctrl.actions().size(), 0u);
-  EXPECT_GT(async_engine.history().size(), 5u);
+  EXPECT_GT(async_engine.history().size(), 5u);  // wall-clock windows collected
 }
 
-/// Mid-run crash on the async runtime: same healing properties as rt —
-/// queued tuples at the dead worker's executors are wiped (credits
-/// released, parked batches re-delivered), placement heals via the shared
-/// reassignment policy, and processing continues on the survivors.
+/// Mid-run crash on the async runtime: queued tuples at the dead worker's
+/// executors are wiped (credits released, parked batches re-delivered),
+/// placement heals via the shared reassignment policy, and processing
+/// continues on the survivors.
 TEST(RuntimeCore, AsyncMidRunCrashHealsAndContinues) {
   BuiltTopo t = relay_topo(3000.0, 1 << 30, "shuffle");
   rt::AsyncConfig cfg;
@@ -538,12 +436,12 @@ TEST(RuntimeCore, AsyncMidRunCrashHealsAndContinues) {
   EXPECT_EQ(engine.totals().worker_restarts, 1u);
 }
 
-/// Fault actuators reach the threads runtime through the surface too.
-TEST(RuntimeCore, RtFaultActuatorsObservable) {
+/// Fault actuators reach the async runtime through the surface too.
+TEST(RuntimeCore, AsyncFaultActuatorsObservable) {
   BuiltTopo t = relay_topo(2000.0, 1 << 30, "shuffle");
-  rt::RtConfig cfg;
+  rt::AsyncConfig cfg;
   cfg.workers = 2;
-  rt::RtEngine engine(t.topo, cfg);
+  rt::AsyncEngine engine(t.topo, cfg);
   runtime::ControlSurface& surface = engine;
   ASSERT_TRUE(surface.supports_fault_injection());
   surface.set_worker_drop_prob(0, 1.0);
@@ -564,7 +462,7 @@ TEST(RuntimeCore, RtFaultActuatorsObservable) {
 
 /// Minimal ControlSurface over a hand-fed WindowHistory, with the elastic
 /// and spout-throttle actuator groups implemented as plain state. The
-/// parity test feeds three instances (labelled like the three backends)
+/// parity test feeds two instances (labelled like the two backends)
 /// byte-identical window histories and requires byte-identical decisions:
 /// the Controller contract keeps wall clock and backend identity out of
 /// every decision path, so the label must not matter.
@@ -706,13 +604,13 @@ dsps::WindowSample scripted_window(std::size_t i) {
 }
 
 /// Every factory controller kind, driven round-by-round over identical
-/// scripted histories on three surfaces wearing the three backend labels:
+/// scripted histories on two surfaces wearing the two backend labels:
 /// the resulting actuation state (split ratios, spout cap, active set,
 /// placement) and decision records must be identical — routing decisions
 /// are a function of the window history alone.
 TEST(RuntimeCore, ControllerDecisionsAreBackendAgnostic) {
   for (const std::string& kind : control::controller_names()) {
-    const std::vector<std::string> labels = {"sim", "rt", "async"};
+    const std::vector<std::string> labels = {"sim", "async"};
     std::vector<std::unique_ptr<ScriptedSurface>> surfaces;
     std::vector<std::unique_ptr<control::Controller>> controllers;
     for (const std::string& label : labels) {
@@ -767,7 +665,7 @@ TEST(RuntimeCore, ControllerDecisionsAreBackendAgnostic) {
     } else if (kind == "drl") {
       auto* drl = static_cast<control::DrlController*>(controllers[0].get());
       EXPECT_EQ(drl->decisions().size(), 30u);
-      auto* other = static_cast<control::DrlController*>(controllers[2].get());
+      auto* other = static_cast<control::DrlController*>(controllers[1].get());
       ASSERT_EQ(drl->decisions().size(), other->decisions().size());
       for (std::size_t i = 0; i < drl->decisions().size(); ++i) {
         EXPECT_EQ(drl->decisions()[i].action, other->decisions()[i].action) << "round " << i;
@@ -817,20 +715,20 @@ TEST(RuntimeCore, RateControllerAimdPolicy) {
   EXPECT_TRUE(rate.actions()[2].congested);
 }
 
-/// The new controller kinds attach to the real threads backends through
-/// the same surface and fire rounds there (the decision-parity test above
+/// The new controller kinds attach to the wall-clock backend through the
+/// same surface and fire rounds there (the decision-parity test above
 /// covers what they decide; this covers the wiring).
-TEST(RuntimeCore, DrlAndRateControllersAttachToThreadBackends) {
-  BuiltTopo rt_t = relay_topo(500.0, 1 << 30, "dynamic");
-  rt::RtConfig rcfg;
-  rcfg.workers = 2;
-  rcfg.window_seconds = 0.1;
-  rt::RtEngine rt_engine(rt_t.topo, rcfg);
+TEST(RuntimeCore, DrlAndRateControllersAttachToAsyncBackend) {
+  BuiltTopo drl_t = relay_topo(500.0, 1 << 30, "dynamic");
+  rt::AsyncConfig dcfg_engine;
+  dcfg_engine.workers = 2;
+  dcfg_engine.window_seconds = 0.1;
+  rt::AsyncEngine drl_engine(drl_t.topo, dcfg_engine);
   control::DrlControllerConfig dcfg;
   dcfg.control_interval = 0.2;
   control::DrlController drl(dcfg);
-  drl.attach(rt_engine);
-  rt_engine.run_for(std::chrono::milliseconds(900));
+  drl.attach(drl_engine);
+  drl_engine.run_for(std::chrono::milliseconds(900));
   EXPECT_GT(drl.totals().control_rounds, 0u);
   EXPECT_FALSE(drl.decisions().empty());
 
