@@ -2,6 +2,8 @@
 // end-to-end prediction path used inside the control loop.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "nn/drnn.hpp"
 #include "nn/gru.hpp"
 #include "nn/loss.hpp"
@@ -60,7 +62,7 @@ void BM_GruForward(benchmark::State& state) {
 BENCHMARK(BM_GruForward);
 
 void BM_DrnnPredictSingleSequence(benchmark::State& state) {
-  // The per-worker prediction the controller issues every control round.
+  // One sequence through the Drnn::predict convenience (a batch of one).
   nn::DrnnConfig cfg;
   cfg.input_size = 19;
   cfg.hidden_size = 32;
@@ -76,24 +78,68 @@ void BM_DrnnPredictSingleSequence(benchmark::State& state) {
 }
 BENCHMARK(BM_DrnnPredictSingleSequence);
 
-void BM_DrnnPredictSingleFastPath(benchmark::State& state) {
-  // Same prediction as above through the allocation-free fast path (the
-  // controller's steady-state per-window cost).
-  nn::DrnnConfig cfg;
-  cfg.input_size = 19;
-  cfg.hidden_size = 32;
-  cfg.num_layers = 2;
-  cfg.seed = 8;
-  nn::Drnn model(cfg);
-  common::Pcg32 rng(9);
-  tensor::Matrix seq = tensor::Matrix::random_uniform(16, 19, 1.0, rng);
+/// The predictor's model and `workers` [16 x 19] sequences stacked as one
+/// batch. Worker i's sequence is the same whatever `workers` is (worker 0's
+/// is BM_DrnnPredictSingleSequence's): exp/tanh cost depends on the values,
+/// so rows compared must forward the same sequences.
+struct InferenceCase {
+  explicit InferenceCase(std::size_t workers) : model(config()) {
+    common::Pcg32 rng(9);
+    batch.assign(16, tensor::Matrix(workers, 19));
+    for (std::size_t i = 0; i < workers; ++i) {
+      tensor::Matrix seq = tensor::Matrix::random_uniform(16, 19, 1.0, rng);
+      for (std::size_t t = 0; t < 16; ++t) {
+        for (std::size_t c = 0; c < 19; ++c) batch[t](i, c) = seq(t, c);
+      }
+    }
+  }
+  static nn::DrnnConfig config() {
+    nn::DrnnConfig cfg;
+    cfg.input_size = 19;
+    cfg.hidden_size = 32;
+    cfg.num_layers = 2;
+    cfg.dropout = 0.1;
+    cfg.seed = 8;
+    return cfg;
+  }
+  nn::Drnn model;
+  nn::SeqBatch batch;
+};
+
+void BM_DrnnPredictBatch(benchmark::State& state) {
+  // A control round's inference: Arg = workers forwarded in one
+  // allocation-free pass (4 = t7-bakeoff's workers per round, 1 = a lone
+  // predict_next). Items are sequences.
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  InferenceCase c(workers);
   for (auto _ : state) {
-    const tensor::Matrix& out = model.predict_single(seq);
+    const tensor::Matrix& out = c.model.forward(c.batch, /*training=*/false);
     benchmark::DoNotOptimize(out.data());
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(workers));
 }
-BENCHMARK(BM_DrnnPredictSingleFastPath);
+BENCHMARK(BM_DrnnPredictBatch)->Arg(1)->Arg(4);
+
+void BM_DrnnPredictOneByOne(benchmark::State& state) {
+  // The same sequences as BM_DrnnPredictBatch, one batch of one each: what
+  // batching the round saves.
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  InferenceCase c(workers);
+  std::vector<nn::SeqBatch> singles(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    for (const tensor::Matrix& step : c.batch) {
+      singles[i].push_back(tensor::Matrix(1, step.cols(), step.row(i)));
+    }
+  }
+  for (auto _ : state) {
+    for (const nn::SeqBatch& one : singles) {
+      const tensor::Matrix& out = c.model.forward(one, /*training=*/false);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(workers));
+}
+BENCHMARK(BM_DrnnPredictOneByOne)->Arg(4);
 
 void BM_DrnnTrainEpoch(benchmark::State& state) {
   // One full training epoch (gather + forward + loss + backward + clip +

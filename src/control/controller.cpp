@@ -70,6 +70,7 @@ void PredictiveController::on_attach(runtime::ControlSurface& surface) {
     }
   }
   edges_.clear();
+  round_workers_.clear();
   for (const runtime::DynamicEdge& e : edges) {
     Edge edge{e.from,
               e.to,
@@ -80,6 +81,8 @@ void PredictiveController::on_attach(runtime::ControlSurface& surface) {
     auto [lo, hi] = surface.tasks_of(e.to);
     edge.task_workers.reserve(hi - lo);
     for (std::size_t t = lo; t < hi; ++t) edge.task_workers.push_back(surface.worker_of_task(t));
+    round_workers_.insert(round_workers_.end(), edge.task_workers.begin(),
+                          edge.task_workers.end());
     edges_.push_back(std::move(edge));
   }
   // Stream from the oldest retained window of this surface.
@@ -95,15 +98,16 @@ void PredictiveController::round(runtime::ControlSurface& surface) {
   if (predictor_->observed_windows() < predictor_->min_history()) return;
   maybe_refit(surface);
 
+  // One predictor call for the whole round, sliced back per edge.
+  predictor_->predict_workers(round_workers_, round_predicted_);
+  const double* next = round_predicted_.data();
   for (Edge& edge : edges_) {
     ControlAction action;
     action.time = surface.now_seconds();
     action.from = edge.from;
     action.to = edge.to;
-    action.predicted.reserve(edge.task_workers.size());
-    for (std::size_t w : edge.task_workers) {
-      action.predicted.push_back(predictor_->predict_next(w));
-    }
+    action.predicted.assign(next, next + edge.task_workers.size());
+    next += edge.task_workers.size();
     action.misbehaving = edge.detector.update(action.predicted);
     action.ratios = edge.planner.plan(action.predicted, action.misbehaving);
     if (!action.ratios.empty()) {

@@ -212,6 +212,8 @@ class PredictiveController : public Controller {
   std::shared_ptr<PerformancePredictor> predictor_;
   std::vector<runtime::DynamicEdge> pinned_;  ///< single-edge attach form
   std::vector<Edge> edges_;
+  std::vector<std::size_t> round_workers_;  ///< every edge's task_workers, in edge order
+  std::vector<double> round_predicted_;     ///< one forecast per round_workers_ entry
   std::vector<ControlAction> actions_;
   std::size_t first_action_ = 0;  ///< actions appended by the round in flight
   double last_refit_time_ = 0.0;

@@ -63,27 +63,54 @@ void DrnnPredictor::fit(const std::vector<dsps::WindowSample>& history,
            report_.best_val_loss);
 }
 
+void DrnnPredictor::stage_sequence(std::size_t row) {
+  feature_scaler_.transform_inplace(seq_ws_);
+  for (std::size_t t = 0; t < seq_ws_.rows(); ++t) {
+    const double* src = seq_ws_.row_ptr(t);
+    std::copy(src, src + seq_ws_.cols(), batch_ws_[t].row_ptr(row));
+  }
+}
+
+double DrnnPredictor::unscale(double scaled) const {
+  double value = target_scaler_.inverse_transform_scalar(scaled);
+  return value > 0.0 ? value : 0.0;
+}
+
 double DrnnPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
                                    std::size_t worker) {
   if (!model_) throw std::logic_error("DrnnPredictor::predict_next before fit");
   latest_sequence_into(history, worker, cfg_.dataset, seq_ws_);
-  feature_scaler_.transform_inplace(seq_ws_);
-  // Single-sequence fast path: no batch assembly, no steady-state
-  // allocations; bit-identical to the batched forward.
-  double scaled = model_->predict_single(seq_ws_)(0, 0);
-  double value = target_scaler_.inverse_transform_scalar(scaled);
-  return value > 0.0 ? value : 0.0;
+  nn::reshape_seq(batch_ws_, seq_ws_.rows(), 1, seq_ws_.cols());
+  stage_sequence(0);
+  return unscale(model_->forward(batch_ws_, /*training=*/false)(0, 0));
 }
 
 void DrnnPredictor::observe(const dsps::WindowSample& sample) { stream_fx_.observe(sample); }
 
 double DrnnPredictor::predict_next(std::size_t worker) {
+  double value = 0.0;
+  forecast(&worker, 1, &value);
+  return value;
+}
+
+void DrnnPredictor::predict_workers(const std::vector<std::size_t>& workers,
+                                    std::vector<double>& out) {
+  out.resize(workers.size());
+  forecast(workers.data(), workers.size(), out.data());
+}
+
+void DrnnPredictor::forecast(const std::size_t* workers, std::size_t n, double* out) {
   if (!model_) throw std::logic_error("DrnnPredictor::predict_next before fit");
-  streaming_sequence_into(stream_fx_, worker, cfg_.dataset, seq_ws_);
-  feature_scaler_.transform_inplace(seq_ws_);
-  double scaled = model_->predict_single(seq_ws_)(0, 0);
-  double value = target_scaler_.inverse_transform_scalar(scaled);
-  return value > 0.0 ? value : 0.0;
+  if (n == 0) return;
+  nn::reshape_seq(batch_ws_, cfg_.dataset.seq_len, n, stream_fx_.dim());
+  for (std::size_t i = 0; i < n; ++i) {
+    streaming_sequence_into(stream_fx_, workers[i], cfg_.dataset, seq_ws_);
+    stage_sequence(i);
+  }
+  // Rows never mix in the forward pass, so row i is the bits a batch of
+  // one would give for workers[i].
+  const tensor::Matrix& scaled = model_->forward(batch_ws_, /*training=*/false);
+  for (std::size_t i = 0; i < n; ++i) out[i] = unscale(scaled(i, 0));
 }
 
 }  // namespace repro::control

@@ -35,8 +35,12 @@ class DrnnPredictor final : public PerformancePredictor {
   // per worker to bounded rings (no raw-sample retention), and
   // predict_next(worker) assembles the live sequence from the rings —
   // bit-identical to the legacy call over the same trailing samples.
+  // predict_workers stacks every listed worker's sequence into one
+  // [T x W x D] batch and runs one Drnn::forward over it; predict_next is
+  // its batch of one, so both give the same bits for a worker.
   void observe(const dsps::WindowSample& sample) override;
   double predict_next(std::size_t worker) override;
+  void predict_workers(const std::vector<std::size_t>& workers, std::vector<double>& out) override;
   std::size_t stream_window() const override { return cfg_.dataset.seq_len; }
   std::size_t observed_windows() const override { return stream_fx_.windows_seen(); }
   void reset_stream() override { stream_fx_.reset(); }
@@ -47,12 +51,20 @@ class DrnnPredictor final : public PerformancePredictor {
   nn::Drnn& model();
 
  private:
+  /// One inference pass over the streamed sequences of workers[0, n).
+  void forecast(const std::size_t* workers, std::size_t n, double* out);
+  /// Standardize seq_ws_ and store it as row `row` of every batch step.
+  void stage_sequence(std::size_t row);
+  /// Model output -> forecast processing time (unscaled, clamped at 0).
+  double unscale(double scaled) const;
+
   DrnnPredictorConfig cfg_;
   std::optional<nn::Drnn> model_;
   nn::StandardScaler feature_scaler_;
   nn::StandardScaler target_scaler_;
   nn::TrainReport report_;
-  tensor::Matrix seq_ws_;  ///< reused live-prediction input buffer
+  tensor::Matrix seq_ws_;  ///< one worker's live sequence, [T x D]
+  nn::SeqBatch batch_ws_;  ///< inference batch, T steps of [W x D]
   StreamingFeatureExtractor stream_fx_;
 };
 

@@ -17,6 +17,12 @@ double PerformancePredictor::predict_next(std::size_t worker) {
   return predict_next(recent_.samples(), worker);
 }
 
+void PerformancePredictor::predict_workers(const std::vector<std::size_t>& workers,
+                                           std::vector<double>& out) {
+  out.resize(workers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) out[i] = predict_next(workers[i]);
+}
+
 std::size_t PerformancePredictor::stream_window() const {
   return std::max<std::size_t>(min_history(), 256);
 }

@@ -51,6 +51,13 @@ class PerformancePredictor {
   /// window — numerically identical to the batch call on the same tail.
   virtual double predict_next(std::size_t worker);
 
+  /// Predict every worker of `workers`, in order and repeats included, into
+  /// `out` (resized to workers.size()): out[i] is exactly
+  /// predict_next(workers[i]). A control round makes one such call, so a
+  /// model can answer the whole round in one inference pass. Default:
+  /// predict_next(worker) for each entry.
+  virtual void predict_workers(const std::vector<std::size_t>& workers, std::vector<double>& out);
+
   /// How many most-recent samples the streaming path retains — enough for
   /// predict_next(worker) and for tail refits. Defaults to
   /// max(min_history(), 256).

@@ -296,11 +296,13 @@ std::size_t ElasticController::decide_target(const runtime::ControlSurface& surf
   double proc_hat = 0.0;
   std::size_t n_proc = 0;
   if (predictor_ && predictor_->observed_windows() >= predictor_->min_history()) {
+    proc_workers_.clear();
     for (std::size_t w = 0; w < surface.worker_count(); ++w) {
-      if (!surface.worker_alive(w) || !surface.worker_active(w)) continue;
-      proc_hat += predictor_->predict_next(w);
-      ++n_proc;
+      if (surface.worker_alive(w) && surface.worker_active(w)) proc_workers_.push_back(w);
     }
+    predictor_->predict_workers(proc_workers_, proc_predicted_);
+    for (double p : proc_predicted_) proc_hat += p;  // worker order: the sum's bits depend on it
+    n_proc = proc_predicted_.size();
   }
   if (n_proc > 0) {
     proc_hat /= static_cast<double>(n_proc);

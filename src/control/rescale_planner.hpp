@@ -166,6 +166,8 @@ class ElasticController : public Controller {
   ElasticControllerConfig cfg_;
   RescalePlanner planner_;
   std::shared_ptr<PerformancePredictor> predictor_;
+  std::vector<std::size_t> proc_workers_;  ///< alive, active workers of a round
+  std::vector<double> proc_predicted_;     ///< their forecasts, same order
   std::vector<RescaleAction> actions_;
   double last_change_time_ = 0.0;
   bool changed_once_ = false;

@@ -97,16 +97,15 @@ void Dense::forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) {
   }
 }
 
-void Dense::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
-  if (input_grads.size() != output_grads.size()) input_grads.resize(output_grads.size());
+void Dense::backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) {
+  if (input_grads != nullptr && input_grads->size() != output_grads.size()) {
+    input_grads->resize(output_grads.size());
+  }
   // Caches are LIFO: walk the grads back-to-front.
   for (std::size_t i = output_grads.size(); i-- > 0;) {
-    backward_matrix_into(output_grads[i], input_grads[i]);
+    backward_matrix_into(output_grads[i],
+                         input_grads != nullptr ? (*input_grads)[i] : dx_unread_ws_);
   }
-}
-
-void Dense::forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) {
-  forward_matrix_into(in, out, /*training=*/false);
 }
 
 }  // namespace repro::nn

@@ -33,8 +33,7 @@ class Dense : public SequenceLayer {
   }
 
   void forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) override;
-  void backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) override;
-  void forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) override;
+  void backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) override;
 
   const std::vector<ParamRef>& param_refs() override { return param_refs_; }
   std::size_t input_size() const override { return w_.rows(); }
@@ -57,6 +56,7 @@ class Dense : public SequenceLayer {
   std::size_t cache_depth_ = 0;
   // Reused workspaces.
   tensor::Matrix dz_ws_, wT_ws_, dw_scratch_, db_scratch_;
+  tensor::Matrix dx_unread_ws_;  ///< input grads of a backward_into(.., nullptr)
 };
 
 }  // namespace repro::nn

@@ -1,5 +1,6 @@
 #include "nn/drnn.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace repro::nn {
@@ -68,35 +69,22 @@ void Drnn::backward(const tensor::Matrix& d_output) {
   for (std::size_t t = 0; t + 1 < last_seq_len_; ++t) (*cur)[t].fill(0.0);
   cur->back().copy_from(dhead_ws_);
   for (std::size_t i = stack_.size(); i-- > 0;) {
-    stack_[i]->backward_into(*cur, *nxt);
+    stack_[i]->backward_into(*cur, i == 0 ? nullptr : nxt);
     std::swap(cur, nxt);
   }
 }
 
-const tensor::Matrix& Drnn::predict_single(const tensor::Matrix& sequence) {
+std::vector<double> Drnn::predict(const tensor::Matrix& sequence) {
   if (sequence.cols() != config_.input_size) {
     throw std::invalid_argument("Drnn::predict: feature width mismatch");
   }
   if (sequence.rows() == 0) throw std::invalid_argument("Drnn::predict: empty sequence");
-  const tensor::Matrix* cur = &sequence;
-  tensor::Matrix* nxt = &single_a_;
-  for (auto& layer : stack_) {
-    if (layer->kind() == "dropout") continue;  // identity at inference
-    layer->forward_single_into(*cur, *nxt);
-    cur = nxt;
-    nxt = (cur == &single_a_) ? &single_b_ : &single_a_;
+  reshape_seq(predict_ws_, sequence.rows(), 1, sequence.cols());
+  for (std::size_t t = 0; t < sequence.rows(); ++t) {
+    const double* src = sequence.row_ptr(t);
+    std::copy(src, src + sequence.cols(), predict_ws_[t].data());
   }
-  // Dense head on the final timestep's hidden state.
-  last_row_ws_.reshape(1, cur->cols());
-  const double* src = cur->row_ptr(cur->rows() - 1);
-  double* dst = last_row_ws_.data();
-  for (std::size_t c = 0; c < cur->cols(); ++c) dst[c] = src[c];
-  head_->forward_matrix_into(last_row_ws_, head_out_, /*training=*/false);
-  return head_out_;
-}
-
-std::vector<double> Drnn::predict(const tensor::Matrix& sequence) {
-  return predict_single(sequence).row(0);
+  return forward(predict_ws_, /*training=*/false).row(0);
 }
 
 void Drnn::zero_grads() {

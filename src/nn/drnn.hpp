@@ -6,9 +6,10 @@
 // The compute path is workspace-based: layer activations ping-pong between
 // two member SeqBatch buffers and the head output is a member matrix, so
 // steady-state training and inference perform no per-step heap allocations.
-// `predict_single` is the inference fast path for one sequence: no batch
-// assembly, recurrent layers run their single-row kernels, dropout is
-// skipped (identity at inference). It matches batched forward bit-for-bit.
+// Inference has one path, `forward(inputs, false)`: a batch of W sequences
+// is one pass whose GEMMs load each weight once for all W rows, and every
+// output row is bit-identical to that sequence forwarded alone (each row's
+// sums never mix with another row's).
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,15 +47,12 @@ class Drnn {
   /// forward/predict call.
   const tensor::Matrix& forward(const SeqBatch& inputs, bool training);
 
-  /// Backward from dL/doutput; accumulates parameter gradients.
+  /// Backward from dL/doutput; accumulates parameter gradients. The bottom
+  /// layer's input grads are never read, so they are not computed.
   void backward(const tensor::Matrix& d_output);
 
-  /// Inference fast path for one sequence given as [T x input_size];
-  /// returns [1 x output_size] (owned by the model, valid until the next
-  /// forward/predict call). Bit-identical to batch-of-1 `forward`.
-  const tensor::Matrix& predict_single(const tensor::Matrix& sequence);
-
-  /// Convenience: predict for a single sequence given as [T x input_size].
+  /// Convenience: predict for a single sequence given as [T x input_size]
+  /// (a batch of one through `forward`).
   std::vector<double> predict(const tensor::Matrix& sequence);
 
   /// Cached parameter list (stable for the model's lifetime).
@@ -81,8 +79,7 @@ class Drnn {
   SeqBatch grads_a_, grads_b_;  ///< backward gradient ping-pong
   tensor::Matrix head_out_;
   tensor::Matrix dhead_ws_;
-  tensor::Matrix single_a_, single_b_;  ///< predict_single ping-pong, each [T x H]
-  tensor::Matrix last_row_ws_;          ///< final hidden state fed to the head
+  SeqBatch predict_ws_;  ///< predict()'s batch of one
 };
 
 }  // namespace repro::nn

@@ -36,7 +36,12 @@ void Dropout::forward_into(const SeqBatch& inputs, SeqBatch& out, bool training)
   }
 }
 
-void Dropout::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
+void Dropout::backward_into(const SeqBatch& output_grads, SeqBatch* input_grads_out) {
+  if (input_grads_out == nullptr) {  // no parameters: nothing to accumulate
+    masks_live_ = 0;
+    return;
+  }
+  SeqBatch& input_grads = *input_grads_out;
   if (input_grads.size() != output_grads.size()) input_grads.resize(output_grads.size());
   if (masks_live_ == 0) {
     for (std::size_t t = 0; t < output_grads.size(); ++t) {
@@ -54,11 +59,6 @@ void Dropout::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads)
     for (std::size_t i = 0; i < g.size(); ++i) dp[i] = gp[i] * mp[i];
   }
   masks_live_ = 0;
-}
-
-void Dropout::forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) {
-  // Inference dropout is the identity.
-  out.copy_from(in);
 }
 
 }  // namespace repro::nn

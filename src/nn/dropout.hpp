@@ -13,8 +13,7 @@ class Dropout : public SequenceLayer {
   Dropout(std::size_t width, double rate, std::uint64_t seed);
 
   void forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) override;
-  void backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) override;
-  void forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) override;
+  void backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) override;
 
   const std::vector<ParamRef>& param_refs() override { return param_refs_; }
   std::size_t input_size() const override { return width_; }

@@ -8,19 +8,6 @@
 #include "tensor/ops.hpp"
 
 namespace repro::nn {
-namespace {
-
-// z += x * W (one row; i-ascending accumulation per output, matching GEMM).
-inline void row_addmv(double* z, const double* x, const tensor::Matrix& w) {
-  const std::size_t cols = w.cols();
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    const double xi = x[i];
-    const double* wrow = w.row_ptr(i);
-    for (std::size_t j = 0; j < cols; ++j) z[j] += xi * wrow[j];
-  }
-}
-
-}  // namespace
 
 Gru::Gru(std::size_t in, std::size_t hidden, common::Pcg32& rng)
     : in_(in),
@@ -110,22 +97,24 @@ void Gru::forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) {
   }
 }
 
-void Gru::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
+void Gru::backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) {
   const std::size_t t_len = cache_x_.size();
   if (output_grads.size() != t_len) throw std::logic_error("Gru::backward: length mismatch");
   if (t_len == 0) {
-    input_grads.clear();
+    if (input_grads != nullptr) input_grads->clear();
     return;
   }
   const std::size_t batch = cache_x_[0].rows();
   const std::size_t h = hidden_;
 
-  tensor::transpose_into(wx_zr_, wxT_zr_ws_);
+  if (input_grads != nullptr) {
+    tensor::transpose_into(wx_zr_, wxT_zr_ws_);
+    tensor::transpose_into(wx_n_, wxT_n_ws_);
+    reshape_seq(*input_grads, t_len, batch, in_);
+  }
   tensor::transpose_into(wh_zr_, whT_zr_ws_);
-  tensor::transpose_into(wx_n_, wxT_n_ws_);
   tensor::transpose_into(wh_n_, whT_n_ws_);
 
-  reshape_seq(input_grads, t_len, batch, in_);
   dh_next_ws_.reshape(batch, h);
   dh_next_ws_.fill(0.0);
   dn_pre_ws_.reshape(batch, h);
@@ -189,51 +178,15 @@ void Gru::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
 
     // Input and recurrent grads (scratch keeps the historical "+= full
     // product" accumulation order, bit-for-bit).
-    matmul_into(dn_pre_ws_, wxT_n_ws_, input_grads[t]);
-    matmul_into(dzr_pre_ws_, wxT_zr_ws_, drh_ws_);
-    input_grads[t] += drh_ws_;
+    if (input_grads != nullptr) {
+      matmul_into(dn_pre_ws_, wxT_n_ws_, (*input_grads)[t]);
+      matmul_into(dzr_pre_ws_, wxT_zr_ws_, drh_ws_);
+      (*input_grads)[t] += drh_ws_;
+    }
 
     matmul_into(dzr_pre_ws_, whT_zr_ws_, drh_ws_);
     dh_prev_ws_ += drh_ws_;
     std::swap(dh_next_ws_, dh_prev_ws_);
-  }
-}
-
-void Gru::forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) {
-  if (in.cols() != in_) throw std::invalid_argument("Gru: input width mismatch");
-  const std::size_t t_len = in.rows();
-  const std::size_t h = hidden_;
-  out.reshape(t_len, h);
-  single_zr_.reshape(1, 2 * h);
-  single_n_.reshape(1, h);
-  single_rh_.reshape(1, h);
-  single_h_.reshape(1, h);
-  single_h_.fill(0.0);
-
-  double* zr = single_zr_.data();
-  double* n = single_n_.data();
-  double* rh = single_rh_.data();
-  const double* hp = single_h_.data();
-  for (std::size_t t = 0; t < t_len; ++t) {
-    // Same operation order as the batched path so single-sequence inference
-    // is bit-identical to batch-of-1 forward.
-    const double* x = in.row_ptr(t);
-    for (std::size_t j = 0; j < 2 * h; ++j) zr[j] = 0.0;
-    row_addmv(zr, x, wx_zr_);
-    row_addmv(zr, hp, wh_zr_);
-    const double* bzr = b_zr_.data();
-    for (std::size_t j = 0; j < 2 * h; ++j) zr[j] = sigmoid(zr[j] + bzr[j]);
-    for (std::size_t j = 0; j < h; ++j) rh[j] = zr[h + j] * hp[j];
-
-    for (std::size_t j = 0; j < h; ++j) n[j] = 0.0;
-    row_addmv(n, x, wx_n_);
-    row_addmv(n, rh, wh_n_);
-    const double* bn = b_n_.data();
-    for (std::size_t j = 0; j < h; ++j) n[j] = std::tanh(n[j] + bn[j]);
-
-    double* hr = out.row_ptr(t);
-    for (std::size_t j = 0; j < h; ++j) hr[j] = (1.0 - zr[j]) * n[j] + zr[j] * hp[j];
-    hp = hr;
   }
 }
 

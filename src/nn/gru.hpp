@@ -16,8 +16,7 @@ class Gru : public SequenceLayer {
   Gru(std::size_t in, std::size_t hidden, common::Pcg32& rng);
 
   void forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) override;
-  void backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) override;
-  void forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) override;
+  void backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) override;
 
   const std::vector<ParamRef>& param_refs() override { return param_refs_; }
   std::size_t input_size() const override { return in_; }
@@ -43,7 +42,6 @@ class Gru : public SequenceLayer {
   tensor::Matrix dn_pre_ws_, dzr_pre_ws_, dh_prev_ws_, dh_next_ws_, drh_ws_;
   tensor::Matrix wxT_zr_ws_, whT_zr_ws_, wxT_n_ws_, whT_n_ws_;
   tensor::Matrix dwx_scratch_, dwh_scratch_, db_scratch_;
-  tensor::Matrix single_zr_, single_n_, single_rh_, single_h_;
 };
 
 }  // namespace repro::nn

@@ -42,15 +42,12 @@ class SequenceLayer {
   /// alias `inputs`.
   virtual void forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) = 0;
 
-  /// Backward a full sequence of output grads into `input_grads`; returns
-  /// input grads and accumulates into parameter gradients. `input_grads`
-  /// must not alias `output_grads`.
-  virtual void backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) = 0;
-
-  /// Inference fast path for a single sequence: `in` is [T x input_size]
-  /// rows-as-timesteps, `out` is reshaped to [T x output_size]. Matches the
-  /// batched forward (batch 1) bit-for-bit; no allocations in steady state.
-  virtual void forward_single_into(const tensor::Matrix& in, tensor::Matrix& out);
+  /// Backward a full sequence of output grads: accumulates into parameter
+  /// gradients and, when `input_grads` is non-null, writes the input grads
+  /// there. Null skips that work (the bottom layer of a stack, whose input
+  /// grads nobody reads); the parameter gradients are the same either way.
+  /// `*input_grads` must not alias `output_grads`.
+  virtual void backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) = 0;
 
   /// Allocating wrappers (tests / one-off callers).
   SeqBatch forward(const SeqBatch& inputs, bool training) {
@@ -60,7 +57,7 @@ class SequenceLayer {
   }
   SeqBatch backward(const SeqBatch& output_grads) {
     SeqBatch grads;
-    backward_into(output_grads, grads);
+    backward_into(output_grads, &grads);
     return grads;
   }
 
@@ -77,25 +74,6 @@ class SequenceLayer {
 
 inline void SequenceLayer::zero_grads() {
   for (auto& p : param_refs()) p.grad->fill(0.0);
-}
-
-inline void SequenceLayer::forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) {
-  // Generic fallback via the batched path (allocates; recurrent layers
-  // override with a true single-row fast path).
-  SeqBatch seq(in.rows());
-  for (std::size_t t = 0; t < in.rows(); ++t) {
-    seq[t].reshape(1, in.cols());
-    const double* src = in.row_ptr(t);
-    double* dst = seq[t].data();
-    for (std::size_t c = 0; c < in.cols(); ++c) dst[c] = src[c];
-  }
-  SeqBatch res = forward(seq, /*training=*/false);
-  out.reshape(res.size(), output_size());
-  for (std::size_t t = 0; t < res.size(); ++t) {
-    const double* src = res[t].data();
-    double* dst = out.row_ptr(t);
-    for (std::size_t c = 0; c < output_size(); ++c) dst[c] = src[c];
-  }
 }
 
 }  // namespace repro::nn

@@ -18,16 +18,6 @@ inline void activate_gates(double* zr, std::size_t h) {
   for (std::size_t j = 3 * h; j < 4 * h; ++j) zr[j] = sigmoid(zr[j]);
 }
 
-// z += x * W (one row; i-ascending accumulation per output, matching GEMM).
-inline void row_addmv(double* z, const double* x, const tensor::Matrix& w) {
-  const std::size_t cols = w.cols();
-  for (std::size_t i = 0; i < w.rows(); ++i) {
-    const double xi = x[i];
-    const double* wrow = w.row_ptr(i);
-    for (std::size_t j = 0; j < cols; ++j) z[j] += xi * wrow[j];
-  }
-}
-
 }  // namespace
 
 Lstm::Lstm(std::size_t in, std::size_t hidden, common::Pcg32& rng, double forget_bias)
@@ -114,11 +104,11 @@ void Lstm::forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) {
   }
 }
 
-void Lstm::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
+void Lstm::backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) {
   const std::size_t t_len = cache_x_.size();
   if (output_grads.size() != t_len) throw std::logic_error("Lstm::backward: length mismatch");
   if (t_len == 0) {
-    input_grads.clear();
+    if (input_grads != nullptr) input_grads->clear();
     return;
   }
   const std::size_t batch = cache_x_[0].rows();
@@ -127,10 +117,12 @@ void Lstm::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
   // Cached transposed weights turn the per-timestep transB matmuls into the
   // fast unit-stride kernel; refreshed once per backward pass (weights only
   // change at the optimizer step, between passes).
-  tensor::transpose_into(wx_, wxT_ws_);
+  if (input_grads != nullptr) {
+    tensor::transpose_into(wx_, wxT_ws_);
+    reshape_seq(*input_grads, t_len, batch, in_);
+  }
   tensor::transpose_into(wh_, whT_ws_);
 
-  reshape_seq(input_grads, t_len, batch, in_);
   dh_next_ws_.reshape(batch, h);
   dh_next_ws_.fill(0.0);
   dc_next_ws_.reshape(batch, h);
@@ -179,41 +171,9 @@ void Lstm::backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) {
     dwh_ += dwh_scratch_;
     tensor::column_sums_into(dz_ws_, db_scratch_);
     db_ += db_scratch_;
-    matmul_into(dz_ws_, wxT_ws_, input_grads[t]);
+    if (input_grads != nullptr) matmul_into(dz_ws_, wxT_ws_, (*input_grads)[t]);
     matmul_into(dz_ws_, whT_ws_, dh_next_ws_);
     std::swap(dc_next_ws_, dc_prev_ws_);
-  }
-}
-
-void Lstm::forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) {
-  if (in.cols() != in_) throw std::invalid_argument("Lstm: input width mismatch");
-  const std::size_t t_len = in.rows();
-  const std::size_t h = hidden_;
-  out.reshape(t_len, h);
-  single_z_.reshape(1, 4 * h);
-  single_c_a_.reshape(1, h);
-  single_c_a_.fill(0.0);
-  single_h_.reshape(1, h);
-  single_h_.fill(0.0);
-
-  double* z = single_z_.data();
-  double* c = single_c_a_.data();
-  const double* hp = single_h_.data();
-  for (std::size_t t = 0; t < t_len; ++t) {
-    // Same operation order as the batched path (x*Wx, then +h*Wh, then +b)
-    // so single-sequence inference is bit-identical to batch-of-1 forward.
-    for (std::size_t j = 0; j < 4 * h; ++j) z[j] = 0.0;
-    row_addmv(z, in.row_ptr(t), wx_);
-    row_addmv(z, hp, wh_);
-    const double* bp = b_.data();
-    for (std::size_t j = 0; j < 4 * h; ++j) z[j] += bp[j];
-    activate_gates(z, h);
-    double* hr = out.row_ptr(t);
-    for (std::size_t j = 0; j < h; ++j) {
-      c[j] = z[h + j] * c[j] + z[j] * z[2 * h + j];
-      hr[j] = z[3 * h + j] * std::tanh(c[j]);
-    }
-    hp = hr;
   }
 }
 

@@ -15,8 +15,7 @@ class Lstm : public SequenceLayer {
   Lstm(std::size_t in, std::size_t hidden, common::Pcg32& rng, double forget_bias = 1.0);
 
   void forward_into(const SeqBatch& inputs, SeqBatch& out, bool training) override;
-  void backward_into(const SeqBatch& output_grads, SeqBatch& input_grads) override;
-  void forward_single_into(const tensor::Matrix& in, tensor::Matrix& out) override;
+  void backward_into(const SeqBatch& output_grads, SeqBatch* input_grads) override;
 
   const std::vector<ParamRef>& param_refs() override { return param_refs_; }
   std::size_t input_size() const override { return in_; }
@@ -40,13 +39,12 @@ class Lstm : public SequenceLayer {
   SeqBatch cache_tanh_c_;  ///< tanh(c_t)
   SeqBatch cache_h_prev_;  ///< h_{t-1} (h_{-1} = 0)
 
-  // Reused workspaces (forward inference, backward, single-sequence path).
+  // Reused workspaces (forward inference, backward).
   tensor::Matrix zero_state_;            ///< all-zero [B x H] initial state
   tensor::Matrix z_ws_, c_a_, c_b_;      ///< inference scratch
   tensor::Matrix dz_ws_, dc_prev_ws_, dc_next_ws_, dh_next_ws_;
   tensor::Matrix wxT_ws_, whT_ws_;       ///< transposed weights (refreshed per backward)
   tensor::Matrix dwx_scratch_, dwh_scratch_, db_scratch_;
-  tensor::Matrix single_z_, single_h_, single_c_a_;
 };
 
 }  // namespace repro::nn

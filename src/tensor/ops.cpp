@@ -9,53 +9,66 @@ namespace repro::tensor {
 namespace {
 
 constexpr std::size_t kParallelThresholdFlops = 1u << 22;  // ~4M flops
+constexpr std::size_t kRowBlock = 4;  ///< output rows per register block
 
-// Register-blocked microkernel: for each output row, an 8-wide block of
-// C(i, j..j+8) is held in registers across the whole k loop, so each
-// multiply-add costs one B load instead of a C load + store pair (the A
-// element is reused for all eight columns). Every C(i,j) still accumulates
-// its k terms in ascending order in a single chain, exactly like the naive
-// triple loop, so results are bit-identical to it.
-void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0, std::size_t r1) {
+// Register-blocked microkernel: the MR x NR block C(i..i+MR, j..j+NR) is
+// held in registers across the whole k loop, so each multiply-add costs no
+// C load or store, each B element loaded serves MR rows and each A element
+// NR columns. Every C(i,j) still accumulates its k terms in ascending order
+// in a single chain from its own start value, exactly like the naive triple
+// loop, so the block shape never changes a bit of the result. The k loop
+// steps a B-row pointer rather than an index: GCC -O3 then vectorizes
+// across the block's columns instead of pairing k steps with shuffles,
+// about 2x faster on the LSTM shapes.
+template <std::size_t MR, std::size_t NR>
+inline void gemm_block(const double* a, std::size_t lda, const double* b, std::size_t ldb,
+                       double* c, std::size_t ldc, std::size_t k_dim) {
+  double s[MR][NR];
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < NR; ++j) s[r][j] = c[r * ldc + j];
+  }
+  const double* const bend = b + k_dim * ldb;
+  for (const double* bk = b; bk != bend; bk += ldb, ++a) {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < MR; ++r) {
+      const double av = a[r * lda];
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < NR; ++j) s[r][j] += av * bk[j];
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < MR; ++r) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < NR; ++j) c[r * ldc + j] = s[r][j];
+  }
+}
+
+// MR output rows starting at row i: NR-wide column blocks, then one column
+// at a time. A single row keeps the wider 8-column block.
+template <std::size_t MR>
+void gemm_panel(const Matrix& a, const Matrix& b, Matrix& c, std::size_t i) {
+  constexpr std::size_t NR = MR == 1 ? 8 : 4;
   const std::size_t k_dim = a.cols();
   const std::size_t n = b.cols();
-  if (k_dim == 0 || n == 0) return;  // nothing to accumulate
+  const double* arow = a.row_ptr(i);
   const double* bbase = b.row_ptr(0);
-  for (std::size_t i = r0; i < r1; ++i) {
-    const double* arow = a.row_ptr(i);
-    double* crow = c.row_ptr(i);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      double s0 = crow[j], s1 = crow[j + 1], s2 = crow[j + 2], s3 = crow[j + 3];
-      double s4 = crow[j + 4], s5 = crow[j + 5], s6 = crow[j + 6], s7 = crow[j + 7];
-      const double* bcol = bbase + j;
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        const double av = arow[k];
-        const double* br = bcol + k * n;
-        s0 += av * br[0];
-        s1 += av * br[1];
-        s2 += av * br[2];
-        s3 += av * br[3];
-        s4 += av * br[4];
-        s5 += av * br[5];
-        s6 += av * br[6];
-        s7 += av * br[7];
-      }
-      crow[j] = s0;
-      crow[j + 1] = s1;
-      crow[j + 2] = s2;
-      crow[j + 3] = s3;
-      crow[j + 4] = s4;
-      crow[j + 5] = s5;
-      crow[j + 6] = s6;
-      crow[j + 7] = s7;
-    }
-    for (; j < n; ++j) {
-      double s = crow[j];
-      const double* bcol = bbase + j;
-      for (std::size_t k = 0; k < k_dim; ++k) s += arow[k] * bcol[k * n];
-      crow[j] = s;
-    }
+  double* crow = c.row_ptr(i);
+  std::size_t j = 0;
+  for (; j + NR <= n; j += NR) gemm_block<MR, NR>(arow, k_dim, bbase + j, n, crow + j, n, k_dim);
+  for (; j < n; ++j) gemm_block<MR, 1>(arow, k_dim, bbase + j, n, crow + j, n, k_dim);
+}
+
+void gemm_rows(const Matrix& a, const Matrix& b, Matrix& c, std::size_t r0, std::size_t r1) {
+  if (a.cols() == 0 || b.cols() == 0) return;  // nothing to accumulate
+  std::size_t i = r0;
+  for (; i + kRowBlock <= r1; i += kRowBlock) gemm_panel<kRowBlock>(a, b, c, i);
+  switch (r1 - i) {
+    case 3: gemm_panel<3>(a, b, c, i); break;
+    case 2: gemm_panel<2>(a, b, c, i); break;
+    case 1: gemm_panel<1>(a, b, c, i); break;
+    default: break;
   }
 }
 
@@ -76,6 +89,7 @@ void matmul_accumulate(const Matrix& a, const Matrix& b, Matrix& c) {
   if (flops >= kParallelThresholdFlops && pool.size() > 1 && a.rows() >= 2 &&
       !common::ThreadPool::in_worker_thread()) {
     std::size_t grain = (a.rows() + 2 * pool.size() - 1) / (2 * pool.size());
+    grain = (grain + kRowBlock - 1) / kRowBlock * kRowBlock;  // whole row blocks per task
     pool.parallel_for(
         a.rows(),
         [&a, &b, &c](std::size_t lo, std::size_t hi) { gemm_rows(a, b, c, lo, hi); },
@@ -105,10 +119,10 @@ void matmul_transA_into(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t n = b.cols();
   const std::size_t m = a.cols();
   const std::size_t k_dim = a.rows();
-  // Same 8-wide register block as gemm_rows, reading A down a column
-  // (stride m, but A is small enough to sit in L1 for the training shapes).
-  // Per (i,j) the accumulation is k-ascending in one chain, matching the
-  // historical k-outer kernel bit-for-bit.
+  // One output row at a time with an 8-wide register block, reading A down
+  // a column (stride m, but A is small enough to sit in L1 for the training
+  // shapes). Per (i,j) the accumulation is k-ascending in one chain, matching
+  // the historical k-outer kernel bit-for-bit.
   if (k_dim == 0) {
     c.fill(0.0);
     return;

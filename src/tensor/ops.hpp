@@ -8,7 +8,7 @@
 
 namespace repro::tensor {
 
-/// C = A * B. Register-blocked i-k-j kernel (2 rows x 4 cols); parallelized
+/// C = A * B. Register-blocked i-k-j kernel (4 rows x 4 cols); parallelized
 /// over row blocks via the global thread pool when matrices are large.
 Matrix matmul(const Matrix& a, const Matrix& b);
 

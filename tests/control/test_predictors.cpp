@@ -44,6 +44,37 @@ std::vector<dsps::WindowSample> feature_driven_history(std::size_t n, std::uint6
   return hist;
 }
 
+/// Four workers on two machines, each with its own scale and phase, so
+/// their forecasts differ and a mixed-up batch row would show.
+std::vector<dsps::WindowSample> four_worker_history(std::size_t n, std::uint64_t seed) {
+  common::Pcg32 rng(seed, 0xcd);
+  std::vector<dsps::WindowSample> hist;
+  for (std::size_t i = 0; i < n; ++i) {
+    dsps::WindowSample s;
+    s.time = static_cast<double>(i + 1);
+    for (std::size_t m = 0; m < 2; ++m) {
+      dsps::MachineWindowStats ms;
+      ms.machine = m;
+      ms.load = 1.0 + 0.6 * std::sin(2.0 * M_PI * static_cast<double>(i + 7 * m) / 30.0);
+      ms.cpu_util = ms.load / 2.0;
+      s.machines.push_back(ms);
+    }
+    for (std::size_t w = 0; w < 4; ++w) {
+      dsps::WorkerWindowStats ws;
+      ws.worker = w;
+      ws.machine = w % 2;
+      ws.executed = 400 + 50 * w;
+      ws.received = ws.executed;
+      ws.avg_proc_time = 0.001 * static_cast<double>(w + 1) * s.machines[w % 2].load +
+                         rng.normal(0.0, 5e-6);
+      ws.cpu_share = 0.2 + 0.1 * static_cast<double>(w);
+      s.workers.push_back(ws);
+    }
+    hist.push_back(std::move(s));
+  }
+  return hist;
+}
+
 TEST(ObservedPredictor, ReturnsLastValue) {
   auto hist = feature_driven_history(10, 1);
   ObservedPredictor p;
@@ -202,6 +233,39 @@ TEST(StreamingPredictors, DrnnStreamingIsBitIdentical) {
   stream.fit(hist, {0});
   for (const auto& s : hist) stream.observe(s);
   EXPECT_DOUBLE_EQ(stream.predict_next(0), batch.predict_next(hist, 0));
+}
+
+// A control round asks for all of an edge's workers in one call; each
+// answer must be exactly the bits of that worker's own predict_next.
+TEST(StreamingPredictors, DrnnPredictWorkersMatchesPerWorkerCalls) {
+  auto hist = four_worker_history(160, 14);
+  DrnnPredictorConfig cfg;
+  cfg.train.epochs = 4;  // cheap fit: we compare predict paths, not skill
+  DrnnPredictor p(cfg);
+  p.fit(hist, {0, 1, 2, 3});
+
+  auto expect_per_worker = [&p](const std::vector<std::size_t>& workers) {
+    std::vector<double> batched;
+    p.predict_workers(workers, batched);
+    ASSERT_EQ(batched.size(), workers.size());
+    for (std::size_t i = 0; i < workers.size(); ++i) {
+      EXPECT_EQ(batched[i], p.predict_next(workers[i])) << "entry " << i;
+    }
+  };
+
+  for (std::size_t i = 0; i < 100; ++i) p.observe(hist[i]);
+  std::vector<double> round;
+  p.predict_workers({0, 1, 2, 3}, round);
+  EXPECT_NE(round[0], round[3]);  // distinct rows, or the checks below prove little
+  expect_per_worker({0, 1, 2, 3});  // an ordinary round's task workers
+  expect_per_worker({2, 0, 2, 3, 1});  // a worker listed twice
+  expect_per_worker({});
+
+  // A second stream after reset_stream(), cut at a different point.
+  p.reset_stream();
+  for (std::size_t i = 40; i < hist.size(); ++i) p.observe(hist[i]);
+  expect_per_worker({0, 1, 2, 3});
+  expect_per_worker({3, 3});
 }
 
 TEST(StreamingPredictors, ResetStreamForgetsSamples) {

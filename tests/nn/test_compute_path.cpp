@@ -1,15 +1,18 @@
 // Bit-exactness certification of the fused/workspace compute path.
 //
 // The fast kernels (register-blocked GEMM, fused gate loops, cached
-// transposed weights, workspace reuse, the single-sequence inference path,
-// and the sharded minibatch pipeline) must not change a single bit of any
-// result relative to straightforward reference implementations of the same
-// formulas. These tests pin that contract:
+// transposed weights, workspace reuse, batched inference, the skipped
+// bottom-layer input grads, and the sharded minibatch pipeline) must not
+// change a single bit of any result relative to straightforward reference
+// implementations of the same formulas. These tests pin that contract:
 //   - GEMM variants vs naive scalar-accumulator loops
 //   - Lstm/Gru forward + BPTT vs in-test reference implementations
-//   - Drnn::predict_single vs batch-of-1 Drnn::forward
+//   - a batched Drnn::forward vs each sequence forwarded on its own
+//   - Drnn::backward's parameter grads vs a backward that computes every
+//     layer's input grads
 //   - sharded training vs itself under different thread-pool sizes
-//   - steady-state train_step performs zero heap allocations
+//   - steady-state training and batched inference perform zero heap
+//     allocations
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -119,8 +122,10 @@ tensor::Matrix naive_transB(const tensor::Matrix& a, const tensor::Matrix& b) {
 TEST(ComputePath, GemmMatchesNaiveBitExact) {
   common::Pcg32 rng(42, 0x9);
   // Odd sizes exercise the microkernel edge handling; sparsity exercises the
-  // removed zero-skip branch (+-0.0 edge cases included).
-  const std::size_t sizes[][3] = {{1, 1, 1}, {2, 3, 4}, {7, 13, 9}, {16, 19, 32}, {33, 65, 17}};
+  // removed zero-skip branch (+-0.0 edge cases included). The last shape is
+  // large enough to split its rows over the thread pool.
+  const std::size_t sizes[][3] = {{1, 1, 1},    {2, 3, 4},    {7, 13, 9},
+                                  {16, 19, 32}, {33, 65, 17}, {130, 190, 170}};
   for (const auto& s : sizes) {
     tensor::Matrix a = random_matrix(s[0], s[1], rng, 0.3);
     tensor::Matrix b = random_matrix(s[1], s[2], rng, 0.3);
@@ -129,6 +134,33 @@ TEST(ComputePath, GemmMatchesNaiveBitExact) {
     expect_bit_equal(tensor::matmul_transA(a, bt_a), naive_transA(a, bt_a), "matmul_transA");
     tensor::Matrix bt = random_matrix(s[2], s[1], rng, 0.3);
     expect_bit_equal(tensor::matmul_transB(a, bt), naive_transB(a, bt), "matmul_transB");
+  }
+
+  // The register block is 4 rows x 4 columns (8 columns for a lone row):
+  // every row remainder (m = 1..9), column counts below, at and above both
+  // column blocks, the LSTM input width 19, and an empty inner dimension.
+  // The accumulating form must also continue each chain from C's own start
+  // value.
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 19u}) {
+      for (std::size_t k : {0u, 1u, 2u, 19u, 32u}) {
+        tensor::Matrix a = random_matrix(m, k, rng, 0.3);
+        tensor::Matrix b = random_matrix(k, n, rng, 0.3);
+        expect_bit_equal(tensor::matmul(a, b), naive_matmul(a, b), "matmul (row block)");
+
+        tensor::Matrix c = random_matrix(m, n, rng);
+        tensor::Matrix ref = c;
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            double acc = ref(i, j);
+            for (std::size_t q = 0; q < k; ++q) acc += a(i, q) * b(q, j);
+            ref(i, j) = acc;
+          }
+        }
+        tensor::matmul_accumulate(a, b, c);
+        expect_bit_equal(c, ref, "matmul_accumulate (row block)");
+      }
+    }
   }
 }
 
@@ -422,34 +454,92 @@ TEST(ComputePath, DenseMatchesReferenceBitExact) {
   }
 }
 
-TEST(ComputePath, PredictSingleMatchesBatchedForward) {
+/// `w` sequences of [t_len x dim] stacked as a batch: step t is [w x dim].
+SeqBatch stack_sequences(const std::vector<tensor::Matrix>& seqs) {
+  SeqBatch batch(seqs.front().rows());
+  for (std::size_t t = 0; t < batch.size(); ++t) {
+    batch[t] = tensor::Matrix(seqs.size(), seqs.front().cols());
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      for (std::size_t c = 0; c < seqs[i].cols(); ++c) batch[t](i, c) = seqs[i](t, c);
+    }
+  }
+  return batch;
+}
+
+TEST(ComputePath, BatchedForwardMatchesPerSequence) {
   for (CellKind cell : {CellKind::kLstm, CellKind::kGru}) {
     DrnnConfig mc;
     mc.input_size = 5;
     mc.hidden_size = 12;
     mc.num_layers = 2;
     mc.cell = cell;
-    mc.dropout = 0.25;  // must be skipped (identity) at inference
+    mc.dropout = 0.25;  // identity at inference
     mc.output_size = 3;
     mc.seed = 21;
     Drnn model(mc);
 
     common::Pcg32 rng(4, 0x3);
-    for (int round = 0; round < 3; ++round) {
-      tensor::Matrix seq = random_matrix(10, 5, rng);
-      // Batched batch-of-1 forward.
-      SeqBatch batch(seq.rows());
-      for (std::size_t t = 0; t < seq.rows(); ++t) {
-        batch[t] = tensor::Matrix(1, seq.cols());
-        for (std::size_t c = 0; c < seq.cols(); ++c) batch[t](0, c) = seq(t, c);
+    // Every row remainder of the GEMM's 4-row block, then a repeat of the
+    // control round's batch of 4 on warm workspaces.
+    for (std::size_t w : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 4u}) {
+      std::vector<tensor::Matrix> seqs;
+      for (std::size_t i = 0; i < w; ++i) seqs.push_back(random_matrix(10, 5, rng));
+      const tensor::Matrix batched = model.forward(stack_sequences(seqs), /*training=*/false);
+      ASSERT_EQ(batched.rows(), w);
+      for (std::size_t i = 0; i < w; ++i) {
+        // Reference: the sequence alone, as a batch of one.
+        const tensor::Matrix alone = model.forward(stack_sequences({seqs[i]}), false);
+        const std::vector<double> via_predict = model.predict(seqs[i]);
+        for (std::size_t c = 0; c < mc.output_size; ++c) {
+          ASSERT_EQ(batched(i, c), alone(0, c)) << "batch " << w << " row " << i;
+          ASSERT_EQ(via_predict[c], alone(0, c)) << "predict() row " << i;
+        }
       }
-      tensor::Matrix batched = model.forward(batch, /*training=*/false);
-      tensor::Matrix single = model.predict_single(seq);
-      expect_bit_equal(single, batched, "predict_single vs batched");
-      std::vector<double> via_predict = model.predict(seq);
-      for (std::size_t c = 0; c < via_predict.size(); ++c) {
-        ASSERT_EQ(via_predict[c], batched(0, c));
+    }
+  }
+}
+
+TEST(ComputePath, BackwardParamGradsMatchFullBackward) {
+  // Drnn::backward skips the bottom layer's input grads. A backward that
+  // still computes every layer's input grads must leave the same bits in
+  // every parameter gradient.
+  for (CellKind cell : {CellKind::kLstm, CellKind::kGru}) {
+    DrnnConfig mc;
+    mc.input_size = 7;
+    mc.hidden_size = 10;
+    mc.num_layers = 2;
+    mc.cell = cell;
+    mc.dropout = 0.2;  // same seed, so both models draw the same masks
+    mc.output_size = 2;
+    mc.seed = 33;
+    Drnn skipping(mc);
+    Drnn full(mc);
+
+    common::Pcg32 rng(6, 0x3);
+    SeqBatch input = random_seq(6, 5, 7, rng);
+    tensor::Matrix d_out = random_matrix(5, 2, rng);
+    for (int round = 0; round < 2; ++round) {
+      skipping.zero_grads();
+      skipping.forward(input, /*training=*/true);
+      skipping.backward(d_out);
+
+      full.zero_grads();
+      full.forward(input, /*training=*/true);
+      tensor::Matrix d_last = full.head().backward_matrix(d_out);
+      SeqBatch grads(input.size());
+      for (std::size_t t = 0; t < grads.size(); ++t) {
+        grads[t] = tensor::Matrix(input[t].rows(), mc.hidden_size, 0.0);
       }
+      grads.back() = d_last;
+      const auto& layers = full.recurrent_layers();
+      for (std::size_t i = layers.size(); i-- > 0;) grads = layers[i]->backward(grads);
+      ASSERT_EQ(grads.size(), input.size());
+      ASSERT_EQ(grads[0].cols(), mc.input_size);  // the bottom input grads exist
+
+      const auto& a = skipping.param_refs();
+      const auto& b = full.param_refs();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t p = 0; p < a.size(); ++p) expect_bit_equal(*a[p].grad, *b[p].grad, "grad");
     }
   }
 }
@@ -559,21 +649,32 @@ TEST(ComputePath, SteadyStateTrainStepAllocatesNothing) {
       << "steady-state training must not touch the heap";
 }
 
-TEST(ComputePath, SteadyStatePredictSingleAllocatesNothing) {
+TEST(ComputePath, SteadyStateBatchedPredictAllocatesNothing) {
+  // A control round forwards all of an edge's workers as one batch, and a
+  // lone predict_next is a batch of one; alternating the two must stay off
+  // the heap once the workspaces are warm. Dropout is identity here.
   DrnnConfig mc;
   mc.input_size = 5;
   mc.hidden_size = 16;
   mc.num_layers = 2;
+  mc.dropout = 0.1;
   mc.seed = 23;
   Drnn model(mc);
   common::Pcg32 rng(8, 0x3);
-  tensor::Matrix seq = random_matrix(12, 5, rng);
+  const SeqBatch round = random_seq(12, 4, 5, rng);
+  const SeqBatch one = random_seq(12, 1, 5, rng);
 
-  for (int i = 0; i < 3; ++i) model.predict_single(seq);  // warm-up
+  for (int i = 0; i < 3; ++i) {  // warm-up
+    model.forward(round, /*training=*/false);
+    model.forward(one, /*training=*/false);
+  }
 
   g_alloc_count.store(0);
   g_count_allocs.store(true);
-  for (int i = 0; i < 10; ++i) model.predict_single(seq);
+  for (int i = 0; i < 10; ++i) {
+    model.forward(round, /*training=*/false);
+    model.forward(one, /*training=*/false);
+  }
   g_count_allocs.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0)
       << "steady-state inference must not touch the heap";
