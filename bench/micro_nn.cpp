@@ -2,6 +2,7 @@
 // end-to-end prediction path used inside the control loop.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "nn/drnn.hpp"
@@ -9,6 +10,7 @@
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/ops.hpp"
 
 namespace {
 
@@ -22,6 +24,52 @@ nn::SeqBatch random_seq(std::size_t t, std::size_t b, std::size_t d, std::uint64
   }
   return seq;
 }
+
+/// One GEMM shape of the 2x32 LSTM on one kernel instantiation:
+/// C[m x n] = A[m x k] * B[k x n], or with `trans_a` C = A^T * B for
+/// A[k x m] (a weight gradient over a minibatch of k).
+struct GemmShape {
+  const char* label;
+  std::size_t m, k, n;
+  bool trans_a;
+};
+
+void BM_LstmGemm(benchmark::State& state, const tensor::detail::GemmKernel* kernel,
+                 GemmShape shape) {
+  common::Pcg32 rng(16);
+  const tensor::Matrix a = shape.trans_a ? tensor::Matrix::random_uniform(shape.k, shape.m, 1.0, rng)
+                                         : tensor::Matrix::random_uniform(shape.m, shape.k, 1.0, rng);
+  const tensor::Matrix b = tensor::Matrix::random_uniform(shape.k, shape.n, 1.0, rng);
+  tensor::Matrix c;
+  const auto gemm = shape.trans_a ? kernel->matmul_transA_into : kernel->matmul_into;
+  for (auto _ : state) {
+    gemm(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(shape.m * shape.k * shape.n));
+}
+
+// Names the kernel the process runs in the benchmark context, and adds one
+// row per kernel instantiation the CPU supports for each LSTM GEMM shape:
+// the training forward (minibatch 64, h -> 4 gates), the backward's dh, the
+// weight gradient, and a control round's forward over 4 workers.
+const bool kGemmRowsRegistered = [] {
+  benchmark::AddCustomContext("gemm_kernel", tensor::gemm_kernel_name());
+  const GemmShape shapes[] = {{"A[64x32]B[32x128]", 64, 32, 128, false},
+                              {"A[64x128]B[128x32]", 64, 128, 32, false},
+                              {"At[64x32]B[64x128]", 32, 64, 128, true},
+                              {"A[4x32]B[32x128]", 4, 32, 128, false}};
+  for (const tensor::detail::GemmKernel& kernel : tensor::detail::gemm_kernels()) {
+    if (!kernel.supported) continue;
+    for (const GemmShape& shape : shapes) {
+      const std::string name = std::string("BM_LstmGemm/") + kernel.name + "/" + shape.label;
+      benchmark::RegisterBenchmark(name.c_str(), BM_LstmGemm, &kernel, shape);
+    }
+  }
+  return true;
+}();
 
 void BM_LstmForward(benchmark::State& state) {
   common::Pcg32 rng(1);

@@ -4,22 +4,26 @@
 // needed) so hot loops can run without heap allocations; per-output-element
 // accumulation order is fixed (k ascending, single chain), which keeps
 // results bit-identical regardless of buffer reuse or thread count.
+#include <span>
+
 #include "tensor/matrix.hpp"
 
 namespace repro::tensor {
 
-/// C = A * B. Register-blocked i-k-j kernel (4 rows x 4 cols); parallelized
-/// over row blocks via the global thread pool when matrices are large.
+/// C = A * B. Register-blocked kernel (4 rows x 4 cols, or 4 x 8 on AVX2
+/// CPUs); parallelized over row blocks via the global thread pool when
+/// matrices are large.
 Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A * B into a reused buffer (reshaped + zeroed, no allocation when
-/// capacity suffices).
+/// C = A * B into a reused buffer (reshaped, no allocation when capacity
+/// suffices; C's old values are never read).
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C += A * B (accumulating GEMM).
 void matmul_accumulate(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A^T * B without materializing the transpose.
+/// C = A^T * B without materializing the transpose (the same blocked
+/// kernel, reading A down its columns).
 Matrix matmul_transA(const Matrix& a, const Matrix& b);
 
 /// C = A^T * B into a reused buffer.
@@ -62,5 +66,28 @@ void apply_inplace(Matrix& m, F f) {
 
 double dot(const std::vector<double>& a, const std::vector<double>& b);
 double l2_norm(const std::vector<double>& v);
+
+/// The GEMM kernel instantiation this process runs, chosen once from the
+/// CPU's features: "avx2" or "baseline". Both produce the same bits.
+const char* gemm_kernel_name();
+
+namespace detail {
+
+/// One compiled instantiation of the register-blocked GEMM kernel, bound to
+/// the entry points it serves. Exposed so tests can check every
+/// instantiation the CPU supports, not only the one the process picked.
+struct GemmKernel {
+  const char* name;
+  bool supported;  ///< this CPU can execute it
+  void (*matmul_into)(const Matrix& a, const Matrix& b, Matrix& c);
+  void (*matmul_accumulate)(const Matrix& a, const Matrix& b, Matrix& c);
+  void (*matmul_transA_into)(const Matrix& a, const Matrix& b, Matrix& c);
+};
+
+/// Every compiled instantiation, baseline first; the public GEMMs run the
+/// last one whose `supported` is set.
+std::span<const GemmKernel> gemm_kernels();
+
+}  // namespace detail
 
 }  // namespace repro::tensor

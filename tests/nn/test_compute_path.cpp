@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -73,11 +75,13 @@ SeqBatch random_seq(std::size_t t_len, std::size_t batch, std::size_t dim, commo
   return seq;
 }
 
+// Compares bit patterns, so a flipped signed zero fails (== would pass it).
 void expect_bit_equal(const tensor::Matrix& a, const tensor::Matrix& b, const char* what) {
   ASSERT_EQ(a.rows(), b.rows()) << what;
   ASSERT_EQ(a.cols(), b.cols()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i]) << what << " element " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.data()[i]), std::bit_cast<std::uint64_t>(b.data()[i]))
+        << what << " element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
   }
 }
 
@@ -136,32 +140,62 @@ TEST(ComputePath, GemmMatchesNaiveBitExact) {
     expect_bit_equal(tensor::matmul_transB(a, bt), naive_transB(a, bt), "matmul_transB");
   }
 
-  // The register block is 4 rows x 4 columns (8 columns for a lone row):
-  // every row remainder (m = 1..9), column counts below, at and above both
-  // column blocks, the LSTM input width 19, and an empty inner dimension.
-  // The accumulating form must also continue each chain from C's own start
-  // value.
-  for (std::size_t m = 1; m <= 9; ++m) {
-    for (std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 19u}) {
-      for (std::size_t k : {0u, 1u, 2u, 19u, 32u}) {
-        tensor::Matrix a = random_matrix(m, k, rng, 0.3);
-        tensor::Matrix b = random_matrix(k, n, rng, 0.3);
-        expect_bit_equal(tensor::matmul(a, b), naive_matmul(a, b), "matmul (row block)");
+  // Every kernel instantiation this CPU can run, not only the one the
+  // process picked. The blocks are 4 rows x 4 columns (8 for a lone row) in
+  // the baseline kernel and 4 x 8 (16 for a lone row) in the AVX2 one:
+  // every row remainder (m = 1..9, the output rows of A^T*B too), column
+  // counts below, at and above every column block, the LSTM input width 19,
+  // and an empty inner dimension. matmul_into and matmul_transA_into must
+  // start each chain from +0.0 without reading C (C holds stale values
+  // here); the accumulating form must continue each chain from C's own
+  // start value.
+  const char* widest = nullptr;
+  for (const tensor::detail::GemmKernel& kernel : tensor::detail::gemm_kernels()) {
+    if (!kernel.supported) continue;
+    SCOPED_TRACE(kernel.name);
+    widest = kernel.name;
+    for (const auto& s : sizes) {
+      tensor::Matrix a = random_matrix(s[0], s[1], rng, 0.3);
+      tensor::Matrix b = random_matrix(s[1], s[2], rng, 0.3);
+      tensor::Matrix c;
+      kernel.matmul_into(a, b, c);
+      expect_bit_equal(c, naive_matmul(a, b), "matmul_into");
+      tensor::Matrix bt_a = random_matrix(s[0], s[2], rng, 0.3);
+      kernel.matmul_transA_into(a, bt_a, c);
+      expect_bit_equal(c, naive_transA(a, bt_a), "matmul_transA_into");
+    }
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 19u, 24u, 33u}) {
+        for (std::size_t k : {0u, 1u, 2u, 19u, 32u}) {
+          tensor::Matrix a = random_matrix(m, k, rng, 0.3);
+          tensor::Matrix b = random_matrix(k, n, rng, 0.3);
+          tensor::Matrix c = random_matrix(m, n, rng);
+          kernel.matmul_into(a, b, c);
+          expect_bit_equal(c, naive_matmul(a, b), "matmul_into (row block)");
 
-        tensor::Matrix c = random_matrix(m, n, rng);
-        tensor::Matrix ref = c;
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            double acc = ref(i, j);
-            for (std::size_t q = 0; q < k; ++q) acc += a(i, q) * b(q, j);
-            ref(i, j) = acc;
+          c = random_matrix(m, n, rng);
+          tensor::Matrix ref = c;
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+              double acc = ref(i, j);
+              for (std::size_t q = 0; q < k; ++q) acc += a(i, q) * b(q, j);
+              ref(i, j) = acc;
+            }
           }
+          kernel.matmul_accumulate(a, b, c);
+          expect_bit_equal(c, ref, "matmul_accumulate (row block)");
+
+          tensor::Matrix at = random_matrix(k, m, rng, 0.3);
+          c = random_matrix(m, n, rng);
+          kernel.matmul_transA_into(at, b, c);
+          expect_bit_equal(c, naive_transA(at, b), "matmul_transA_into (row block)");
         }
-        tensor::matmul_accumulate(a, b, c);
-        expect_bit_equal(c, ref, "matmul_accumulate (row block)");
       }
     }
   }
+  ASSERT_NE(widest, nullptr) << "no GEMM kernel supported";
+  EXPECT_STREQ(tensor::gemm_kernel_name(), widest)
+      << "the process must run the widest kernel the CPU supports";
 }
 
 TEST(ComputePath, IntoVariantsReuseBuffersAcrossShapes) {

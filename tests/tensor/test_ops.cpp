@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #include "common/rng.hpp"
 
 namespace repro::tensor {
@@ -117,6 +121,36 @@ TEST(Ops, DotAndNorm) {
   EXPECT_DOUBLE_EQ(l2_norm({3, 4}), 5.0);
   EXPECT_THROW(dot({1.0}, {1.0, 2.0}), std::invalid_argument);
 }
+
+#ifdef __linux__
+// Threads in this process, from /proc/self/status.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+TEST(Ops, SmallGemmStartsNoThreads) {
+  // The threadsafe style re-executes the binary for this statement, so no
+  // earlier test has started the global pool. A control round's GEMM is far
+  // below the parallel threshold and must leave the process single-threaded.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::size_t before = thread_count();
+        Matrix a(4, 32, 0.5);
+        Matrix b(32, 128, 0.25);
+        Matrix c;
+        matmul_into(a, b, c);
+        matmul_accumulate(a, b, c);
+        std::exit(before == 1 && thread_count() == before ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+#endif
 
 TEST(Ops, LargeMatmulUsesThreadPoolCorrectly) {
   // Big enough to cross the parallel threshold.
