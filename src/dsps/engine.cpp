@@ -156,8 +156,7 @@ void Engine::spout_poll(std::size_t task) {
       tasks_[task].blocked_out == 0) {
     std::optional<Values> vals = spout.next(now());
     if (vals.has_value()) {
-      runtime::TupleBatch batch = take_batch();
-      batch.stream = kDefaultStream;
+      runtime::TupleBatch& batch = spout_batch_;
       spout_roots_.clear();
       auto pull_root = [&](Values&& v) {
         std::uint64_t root = next_tuple_id_++;
@@ -181,7 +180,7 @@ void Engine::spout_poll(std::size_t task) {
         pull_root(std::move(*vals));
       }
       route_emit_batch(task, batch);
-      recycle_batch(std::move(batch));
+      batch.clear();
       for (std::uint64_t root : spout_roots_) acker_.discard_if_unanchored(root, now());
     }
   } else {
@@ -204,17 +203,36 @@ void Engine::flush_emits(std::size_t task) {
   tasks_[task].emits.flush([&](runtime::TupleBatch& b) { route_emit_batch(task, b); });
 }
 
-runtime::TupleBatch Engine::take_batch() {
-  if (batch_pool_.empty()) return {};
-  runtime::TupleBatch b = std::move(batch_pool_.back());
-  batch_pool_.pop_back();
-  return b;
+std::uint32_t Engine::acquire_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
 }
 
-void Engine::recycle_batch(runtime::TupleBatch&& b) {
-  if (batch_pool_.size() >= 1024) return;  // bound the pooled column memory
-  b.clear();
-  batch_pool_.push_back(std::move(b));
+void Engine::release_slot(std::uint32_t slot) {
+  slots_[slot].batch.clear();
+  free_slots_.push_back(slot);
+}
+
+void Engine::fifo_push(SlotFifo& q, std::uint32_t slot) {
+  slots_[slot].next = kNoSlot;
+  if (q.empty()) {
+    q.head = slot;
+  } else {
+    slots_[q.tail].next = slot;
+  }
+  q.tail = slot;
+}
+
+std::uint32_t Engine::fifo_pop(SlotFifo& q) {
+  const std::uint32_t slot = q.head;
+  q.head = slots_[slot].next;
+  if (q.head == kNoSlot) q.tail = kNoSlot;
+  return slot;
 }
 
 void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) {
@@ -225,7 +243,8 @@ void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) 
   core_.route_batch(
       src_task, batch, route_scratch_,
       [&](std::size_t dest, const std::vector<std::uint32_t>& rows, bool may_move) {
-        runtime::TupleBatch copy = take_batch();
+        const std::uint32_t slot = acquire_slot();
+        runtime::TupleBatch& copy = slots_[slot].batch;
         copy.stream = batch.stream;
         if (may_move) {
           copy.steal_rows(batch, rows);  // each row consumed once: no payload copy
@@ -243,10 +262,12 @@ void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) 
         const std::size_t accepted = flow_.admit_n(dest, m);
         if (accepted == m) {
           flow_.acquire_n(dest, m);
-          transfer(src_task, dest, std::move(copy));
+          transfer(src_task, dest, slot);
         } else if (flow_.config().policy == runtime::OverflowPolicy::kBlockUpstream) {
           // Whole-batch park (admit_n never splits a blocked batch).
-          tasks_[dest].parked.push_back({std::move(copy), src_task, now()});
+          slots_[slot].src_task = static_cast<std::uint32_t>(src_task);
+          slots_[slot].wait_start = now();
+          fifo_push(tasks_[dest].parked, slot);
           ++tasks_[src_task].blocked_out;
         } else {
           // kDropNewest: the head that fits transfers, the tail sheds —
@@ -258,43 +279,45 @@ void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) 
           if (accepted > 0) {
             copy.truncate(accepted);
             flow_.acquire_n(dest, accepted);
-            transfer(src_task, dest, std::move(copy));
+            transfer(src_task, dest, slot);
           } else {
-            recycle_batch(std::move(copy));
+            release_slot(slot);
           }
         }
       });
 }
 
-void Engine::transfer(std::size_t src_task, std::size_t dest, runtime::TupleBatch&& b) {
+void Engine::transfer(std::size_t src_task, std::size_t dest, std::uint32_t slot) {
   double delay = network_.transfer_delay(workers_[core_.owner(src_task)].machine,
                                          workers_[core_.owner(dest)].machine);
-  queue_.schedule_after(delay, [this, dest, moved = std::move(b)]() mutable {
-    deliver(dest, std::move(moved));
+  queue_.schedule_after(delay, [this, d = static_cast<std::uint32_t>(dest), slot] {
+    deliver(d, slot);
   });
 }
 
 void Engine::drain_parked(std::size_t dest) {
   TaskRuntime& d = tasks_[dest];
   while (!d.parked.empty()) {
-    const std::size_t m = d.parked.front().batch.size();
+    const BatchSlot& p = slots_[d.parked.head];
+    const std::size_t m = p.batch.size();
     if (flow_.admit_n(dest, m) != m) break;
-    ParkedBatch p = std::move(d.parked.front());
-    d.parked.pop_front();
+    const std::uint32_t slot = fifo_pop(d.parked);
+    const std::size_t src_task = p.src_task;
     flow_.acquire_n(dest, m);
-    flow_.add_stall(p.src_task, now() - p.parked_at);
-    TaskRuntime& src = tasks_[p.src_task];
+    flow_.add_stall(src_task, now() - p.wait_start);
+    TaskRuntime& src = tasks_[src_task];
     if (src.blocked_out > 0) --src.blocked_out;
-    transfer(p.src_task, dest, std::move(p.batch));
+    transfer(src_task, dest, slot);
     // The emitter's last parked batch left: it may start service again
     // (spouts resume on their own next poll).
-    if (src.blocked_out == 0) try_start(p.src_task);
+    if (src.blocked_out == 0) try_start(src_task);
   }
 }
 
-void Engine::deliver(std::size_t dest_task, runtime::TupleBatch&& b) {
+void Engine::deliver(std::size_t dest_task, std::uint32_t slot) {
   TaskRuntime& task = tasks_[dest_task];
   Worker& w = workers_[core_.owner(dest_task)];
+  runtime::TupleBatch& b = slots_[slot].batch;
   const std::size_t n = b.size();
   task.window.received += n;
   w.window.received += n;
@@ -315,7 +338,7 @@ void Engine::deliver(std::size_t dest_task, runtime::TupleBatch&& b) {
       flow_.release_n(dest_task, dropped);  // the admitted copies are gone
       drain_parked(dest_task);
       if (kept == 0) {
-        recycle_batch(std::move(b));
+        release_slot(slot);
         return;  // never acked: the roots fail at the timeout sweep
       }
     }
@@ -328,15 +351,16 @@ void Engine::deliver(std::size_t dest_task, runtime::TupleBatch&& b) {
   // and the next hop's routing keep full-size batches. The tail keeps its
   // own arrival timestamp (queue-wait is measured from the first fragment).
   if (cfg_.batch_size > 1 && !task.queue.empty()) {
-    runtime::TupleBatch& tail = task.queue.back().batch;
+    runtime::TupleBatch& tail = slots_[task.queue.tail].batch;
     if (tail.stream == b.stream && tail.size() + b.size() <= cfg_.batch_size) {
       tail.append_all(std::move(b));
-      recycle_batch(std::move(b));
+      release_slot(slot);
       start_or_linger(dest_task);
       return;
     }
   }
-  task.queue.push_back({std::move(b), now()});
+  slots_[slot].wait_start = now();
+  fifo_push(task.queue, slot);
   start_or_linger(dest_task);
 }
 
@@ -369,43 +393,44 @@ void Engine::try_start(std::size_t task_id) {
   Worker& w = workers_[core_.owner(task_id)];
   if (!core_.alive(w.id)) return;  // parked on a dead worker (no survivor); restart resumes
   task.busy = true;
-  QueuedBatch qb = std::move(task.queue.front());
-  task.queue.pop_front();
-  task.queued_tuples -= qb.batch.size();
-  task.in_service = qb.batch.size();
+  const std::uint32_t slot = fifo_pop(task.queue);
+  BatchSlot& s = slots_[slot];
+  task.queued_tuples -= s.batch.size();
+  task.in_service = s.batch.size();
   task.service_owner = w.id;
-  std::size_t owner = w.id;
-  std::uint64_t inc = w.incarnation;
+  s.owner = static_cast<std::uint32_t>(w.id);
+  s.incarnation = w.incarnation;
   if (w.stall_until > now()) {
-    queue_.schedule_at(w.stall_until, [this, task_id, owner, inc, moved = std::move(qb)]() mutable {
-      begin_service(task_id, std::move(moved), owner, inc);
+    queue_.schedule_at(w.stall_until, [this, t = static_cast<std::uint32_t>(task_id), slot] {
+      begin_service(t, slot);
     });
   } else {
-    begin_service(task_id, std::move(qb), owner, inc);
+    begin_service(task_id, slot);
   }
 }
 
-void Engine::begin_service(std::size_t task_id, QueuedBatch&& qb, std::size_t owner,
-                           std::uint64_t incarnation) {
+void Engine::begin_service(std::size_t task_id, std::uint32_t slot) {
   TaskRuntime& task = tasks_[task_id];
-  Worker& w = workers_[owner];
-  if (w.incarnation != incarnation) {
+  BatchSlot& s = slots_[slot];
+  Worker& w = workers_[s.owner];
+  if (w.incarnation != s.incarnation) {
     // The hosting worker crashed while this batch waited out a stall; the
     // batch was already counted lost at crash time. Nothing was started on
     // the machine yet, so there is nothing to balance.
+    release_slot(slot);
     return;
   }
   if (w.stall_until > now()) {
     // The stall was extended while we waited; keep waiting.
-    queue_.schedule_at(w.stall_until,
-                       [this, task_id, owner, incarnation, moved = std::move(qb)]() mutable {
-                         begin_service(task_id, std::move(moved), owner, incarnation);
-                       });
+    queue_.schedule_at(w.stall_until, [this, t = static_cast<std::uint32_t>(task_id), slot] {
+      begin_service(t, slot);
+    });
     return;
   }
   sim::Machine& m = machines_[w.machine];
-  const std::size_t n = qb.batch.size();
-  double wait = now() - qb.arrive;
+  runtime::TupleBatch& batch = s.batch;
+  const std::size_t n = batch.size();
+  double wait = now() - s.wait_start;
   task.window.queue_wait += wait * static_cast<double>(n);
   w.window.queue_wait_sum += wait * static_cast<double>(n);
 
@@ -417,11 +442,11 @@ void Engine::begin_service(std::size_t task_id, QueuedBatch&& qb, std::size_t ow
   // and costing one set of transcendentals per batch instead of per row.
   Bolt* bolt = core_.task(task_id).bolt.get();
   double total_cost = 0.0;
-  cost_probe_.stream = qb.batch.stream;
+  cost_probe_.stream = batch.stream;
   for (std::size_t i = 0; i < n; ++i) {
-    qb.batch.borrow_row(i, cost_probe_);
+    batch.borrow_row(i, cost_probe_);
     total_cost += bolt->tuple_cost(cost_probe_);
-    qb.batch.restore_row(i, cost_probe_);
+    batch.restore_row(i, cost_probe_);
   }
   if (cfg_.service_noise_cv > 0.0) {
     if (n == 1) {
@@ -437,30 +462,30 @@ void Engine::begin_service(std::size_t task_id, QueuedBatch&& qb, std::size_t ow
   // service start and held for this batch (service times are orders of
   // magnitude shorter than load dynamics).
   double speed = m.speed_factor(1.0);
-  double duration = total_cost * w.slowdown / speed;
+  s.duration = total_cost * w.slowdown / speed;
   m.service_started(now());
-  sim::SimTime start = now();
-  queue_.schedule_after(
-      duration, [this, task_id, owner, incarnation, moved = std::move(qb), start, duration]() mutable {
-        complete_service(task_id, std::move(moved), start, duration, owner, incarnation);
-      });
+  queue_.schedule_after(s.duration, [this, t = static_cast<std::uint32_t>(task_id), slot] {
+    complete_service(t, slot);
+  });
 }
 
-void Engine::complete_service(std::size_t task_id, QueuedBatch&& qb, sim::SimTime start,
-                              double duration, std::size_t owner, std::uint64_t incarnation) {
-  (void)start;
+void Engine::complete_service(std::size_t task_id, std::uint32_t slot) {
   TaskRuntime& task = tasks_[task_id];
-  Worker& w = workers_[owner];
+  BatchSlot& s = slots_[slot];
+  Worker& w = workers_[s.owner];
   machines_[w.machine].service_finished(now());
-  if (w.incarnation != incarnation) {
+  if (w.incarnation != s.incarnation) {
     // The worker crashed mid-service: the machine accounting is balanced
     // above, but the batch (already counted lost at crash time) produces
     // no acks and no downstream emits, and the task state belongs to the
     // new incarnation now.
+    release_slot(slot);
     return;
   }
 
-  const std::size_t n = qb.batch.size();
+  runtime::TupleBatch& batch = s.batch;
+  const std::size_t n = batch.size();
+  const double duration = s.duration;
   task.window.executed += n;
   task.window.exec_time += duration;
   w.window.executed += n;
@@ -470,12 +495,13 @@ void Engine::complete_service(std::size_t task_id, QueuedBatch&& qb, sim::SimTim
 
   auto* collector = static_cast<Collector*>(task.collector.get());
   Bolt* bolt = core_.task(task_id).bolt.get();
-  exec_probe_.stream = qb.batch.stream;
+  exec_probe_.stream = batch.stream;
   for (std::size_t i = 0; i < n; ++i) {
-    collector->set_context(qb.batch.root_ids[i], qb.batch.root_emit_times[i]);
+    collector->set_context(batch.root_ids[i], batch.root_emit_times[i]);
     // The value row is consumed by execute (the ack below reads only the
-    // id columns), so there is nothing to restore.
-    qb.batch.borrow_row(i, exec_probe_);
+    // id columns), so there is nothing to restore. Emits route here and
+    // acquire new slots; the deque slab keeps this one in place.
+    batch.borrow_row(i, exec_probe_);
     bolt->execute(exec_probe_, *collector);
   }
   collector->clear_context();
@@ -484,14 +510,14 @@ void Engine::complete_service(std::size_t task_id, QueuedBatch&& qb, sim::SimTim
   // its tree early. At batch size 1 the buffer flushed inside execute,
   // so this is a no-op and the order matches the historical path.
   flush_emits(task_id);
-  acker_.ack_batch(qb.batch.root_ids.data(), qb.batch.ids.data(), n, now());
+  acker_.ack_batch(batch.root_ids.data(), batch.ids.data(), n, now());
 
   // The serviced batch leaves the bounded in-queue here, where its acks
   // happened: release the credits and re-admit parked upstream batches.
   flow_.release_n(task_id, n);
   task.busy = false;
   task.in_service = 0;
-  recycle_batch(std::move(qb.batch));
+  release_slot(slot);
   drain_parked(task_id);
   try_start(task_id);
 }
@@ -596,11 +622,9 @@ void Engine::replay_root(std::size_t spout_task, Values&& values, std::size_t at
   ++totals_.replays;
   // Replays re-emit one root at a time (the sweep hands them back
   // individually), so they ride a single-row batch even at batch_size > 1.
-  runtime::TupleBatch batch = take_batch();
-  batch.stream = kDefaultStream;
-  batch.push_row(0, root, now(), std::move(values));
-  route_emit_batch(spout_task, batch);
-  recycle_batch(std::move(batch));
+  spout_batch_.push_row(0, root, now(), std::move(values));
+  route_emit_batch(spout_task, spout_batch_);
+  spout_batch_.clear();
   acker_.discard_if_unanchored(root, now());
 }
 
@@ -636,7 +660,7 @@ void Engine::crash_worker(std::size_t worker) {
     TaskRuntime& task = tasks_[t];
     std::size_t wiped = task.queued_tuples;
     totals_.tuples_lost += wiped;
-    task.queue.clear();
+    while (!task.queue.empty()) release_slot(fifo_pop(task.queue));
     task.queued_tuples = 0;
     flow_.release_n(t, wiped);  // the dead queue's credits come back
   }
@@ -645,16 +669,20 @@ void Engine::crash_worker(std::size_t worker) {
     // (they live in its transfer layer); their roots fail at the ack
     // timeout like any crash loss. Unblock the emitters being reassigned.
     for (auto& dest : tasks_) {
-      for (auto it = dest.parked.begin(); it != dest.parked.end();) {
-        if (core_.owner(it->src_task) == worker) {
-          totals_.tuples_lost += it->batch.size();
-          TaskRuntime& src = tasks_[it->src_task];
-          if (src.blocked_out > 0) --src.blocked_out;
-          it = dest.parked.erase(it);
-        } else {
-          ++it;
+      SlotFifo kept;
+      while (!dest.parked.empty()) {
+        const std::uint32_t slot = fifo_pop(dest.parked);
+        const BatchSlot& p = slots_[slot];
+        if (core_.owner(p.src_task) != worker) {
+          fifo_push(kept, slot);
+          continue;
         }
+        totals_.tuples_lost += p.batch.size();
+        TaskRuntime& src = tasks_[p.src_task];
+        if (src.blocked_out > 0) --src.blocked_out;
+        release_slot(slot);
       }
+      dest.parked = kept;
     }
   }
   // Supervisor reassignment (shared deterministic policy, so recovered
@@ -850,7 +878,9 @@ std::size_t Engine::queue_length_of_task(std::size_t global_task) const {
 std::size_t Engine::parked_tuples() const {
   std::size_t n = 0;
   for (const auto& t : tasks_) {
-    for (const auto& p : t.parked) n += p.batch.size();
+    for (std::uint32_t s = t.parked.head; s != kNoSlot; s = slots_[s].next) {
+      n += slots_[s].batch.size();
+    }
   }
   return n;
 }

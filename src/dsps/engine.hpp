@@ -140,35 +140,51 @@ class Engine : public runtime::ControlSurface {
   /// Tuples currently parked at emit sites by kBlockUpstream backpressure
   /// (zero in any other mode; zero again once a bounded run drains).
   std::size_t parked_tuples() const;
+  /// Batch slots in use: batches on the wire, queued, waiting out a stall,
+  /// in service or parked (zero again once a run drains).
+  std::size_t batches_in_flight() const { return slots_.size() - free_slots_.size(); }
   /// Placement-table consistency check (the chaos harness's routing
   /// invariant; see runtime::TopologyState::placement_audit). Empty when
   /// consistent, else a diagnostic.
   std::string placement_audit() const;
 
  private:
-  /// The queue/service unit: a routed TupleBatch and its arrival time at
-  /// the destination's in-queue (batch size 1 under the default config).
-  struct QueuedBatch {
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// The queue/service unit: one routed TupleBatch (batch size 1 under the
+  /// default config). It lives in one engine-owned slot from route to
+  /// completion or loss — on the wire, in its task's queue, waiting out a
+  /// stall, in service, or parked at its emit site — so the events that
+  /// move it capture only `this` and 32-bit task/slot indices. A released
+  /// slot keeps its columns' capacity for the next batch.
+  struct BatchSlot {
     runtime::TupleBatch batch;
-    sim::SimTime arrive = 0.0;
+    /// Start of the current wait: the in-queue arrival, or while parked
+    /// (kBlockUpstream: the destination's bounded in-queue is full) the
+    /// park time. Batches park whole and drain whole.
+    sim::SimTime wait_start = 0.0;
+    double duration = 0.0;          ///< service time, set at service start
+    std::uint64_t incarnation = 0;  ///< serving worker's incarnation at dequeue
+    std::uint32_t owner = 0;        ///< serving worker, set at dequeue
+    std::uint32_t src_task = 0;     ///< emitting task (parked batches)
+    std::uint32_t next = kNoSlot;   ///< link in a SlotFifo
+  };
+
+  /// FIFO of slots linked through BatchSlot::next: pushes and pops never
+  /// allocate. A slot is in at most one FIFO at a time.
+  struct SlotFifo {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+    bool empty() const { return head == kNoSlot; }
   };
 
   class Collector;
-
-  /// A routed batch held at its emit site because the destination's
-  /// bounded in-queue is full (kBlockUpstream). Batches park whole and
-  /// drain whole — a blocked batch is never split.
-  struct ParkedBatch {
-    runtime::TupleBatch batch;
-    std::size_t src_task = 0;
-    sim::SimTime parked_at = 0.0;
-  };
 
   /// Per-task discrete-event state; the static tables (spout/bolt
   /// instances, routes, placement) live in core_.
   struct TaskRuntime {
     std::unique_ptr<Collector> collector;
-    std::deque<QueuedBatch> queue;
+    SlotFifo queue;
     std::size_t queued_tuples = 0;  ///< sum of queued batch sizes
     std::size_t in_service = 0;     ///< rows of the batch being serviced (0 if !busy)
     bool busy = false;
@@ -180,7 +196,7 @@ class Engine : public runtime::ControlSurface {
     bool linger_pending = false;    ///< a deferred try_start event is scheduled
     runtime::TaskCounters window;
     /// Batches destined to *this* task, waiting for its in-queue credit.
-    std::deque<ParkedBatch> parked;
+    SlotFifo parked;
     /// How many of this task's emitted batches are parked downstream;
     /// while nonzero the task neither starts service nor (as a spout)
     /// consumes from the workload — that is the hop-by-hop backpressure.
@@ -201,25 +217,27 @@ class Engine : public runtime::ControlSurface {
   void route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch);
   /// Put an admitted batch on the (simulated) wire toward `dest` — one
   /// network-delay draw per (destination, batch).
-  void transfer(std::size_t src_task, std::size_t dest, runtime::TupleBatch&& b);
+  void transfer(std::size_t src_task, std::size_t dest, std::uint32_t slot);
   /// Re-admit parked batches at `dest` while it has whole-batch credit,
   /// resuming their stalled emitters.
   void drain_parked(std::size_t dest);
-  void deliver(std::size_t dest_task, runtime::TupleBatch&& b);
+  void deliver(std::size_t dest_task, std::uint32_t slot);
   void try_start(std::size_t task);
   /// try_start, but at batch_size > 1 a partial batch arriving at an idle
   /// task lingers (cfg_.batch_linger) so more fragments can merge first.
   void start_or_linger(std::size_t task);
-  // `owner`/`incarnation` are the hosting worker at scheduling time: a
+  // The slot's owner/incarnation are the serving worker's at dequeue: a
   // bumped incarnation means the worker crashed while the batch waited or
   // was in service, so the (already counted lost) batch is discarded.
-  void begin_service(std::size_t task, QueuedBatch&& qb, std::size_t owner,
-                     std::uint64_t incarnation);
-  void complete_service(std::size_t task, QueuedBatch&& qb, sim::SimTime start, double duration,
-                        std::size_t owner, std::uint64_t incarnation);
-  /// Batch-buffer pool: routed batches recycle their column capacity.
-  runtime::TupleBatch take_batch();
-  void recycle_batch(runtime::TupleBatch&& b);
+  void begin_service(std::size_t task, std::uint32_t slot);
+  void complete_service(std::size_t task, std::uint32_t slot);
+  /// A free slot (its batch empty), growing the slab when none is free.
+  std::uint32_t acquire_slot();
+  /// Every exit of a batch — completion, stale incarnation, crash wipe,
+  /// drop fault, tail merge, shed — releases its slot exactly once.
+  void release_slot(std::uint32_t slot);
+  void fifo_push(SlotFifo& q, std::uint32_t slot);
+  std::uint32_t fifo_pop(SlotFifo& q);
   void replay_root(std::size_t spout_task, Values&& values, std::size_t attempt);
   /// Count migrations the core applied and stall both endpoints of each
   /// by the modeled rescale pause.
@@ -246,7 +264,12 @@ class Engine : public runtime::ControlSurface {
   runtime::BatchRouteScratch route_scratch_;  ///< scratch for core_.route_batch()
   Tuple cost_probe_;   ///< scratch row view for Bolt::tuple_cost
   Tuple exec_probe_;   ///< scratch row view for Bolt::execute
-  std::vector<runtime::TupleBatch> batch_pool_;
+  /// The batch slots. A deque: a handler holds its slot's reference while
+  /// execute -> emit -> route acquires new slots, and growing a deque at
+  /// the back moves no element.
+  std::deque<BatchSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  runtime::TupleBatch spout_batch_;         ///< scratch: one spout pull or replay
   std::vector<std::uint64_t> spout_roots_;  ///< scratch: roots of one spout pull
 
   std::uint64_t next_tuple_id_ = 1;

@@ -314,6 +314,7 @@ ChaosReport run_chaos_sim(const ChaosSpec& spec, bool include_faults) {
 
   report.totals = engine.totals();
   report.pending_end = engine.pending_roots();
+  report.batches_end = engine.batches_in_flight();
   std::size_t task_count = engine.history().empty() ? 0 : engine.history().front().tasks.size();
   report.executed_per_task.assign(task_count, 0);
   for (const auto& w : engine.history()) {
@@ -418,6 +419,10 @@ std::string check_chaos_invariants(const ChaosSpec& spec, const ChaosReport& r) 
   }
   if (r.residual_queued != 0) {
     out << "conservation: " << r.residual_queued << " tuples still queued after the drain";
+    return out.str();
+  }
+  if (r.batches_end != 0) {
+    out << "conservation: " << r.batches_end << " batch slots still in use after the drain";
     return out.str();
   }
   if (t.tuples_delivered !=

@@ -103,6 +103,7 @@ ChaosSpec make_chaos_spec(const ScenarioSpec& scenario, std::uint64_t seed);
 struct ChaosReport {
   dsps::EngineTotals totals;
   std::size_t pending_end = 0;      ///< in-flight roots after the drain
+  std::size_t batches_end = 0;      ///< batch slots still in use after the drain
   std::uint64_t residual_queued = 0;///< tuples still queued after the drain
   std::string placement_audit;      ///< final audit ("" = consistent)
   std::string window_audit;         ///< first per-window audit failure
@@ -138,8 +139,9 @@ rt::RtTotals run_chaos_async_bounded(const ChaosSpec& spec);
 
 /// Evaluate the chaos invariants over a simulated run:
 ///   1. conservation   — every registered root acked or failed, nothing
-///                       pending or queued after the drain, and delivered
-///                       tuples fully accounted as executed/dropped/lost;
+///                       pending, queued or holding a batch slot after the
+///                       drain, and delivered tuples fully accounted as
+///                       executed/dropped/lost;
 ///   2. replay completeness — no spout value missing at the sinks (crash
 ///                       faults only), or missing <= replays_exhausted
 ///                       when drop faults can exhaust the replay budget;

@@ -62,9 +62,12 @@ dsps::TopologyWindowStats finalize_topology_window(TopologyCounters& c, double w
   topo.avg_complete_latency =
       c.acked > 0 ? c.latency_sum / static_cast<double>(c.acked) : 0.0;
   if (!c.latencies.empty()) {
-    std::sort(c.latencies.begin(), c.latencies.end());
+    // Element floor(0.99 * (n - 1)) of the sorted latencies, found by
+    // selection in O(n) instead of a full sort.
     auto idx = static_cast<std::size_t>(0.99 * static_cast<double>(c.latencies.size() - 1));
-    topo.p99_complete_latency = c.latencies[idx];
+    auto nth = c.latencies.begin() + static_cast<std::ptrdiff_t>(idx);
+    std::nth_element(c.latencies.begin(), nth, c.latencies.end());
+    topo.p99_complete_latency = *nth;
   }
   c.reset();
   return topo;

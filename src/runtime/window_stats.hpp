@@ -73,7 +73,7 @@ dsps::WorkerWindowStats finalize_worker_window(std::size_t worker, std::size_t m
 
 /// Fold the topology window counters into stats and reset them.
 /// `pending` is the number of in-flight roots at the boundary. Note:
-/// sorts (and then clears) `c.latencies` to compute the p99.
+/// reorders (and then clears) `c.latencies` to select the p99.
 dsps::TopologyWindowStats finalize_topology_window(TopologyCounters& c, double window_seconds,
                                                    std::uint64_t pending);
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -10,18 +11,21 @@
 namespace repro::dsps {
 namespace {
 
-/// Fixed-rate spout emitting sequential integers.
+/// Fixed-rate spout emitting sequential integers (the first `limit`).
 class SeqSpout : public Spout {
  public:
-  explicit SeqSpout(double rate) : rate_(rate) {}
+  explicit SeqSpout(double rate, std::int64_t limit = std::numeric_limits<std::int64_t>::max())
+      : rate_(rate), limit_(limit) {}
   double next_delay(sim::SimTime) override { return 1.0 / rate_; }
   std::optional<Values> next(sim::SimTime) override {
+    if (counter_ >= limit_) return std::nullopt;
     return Values{static_cast<std::int64_t>(counter_++)};
   }
   void on_fail(std::uint64_t) override { ++fails_; }
 
  private:
   double rate_;
+  std::int64_t limit_;
   std::int64_t counter_ = 0;
   std::uint64_t fails_ = 0;
 };
@@ -49,9 +53,10 @@ struct BuiltTopo {
   std::shared_ptr<DynamicRatio> ratio;
 };
 
-BuiltTopo two_stage(double rate = 500.0, std::size_t relays = 4, bool dynamic = true) {
+BuiltTopo two_stage(double rate = 500.0, std::size_t relays = 4, bool dynamic = true,
+                    std::int64_t limit = std::numeric_limits<std::int64_t>::max()) {
   TopologyBuilder b("test");
-  b.set_spout("src", [rate] { return std::make_unique<SeqSpout>(rate); });
+  b.set_spout("src", [rate, limit] { return std::make_unique<SeqSpout>(rate, limit); });
   auto decl = b.set_bolt("relay", [] { return std::make_unique<RelayBolt>(); }, relays);
   BuiltTopo out;
   if (dynamic) {
@@ -174,6 +179,69 @@ TEST(Engine, DropInjectionCausesFailures) {
   engine.run_for(12.0);  // > ack_timeout so sweeps fire
   EXPECT_GT(engine.totals().failed, 0u);
   EXPECT_GT(engine.totals().tuples_dropped, 0u);
+}
+
+/// A drained run holds no batch slot and no pending root: every exit of a
+/// batch released its slot exactly once.
+void expect_drained(const Engine& engine) {
+  EXPECT_EQ(engine.batches_in_flight(), 0u) << "batch slots leaked";
+  EXPECT_EQ(engine.pending_roots(), 0u);
+}
+
+TEST(Engine, DropFaultDrainReleasesEverySlot) {
+  // Batches the drop fault empties (kept == 0) and batches it thins both
+  // give their slots back.
+  for (std::size_t batch : {1u, 4u}) {
+    ClusterConfig cfg = small_cluster();
+    cfg.batch_size = batch;
+    BuiltTopo t = two_stage(500.0, 4, false, 2000);
+    Engine engine(t.topo, cfg);
+    engine.set_worker_drop_prob(engine.workers_of("relay")[0], 0.5);
+    engine.run_for(20.0);
+    EXPECT_GT(engine.totals().tuples_dropped, 0u) << "batch " << batch;
+    EXPECT_EQ(engine.totals().acked + engine.totals().failed, 2000u) << "batch " << batch;
+    expect_drained(engine);
+  }
+}
+
+TEST(Engine, CrashRestartDrainReleasesEverySlot) {
+  // A crash wipes the victim's queues, and the batches it was serving or
+  // holding through a stall come back as stale-incarnation events; each
+  // of those exits releases its slot, and replay re-emits the losses.
+  for (std::size_t batch : {1u, 4u}) {
+    ClusterConfig cfg = small_cluster();
+    cfg.batch_size = batch;
+    cfg.replay_on_failure = true;
+    BuiltTopo t = two_stage(500.0, 4, false, 2000);
+    Engine engine(t.topo, cfg);
+    const std::size_t victim = engine.workers_of("relay")[0];
+    auto [lo, hi] = engine.tasks_of("relay");
+    std::size_t victim_task = lo;
+    while (engine.worker_of_task(victim_task) != victim) ++victim_task;
+    ASSERT_LT(victim_task, hi);
+    // Slowed past saturation, so the victim is mid-service when it crashes.
+    engine.set_worker_slowdown(victim, 100.0);
+    engine.run_for(1.0);
+    // First crash: the victim's next batch is waiting out a stall.
+    engine.stall_worker(victim, 0.5);
+    engine.run_for(0.2);
+    engine.crash_worker(victim);
+    engine.run_for(1.0);
+    engine.restart_worker(victim);
+    // Second crash: a batch is in service.
+    engine.set_worker_slowdown(victim, 100.0);
+    engine.run_for(0.5);
+    ASSERT_GT(engine.queue_length_of_task(victim_task), 0u);
+    engine.crash_worker(victim);
+    engine.run_for(1.0);
+    engine.restart_worker(victim);
+    engine.run_for(30.0);
+    const EngineTotals& totals = engine.totals();
+    EXPECT_GT(totals.tuples_lost, 0u) << "batch " << batch;
+    EXPECT_GT(totals.replays, 0u) << "batch " << batch;
+    EXPECT_EQ(totals.acked + totals.failed, totals.roots_emitted) << "batch " << batch;
+    expect_drained(engine);
+  }
 }
 
 TEST(Engine, DynamicRatioRedirectsTraffic) {

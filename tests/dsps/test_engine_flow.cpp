@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "runtime/flow_control.hpp"
@@ -14,16 +15,20 @@
 namespace repro::dsps {
 namespace {
 
+/// Emits sequential integers (the first `limit`, so a run can drain).
 class SeqSpout : public Spout {
  public:
-  explicit SeqSpout(double rate) : rate_(rate) {}
+  explicit SeqSpout(double rate, std::int64_t limit = std::numeric_limits<std::int64_t>::max())
+      : rate_(rate), limit_(limit) {}
   double next_delay(sim::SimTime) override { return 1.0 / rate_; }
   std::optional<Values> next(sim::SimTime) override {
+    if (counter_ >= limit_) return std::nullopt;
     return Values{static_cast<std::int64_t>(counter_++)};
   }
 
  private:
   double rate_;
+  std::int64_t limit_;
   std::int64_t counter_ = 0;
 };
 
@@ -39,13 +44,22 @@ class SinkBolt : public Bolt {
   double tuple_cost(const Tuple&) const override { return 20e-6; }
 };
 
-Topology two_stage(double rate, std::size_t relays) {
+Topology two_stage(double rate, std::size_t relays,
+                   std::int64_t limit = std::numeric_limits<std::int64_t>::max()) {
   TopologyBuilder b("flow-test");
-  b.set_spout("src", [rate] { return std::make_unique<SeqSpout>(rate); });
+  b.set_spout("src", [rate, limit] { return std::make_unique<SeqSpout>(rate, limit); });
   b.set_bolt("relay", [] { return std::make_unique<RelayBolt>(); }, relays)
       .shuffle_grouping("src");
   b.set_bolt("sink", [] { return std::make_unique<SinkBolt>(); }, 1).global_grouping("relay");
   return b.build();
+}
+
+/// A drained run holds no batch slot, parked tuple or pending root: every
+/// exit of a batch released its slot.
+void expect_drained(const Engine& engine) {
+  EXPECT_EQ(engine.batches_in_flight(), 0u) << "batch slots leaked";
+  EXPECT_EQ(engine.parked_tuples(), 0u);
+  EXPECT_EQ(engine.pending_roots(), 0u);
 }
 
 ClusterConfig base_config() {
@@ -209,6 +223,67 @@ TEST(EngineFlow, BatchedBlockUpstreamParksWholeBatchesLossless) {
   EXPECT_GT(engine.flow_control()->total_stall_seconds(), 0.0);
   for (const auto& w : engine.history()) {
     for (const auto& t : w.tasks) EXPECT_LE(t.queue_len, 8u);
+  }
+}
+
+TEST(EngineFlow, BlockUpstreamDrainReleasesEverySlot) {
+  // Batches park under kBlockUpstream, drain whole and (at batch > 1)
+  // merge into queue tails; once the finite stream is through, every
+  // slot is free again.
+  for (std::size_t batch : {1u, 4u}) {
+    ClusterConfig cfg = base_config();
+    cfg.flow = {8, runtime::OverflowPolicy::kBlockUpstream};
+    cfg.max_spout_pending = 200;
+    cfg.batch_size = batch;
+    cfg.ack_timeout = 120.0;
+    Engine engine(two_stage(3000.0, 1, 3000), cfg);
+    engine.set_worker_slowdown(engine.workers_of("relay")[0], 30.0);
+    engine.run_for(1.0);
+    EXPECT_GT(engine.batches_in_flight(), 0u) << "batch " << batch;
+    engine.run_for(40.0);
+    EXPECT_GT(engine.flow_control()->total_stall_seconds(), 0.0) << "batch " << batch;
+    EXPECT_EQ(engine.totals().acked, 3000u) << "batch " << batch;
+    expect_drained(engine);
+  }
+}
+
+TEST(EngineFlow, BlockUpstreamCrashDrainReleasesEverySlot) {
+  // A crash of the spout's worker kills the batch it has parked at the
+  // relay's full queue; that slot is released with it.
+  ClusterConfig cfg = base_config();
+  cfg.flow = {8, runtime::OverflowPolicy::kBlockUpstream};
+  cfg.max_spout_pending = 200;
+  cfg.ack_timeout = 5.0;
+  Engine engine(two_stage(3000.0, 1, 3000), cfg);
+  engine.set_worker_slowdown(engine.workers_of("relay")[0], 30.0);
+  engine.run_for(1.0);
+  ASSERT_GT(engine.parked_tuples(), 0u);
+  const std::size_t spout_worker = engine.workers_of("src")[0];
+  engine.crash_worker(spout_worker);
+  engine.run_for(1.0);
+  engine.restart_worker(spout_worker);
+  engine.run_for(40.0);
+  const EngineTotals totals = engine.totals();
+  EXPECT_GT(totals.tuples_lost, 0u);
+  EXPECT_EQ(totals.acked + totals.failed, totals.roots_emitted);
+  expect_drained(engine);
+}
+
+TEST(EngineFlow, DropNewestDrainReleasesEverySlot) {
+  // Shed batches (whole, or the tail of a partially admitted one) give
+  // their slots back at the emit site; the shed roots fail at the sweep.
+  for (std::size_t batch : {1u, 8u}) {
+    ClusterConfig cfg = base_config();
+    cfg.flow = {12, runtime::OverflowPolicy::kDropNewest};
+    cfg.batch_size = batch;
+    cfg.ack_timeout = 5.0;
+    Engine engine(two_stage(3000.0, 1, 3000), cfg);
+    engine.set_worker_slowdown(engine.workers_of("relay")[0], 30.0);
+    engine.run_for(40.0);
+    const EngineTotals totals = engine.totals();
+    EXPECT_GT(totals.tuples_dropped_overflow, 0u) << "batch " << batch;
+    EXPECT_EQ(totals.acked + totals.failed, totals.roots_emitted) << "batch " << batch;
+    expect_drained(engine);
   }
 }
 
