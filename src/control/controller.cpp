@@ -173,10 +173,6 @@ void OracleController::on_attach(runtime::ControlSurface& surface) {
     throw std::invalid_argument("OracleController::attach: use the (surface, from, to) form — "
                                 "the oracle controls exactly one connection");
   }
-  if (!surface.supports_fault_injection()) {
-    throw std::invalid_argument("OracleController::attach: backend \"" + surface.backend_name() +
-                                "\" exposes no injected-fault state");
-  }
   ratio_ = surface.dynamic_ratio(from_, to_);
   auto [lo, hi] = surface.tasks_of(to_);
   task_workers_.clear();

@@ -45,8 +45,8 @@ struct ControllerTotals {
 };
 
 /// Abstract base of every control arm. attach() wires the controller
-/// into a runtime: the subclass hook on_attach() validates backend
-/// support and captures actuator handles, then the base registers the
+/// into a runtime: the subclass hook on_attach() validates the topology
+/// and captures actuator handles, then the base registers the
 /// periodic control hook so the surface fires round() every
 /// control_interval() seconds. control_round() (also callable manually)
 /// wall-clock-times each round, accumulates totals, and hands the cost to
@@ -56,9 +56,10 @@ class Controller {
   virtual ~Controller() = default;
 
   /// Wire into a runtime (simulated or real-threads) and register the
-  /// periodic control hook. Throws std::invalid_argument when the backend
-  /// lacks what the arm needs (no dynamic edge, no elastic scaling, no
-  /// spout throttle, ...) — fail closed at attach, not mid-run.
+  /// periodic control hook. Throws std::invalid_argument when the
+  /// topology lacks what the arm needs (no dynamic edge to control, ...)
+  /// — fail closed at attach, not mid-run. An actuator the backend does
+  /// not implement throws std::logic_error when the arm first uses it.
   void attach(runtime::ControlSurface& surface);
 
   /// Run one control round manually (attach() registers this periodically).
@@ -90,7 +91,7 @@ class Controller {
   /// For arms whose interval is an attach-time parameter (OracleController).
   void set_control_interval(double interval);
 
-  /// Validate backend support and capture per-run state. Runs before the
+  /// Validate the topology and capture per-run state. Runs before the
   /// hook registration; throw to refuse the attach.
   virtual void on_attach(runtime::ControlSurface& surface) = 0;
 

@@ -91,17 +91,15 @@ void DrlController::on_attach(runtime::ControlSurface& surface) {
   const FeatureConfig fcfg{};
   const std::size_t dim = feature_dim(fcfg);
   const std::size_t sdim = task_workers_.size() * dim;
-  const bool rescale_now = cfg_.allow_rescale && surface.supports_elastic_scaling();
-  const std::size_t acts = 2 + task_workers_.size() + (rescale_now ? 2 : 0);
+  const std::size_t acts = 2 + task_workers_.size() + (cfg_.allow_rescale ? 2 : 0);
   if (!l1_) {
     state_dim_ = sdim;
     action_count_ = acts;
-    rescale_active_ = rescale_now;
     feat_mean_.assign(dim, 0.0);
     feat_m2_.assign(dim, 0.0);
     feat_count_ = 0;
     extractor_ = std::make_unique<StreamingFeatureExtractor>(fcfg, 2);
-    if (rescale_active_) rescale_planner_ = std::make_unique<RescalePlanner>(cfg_.rescale);
+    if (cfg_.allow_rescale) rescale_planner_ = std::make_unique<RescalePlanner>(cfg_.rescale);
     build_network();
   } else if (state_dim_ != sdim || action_count_ != acts) {
     // Re-attach keeps the learned policy, so the decision space must match.
@@ -249,7 +247,7 @@ void DrlController::apply_action(runtime::ControlSurface& surface, std::size_t a
     ratio_->set_ratios(ratios_ws_);
     return;
   }
-  if (!rescale_active_) return;
+  if (!cfg_.allow_rescale) return;
   const bool scale_out = action == 2 + w_count;
   const std::size_t pool = surface.worker_count();
   std::vector<bool> alive(pool, false);

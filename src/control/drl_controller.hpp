@@ -55,9 +55,9 @@ struct DrlControllerConfig {
   double slo_p99 = 1.0;  ///< seconds
   double loss_weight = 4.0;
   double latency_weight = 1.0;
-  /// Add one-worker scale-out/scale-in actions when the backend supports
-  /// elastic scaling (bounds from `rescale`). Off by default: the routing
-  /// action set alone matches the fixed-pool fault scenarios.
+  /// Add one-worker scale-out/scale-in actions (bounds from `rescale`).
+  /// Off by default: the routing action set alone matches the fixed-pool
+  /// fault scenarios.
   bool allow_rescale = false;
   RescaleConfig rescale{};
   std::uint64_t seed = 7;
@@ -141,7 +141,6 @@ class DrlController : public Controller {
   std::string to_;
   std::shared_ptr<dsps::DynamicRatio> ratio_;
   std::vector<std::size_t> task_workers_;
-  bool rescale_active_ = false;  ///< allow_rescale && backend supports it
   std::unique_ptr<RescalePlanner> rescale_planner_;
 
   // Feature pipeline.

@@ -40,10 +40,6 @@ RateController::RateController(RateControllerConfig config)
 }
 
 void RateController::on_attach(runtime::ControlSurface& surface) {
-  if (!surface.supports_spout_throttle()) {
-    throw std::invalid_argument("RateController::attach: backend \"" + surface.backend_name() +
-                                "\" has no spout throttle to actuate");
-  }
   cap_ = surface.max_spout_pending();
   ceiling_ = cfg_.max_pending != 0 ? cfg_.max_pending : cap_;
   floor_ = std::min(cfg_.min_pending, ceiling_);

@@ -158,10 +158,6 @@ ElasticController::ElasticController(ElasticControllerConfig config,
       predictor_(std::move(predictor)) {}
 
 void ElasticController::on_attach(runtime::ControlSurface& surface) {
-  if (!surface.supports_elastic_scaling()) {
-    throw std::invalid_argument("ElasticController::attach: backend \"" +
-                                surface.backend_name() + "\" has no elastic scaling");
-  }
   if (predictor_) predictor_->reset_stream();
   reset_window_cursor(surface);
   ws_last_time_ = surface.now_seconds();

@@ -3,81 +3,29 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "common/logging.hpp"
+#include <utility>
 
 namespace repro::dsps {
 
 namespace {
-Assignment make_assignment(const Topology& topo, const ClusterConfig& cfg) {
-  if (cfg.machines == 0 || cfg.workers_per_machine == 0) {
-    throw std::invalid_argument("Engine: need machines and workers");
-  }
-  return interleaved_schedule(topo, cfg.machines * cfg.workers_per_machine, cfg.machines);
+runtime::DataPathConfig path_config(const ClusterConfig& cfg) {
+  return {.batch_size = cfg.batch_size,
+          .max_spout_pending = cfg.max_spout_pending,
+          .ack_timeout = cfg.ack_timeout,
+          .window_seconds = cfg.window_seconds,
+          .history_capacity = cfg.history_capacity,
+          .flow = cfg.flow,
+          .replay_on_failure = cfg.replay_on_failure};
 }
 }  // namespace
 
-/// Per-task OutputCollector implementation: emits land in the task's
-/// per-stream coalescing buffer (routed the moment a batch fills — which
-/// at batch_size 1 is immediately, the historical behaviour) and are
-/// anchored to the input tuple's root while a bolt is mid-execute.
-class Engine::Collector : public runtime::TaskCollectorBase {
- public:
-  Collector(Engine* engine, std::size_t task)
-      : runtime::TaskCollectorBase(&engine->core_, task), engine_(engine) {}
-
-  void emit(Values values, const std::string& stream) override {
-    Tuple t;
-    t.root_id = current_root_;
-    t.root_emit_time = current_root_time_;
-    t.stream = stream;
-    t.values = std::move(values);
-    engine_->buffer_emit(task_, std::move(t));
-  }
-
-  sim::SimTime now() const override { return engine_->now(); }
-
-  void set_context(std::uint64_t root, sim::SimTime root_time) {
-    current_root_ = root;
-    current_root_time_ = root_time;
-  }
-  void clear_context() {
-    current_root_ = 0;
-    current_root_time_ = 0.0;
-  }
-
- private:
-  Engine* engine_;
-  std::uint64_t current_root_ = 0;
-  sim::SimTime current_root_time_ = 0.0;
-};
-
 Engine::Engine(Topology topology, ClusterConfig config)
-    : topo_(std::move(topology)),
+    : DataPath(std::move(topology), config.machines * config.workers_per_machine,
+               config.machines, config.seed, path_config(config)),
       cfg_(config),
       network_(config.network, config.seed),
-      acker_(config.ack_timeout),
       rng_service_(config.seed, 0x51),
-      rng_drop_(config.seed, 0xd1),
-      assignment_(make_assignment(topo_, cfg_)),
-      core_(topo_, assignment_, cfg_.seed),
-      flow_(cfg_.flow, core_.task_count()),
-      history_(cfg_.history_capacity) {
-  if (cfg_.flow.policy == runtime::OverflowPolicy::kBlockUpstream &&
-      cfg_.max_spout_pending == 0) {
-    throw std::invalid_argument(
-        "Engine: kBlockUpstream needs max_spout_pending > 0 — backpressure "
-        "reaches the spouts through the acker's pending count");
-  }
-  if (cfg_.batch_size == 0) {
-    throw std::invalid_argument("Engine: batch_size must be >= 1");
-  }
-  if (cfg_.flow.policy == runtime::OverflowPolicy::kBlockUpstream &&
-      cfg_.batch_size > cfg_.flow.queue_capacity) {
-    throw std::invalid_argument(
-        "Engine: batch_size must be <= queue_capacity under kBlockUpstream — "
-        "batches park whole, so a larger batch could never be admitted");
-  }
+      rng_drop_(config.seed, 0xd1) {
   if (!cfg_.machine_cores.empty() && cfg_.machine_cores.size() != cfg_.machines) {
     throw std::invalid_argument(
         "Engine: machine_cores must be empty (uniform) or hold exactly one "
@@ -91,31 +39,12 @@ Engine::Engine(Topology topology, ClusterConfig config)
     }
     machines_.emplace_back(m, "machine-" + std::to_string(m), cores);
   }
-  std::size_t n_workers = cfg_.machines * cfg_.workers_per_machine;
-  workers_.resize(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
+  workers_.resize(worker_count());
+  for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w].id = w;
-    workers_[w].machine = assignment_.worker_to_machine[w];
+    workers_[w].machine = assignment().worker_to_machine[w];
   }
-
   tasks_.resize(core_.task_count());
-  for (std::size_t gid = 0; gid < tasks_.size(); ++gid) {
-    tasks_[gid].collector = std::make_unique<Collector>(this, gid);
-  }
-  core_.open_components();
-
-  acker_.set_on_complete([this](std::uint64_t root, double latency, std::size_t spout_task) {
-    ++totals_.acked;
-    ++w_topo_.acked;
-    w_topo_.latency_sum += latency;
-    w_topo_.latencies.push_back(latency);
-    core_.task(spout_task).spout->on_ack(root);
-  });
-  acker_.set_on_fail([this](std::uint64_t root, std::size_t spout_task) {
-    ++totals_.failed;
-    ++w_topo_.failed;
-    core_.task(spout_task).spout->on_fail(root);
-  });
   acker_.set_on_replay(
       [this](std::uint64_t /*root*/, std::size_t spout_task, Values&& values,
              std::size_t attempt) { replay_root(spout_task, std::move(values), attempt); });
@@ -152,55 +81,27 @@ void Engine::spout_poll(std::size_t task) {
     return;
   }
   double delay = spout.next_delay(now());
-  if (acker_.pending_for(task) < cfg_.max_spout_pending &&
-      tasks_[task].blocked_out == 0) {
-    std::optional<Values> vals = spout.next(now());
-    if (vals.has_value()) {
-      runtime::TupleBatch& batch = spout_batch_;
-      spout_roots_.clear();
-      auto pull_root = [&](Values&& v) {
-        std::uint64_t root = next_tuple_id_++;
-        acker_.register_root(root, now(), task);
-        if (cfg_.replay_on_failure) acker_.stash_replay(root, v, 0);
-        ++totals_.roots_emitted;
-        ++w_topo_.roots_emitted;
-        batch.push_row(0, root, now(), std::move(v));
-        spout_roots_.push_back(root);
-      };
-      pull_root(std::move(*vals));
-      // Batched pull: up to batch_size roots per poll. Every extra pull
-      // consumes its own inter-arrival draw (summed into the poll delay,
-      // so the offered rate is unchanged) and re-checks the pending
-      // throttle, since each registered root raises the pending count.
-      while (batch.size() < cfg_.batch_size &&
-             acker_.pending_for(task) < cfg_.max_spout_pending) {
-        delay += spout.next_delay(now());
-        vals = spout.next(now());
-        if (!vals.has_value()) break;
-        pull_root(std::move(*vals));
-      }
-      route_emit_batch(task, batch);
-      batch.clear();
-      for (std::uint64_t root : spout_roots_) acker_.discard_if_unanchored(root, now());
-    }
-  } else {
-    // Backpressure: pending tree limit reached; retry shortly without
-    // consuming from the workload generator.
+  if (tasks_[task].blocked_out > 0 || !pull_roots(task, now(), delay)) {
+    // Backpressure: an emit is parked downstream or the pending-tree limit
+    // is reached; retry shortly without consuming from the workload
+    // generator.
     delay = std::max(delay, 1e-3);
   }
   schedule_spout_poll(task, delay);
 }
 
-void Engine::buffer_emit(std::size_t task, Tuple&& t) {
-  runtime::TupleBatch* full = tasks_[task].emits.append(std::move(t), cfg_.batch_size);
-  if (full != nullptr) {
-    route_emit_batch(task, *full);
-    full->clear();
-  }
+void Engine::count_emitted(std::size_t task, std::size_t n) {
+  tasks_[task].window.emitted += n;
+  workers_[core_.owner(task)].window.emitted += n;
 }
 
-void Engine::flush_emits(std::size_t task) {
-  tasks_[task].emits.flush([&](runtime::TupleBatch& b) { route_emit_batch(task, b); });
+void Engine::root_done(std::uint64_t root, std::size_t spout_task, bool acked) {
+  Spout& spout = *core_.task(spout_task).spout;
+  if (acked) {
+    spout.on_ack(root);
+  } else {
+    spout.on_fail(root);
+  }
 }
 
 std::uint32_t Engine::acquire_slot() {
@@ -235,56 +136,39 @@ std::uint32_t Engine::fifo_pop(SlotFifo& q) {
   return slot;
 }
 
-void Engine::route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch) {
-  if (batch.empty()) return;
-  std::size_t src_worker = core_.owner(src_task);
-  tasks_[src_task].window.emitted += batch.size();
-  workers_[src_worker].window.emitted += batch.size();
-  core_.route_batch(
-      src_task, batch, route_scratch_,
-      [&](std::size_t dest, const std::vector<std::uint32_t>& rows, bool may_move) {
-        const std::uint32_t slot = acquire_slot();
-        runtime::TupleBatch& copy = slots_[slot].batch;
-        copy.stream = batch.stream;
-        if (may_move) {
-          copy.steal_rows(batch, rows);  // each row consumed once: no payload copy
-        } else {
-          copy.append_rows(batch, rows);
-        }
-        const std::size_t m = copy.size();
-        for (std::size_t k = 0; k < m; ++k) copy.ids[k] = next_tuple_id_++;
-        // Anchor before the admission decision: a parked or shed copy must
-        // still hold the tuple tree open (park — so discard_if_unanchored
-        // keeps the root; shed — so the root fails at the ack timeout and
-        // at-least-once replay covers the loss).
-        acker_.add_anchors(copy.root_ids.data(), copy.ids.data(), m);
-        totals_.tuples_delivered += m;
-        const std::size_t accepted = flow_.admit_n(dest, m);
-        if (accepted == m) {
-          flow_.acquire_n(dest, m);
-          transfer(src_task, dest, slot);
-        } else if (flow_.config().policy == runtime::OverflowPolicy::kBlockUpstream) {
-          // Whole-batch park (admit_n never splits a blocked batch).
-          slots_[slot].src_task = static_cast<std::uint32_t>(src_task);
-          slots_[slot].wait_start = now();
-          fifo_push(tasks_[dest].parked, slot);
-          ++tasks_[src_task].blocked_out;
-        } else {
-          // kDropNewest: the head that fits transfers, the tail sheds —
-          // accounted per tuple.
-          const std::size_t shed = m - accepted;
-          flow_.count_overflow_drops(dest, shed);
-          totals_.tuples_dropped_overflow += shed;
-          w_topo_.dropped_overflow += shed;
-          if (accepted > 0) {
-            copy.truncate(accepted);
-            flow_.acquire_n(dest, accepted);
-            transfer(src_task, dest, slot);
-          } else {
-            release_slot(slot);
-          }
-        }
-      });
+runtime::TupleBatch& Engine::copy_buffer(std::size_t /*src_task*/) {
+  building_ = acquire_slot();
+  return slots_[building_].batch;
+}
+
+void Engine::admit(std::size_t src_task, std::size_t dest, runtime::TupleBatch& copy) {
+  const std::uint32_t slot = building_;  // `copy` is slots_[slot].batch
+  const std::size_t m = copy.size();
+  totals_.tuples_delivered += m;
+  const std::size_t accepted = flow_.admit_n(dest, m);
+  if (accepted == m) {
+    flow_.acquire_n(dest, m);
+    transfer(src_task, dest, slot);
+  } else if (flow_.config().policy == runtime::OverflowPolicy::kBlockUpstream) {
+    // Whole-batch park (admit_n never splits a blocked batch).
+    slots_[slot].src_task = static_cast<std::uint32_t>(src_task);
+    slots_[slot].wait_start = now();
+    fifo_push(tasks_[dest].parked, slot);
+    ++tasks_[src_task].blocked_out;
+  } else {
+    // kDropNewest: the head that fits transfers, the tail sheds —
+    // accounted per tuple.
+    const std::size_t shed = m - accepted;
+    flow_.count_overflow_drops(dest, shed);
+    totals_.tuples_dropped_overflow += shed;
+    if (accepted > 0) {
+      copy.truncate(accepted);
+      flow_.acquire_n(dest, accepted);
+      transfer(src_task, dest, slot);
+    } else {
+      release_slot(slot);
+    }
+  }
 }
 
 void Engine::transfer(std::size_t src_task, std::size_t dest, std::uint32_t slot) {
@@ -344,20 +228,12 @@ void Engine::deliver(std::size_t dest_task, std::uint32_t slot) {
     }
   }
   task.queued_tuples += b.size();
-  // Destination-side re-coalescing (batch > 1 only): routing fans each
-  // batch out into per-destination fragments, so without a merge the
-  // effective batch size decays by the fan-out at every hop. Fold the
-  // arriving fragment into the queue tail when it fits, so service, acking
-  // and the next hop's routing keep full-size batches. The tail keeps its
-  // own arrival timestamp (queue-wait is measured from the first fragment).
-  if (cfg_.batch_size > 1 && !task.queue.empty()) {
-    runtime::TupleBatch& tail = slots_[task.queue.tail].batch;
-    if (tail.stream == b.stream && tail.size() + b.size() <= cfg_.batch_size) {
-      tail.append_all(std::move(b));
-      release_slot(slot);
-      start_or_linger(dest_task);
-      return;
-    }
+  // A merged fragment joins the queue tail, which keeps its own arrival
+  // timestamp (queue-wait is measured from the first fragment).
+  if (!task.queue.empty() && coalesce(slots_[task.queue.tail].batch, b)) {
+    release_slot(slot);
+    start_or_linger(dest_task);
+    return;
   }
   slots_[slot].wait_start = now();
   fifo_push(task.queue, slot);
@@ -493,24 +369,9 @@ void Engine::complete_service(std::size_t task_id, std::uint32_t slot) {
   w.window.service_seconds += duration;
   totals_.tuples_executed += n;
 
-  auto* collector = static_cast<Collector*>(task.collector.get());
-  Bolt* bolt = core_.task(task_id).bolt.get();
-  exec_probe_.stream = batch.stream;
-  for (std::size_t i = 0; i < n; ++i) {
-    collector->set_context(batch.root_ids[i], batch.root_emit_times[i]);
-    // The value row is consumed by execute (the ack below reads only the
-    // id columns), so there is nothing to restore. Emits route here and
-    // acquire new slots; the deque slab keeps this one in place.
-    batch.borrow_row(i, exec_probe_);
-    bolt->execute(exec_probe_, *collector);
-  }
-  collector->clear_context();
-  // Flush the coalesced emits before acking the inputs: a root acked
-  // while its children sit unanchored in an emit buffer would complete
-  // its tree early. At batch size 1 the buffer flushed inside execute,
-  // so this is a no-op and the order matches the historical path.
-  flush_emits(task_id);
-  acker_.ack_batch(batch.root_ids.data(), batch.ids.data(), n, now());
+  // Emits route from inside execute and acquire new slots; the deque slab
+  // keeps this one in place.
+  execute(task_id, batch, [this] { return now(); });
 
   // The serviced batch leaves the bounded in-queue here, where its acks
   // happened: release the credits and re-admit parked upstream batches.
@@ -524,37 +385,15 @@ void Engine::complete_service(std::size_t task_id, std::uint32_t slot) {
 
 void Engine::sample_window() {
   WindowSample sample;
-  sample.time = now();
-  sample.window = cfg_.window_seconds;
-
   sample.tasks.reserve(tasks_.size());
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    TaskRuntime& t = tasks_[i];
-    if (flow_.bounded()) {
-      // Fold the flow-control layer's window accumulators into the task
-      // counters the finalizer consumes.
-      t.window.dropped_overflow += flow_.take_overflow_drops(i);
-      t.window.bp_stall += flow_.take_stall(i);
-    }
-    const runtime::TaskInfo& info = core_.task(i);
-    std::size_t queue_len = t.queued_tuples + t.in_service;
-    sample.tasks.push_back(runtime::finalize_task_window(
-        i, core_.components()[info.component].name, info.comp_index, core_.owner(i),
-        t.window, queue_len));
+    sample.tasks.push_back(task_row(i, tasks_[i].window));
   }
-
   sample.workers.reserve(workers_.size());
-  for (auto& w : workers_) {
-    const std::vector<std::size_t>& hosted = core_.worker_tasks()[w.id];
-    std::size_t qlen = 0;
-    for (std::size_t t : hosted) {
-      qlen += sample.tasks[t].queue_len;
-      w.window.bp_stall += sample.tasks[t].bp_stall;
-    }
-    sample.workers.push_back(runtime::finalize_worker_window(
-        w.id, w.machine, hosted.size(), w.window, qlen, cfg_.window_seconds));
+  for (Worker& w : workers_) {
+    sample.workers.push_back(
+        worker_row(w.id, w.machine, core_.worker_tasks()[w.id], w.window, sample.tasks));
   }
-
   sample.machines.reserve(machines_.size());
   for (auto& m : machines_) {
     MachineWindowStats s;
@@ -563,33 +402,16 @@ void Engine::sample_window() {
     s.load = m.load();
     sample.machines.push_back(s);
   }
-
-  acker_.sweep(now());
-  sample.topology = runtime::finalize_topology_window(w_topo_, cfg_.window_seconds,
-                                                      acker_.pending());
-
-  history_.push(std::move(sample));
+  close_window(std::move(sample), now());
 
   // Window-boundary callbacks (windowed aggregation emits happen here;
   // each task's coalesced emits flush before the next task's callback).
   for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    if (core_.task(i).bolt) {
-      auto* collector = static_cast<Collector*>(tasks_[i].collector.get());
-      collector->clear_context();
-      core_.task(i).bolt->on_window(now(), *collector);
-      flush_emits(i);
-    }
+    if (core_.task(i).bolt) window_callback(i, now());
   }
 
   fire_control();
   queue_.schedule_after(cfg_.window_seconds, [this] { sample_window(); });
-}
-
-void Engine::fire_control() {
-  if (!control_fn_ || control_interval_ <= 0.0) return;
-  std::size_t every = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(control_interval_ / cfg_.window_seconds)));
-  if (history_.total() % every == 0) control_fn_(*this);
 }
 
 void Engine::schedule_gc(std::size_t worker) {
@@ -614,18 +436,10 @@ void Engine::replay_root(std::size_t spout_task, Values&& values, std::size_t at
     ++totals_.replays_exhausted;
     return;
   }
-  std::uint64_t root = next_tuple_id_++;
-  acker_.register_root(root, now(), spout_task);
-  acker_.stash_replay(root, values, attempt + 1);
-  ++totals_.roots_emitted;
-  ++w_topo_.roots_emitted;
   ++totals_.replays;
   // Replays re-emit one root at a time (the sweep hands them back
   // individually), so they ride a single-row batch even at batch_size > 1.
-  spout_batch_.push_row(0, root, now(), std::move(values));
-  route_emit_batch(spout_task, spout_batch_);
-  spout_batch_.clear();
-  acker_.discard_if_unanchored(root, now());
+  emit_root(spout_task, std::move(values), now(), attempt + 1);
 }
 
 void Engine::crash_worker(std::size_t worker) {
@@ -709,14 +523,6 @@ void Engine::restart_worker(std::size_t worker) {
   for (std::size_t t : core_.worker_tasks()[worker]) try_start(t);
 }
 
-bool Engine::worker_alive(std::size_t worker) const { return core_.worker_alive(worker); }
-
-bool Engine::worker_active(std::size_t worker) const { return core_.worker_active(worker); }
-
-std::vector<std::vector<std::size_t>> Engine::worker_task_snapshot() const {
-  return core_.worker_tasks();
-}
-
 void Engine::add_worker(std::size_t worker) {
   if (core_.activate(worker)) ++totals_.worker_adds;
 }
@@ -756,35 +562,6 @@ void Engine::stall_migrations(const std::vector<TaskMove>& applied) {
 void Engine::set_link_extra_delay(std::size_t machine_a, std::size_t machine_b,
                                   double extra_seconds) {
   network_.set_link_extra_delay(machine_a, machine_b, extra_seconds);
-}
-
-std::string Engine::placement_audit() const { return core_.placement_audit(); }
-
-std::shared_ptr<DynamicRatio> Engine::dynamic_ratio(const std::string& from,
-                                                    const std::string& to) const {
-  return runtime::find_dynamic_ratio(topo_, from, to);
-}
-
-std::vector<runtime::DynamicEdge> Engine::dynamic_edges() const {
-  return runtime::list_dynamic_edges(topo_);
-}
-
-void Engine::set_control_callback(double interval, std::function<void(Engine&)> fn) {
-  control_interval_ = interval;
-  control_fn_ = std::move(fn);
-}
-
-void Engine::set_control_hook(double interval, runtime::ControlSurface::ControlHook hook) {
-  set_control_callback(interval, [hook = std::move(hook)](Engine& engine) { hook(engine); });
-}
-
-void Engine::set_max_spout_pending(std::size_t cap) {
-  if (cfg_.flow.policy == runtime::OverflowPolicy::kBlockUpstream && cap == 0) {
-    throw std::invalid_argument(
-        "Engine::set_max_spout_pending: kBlockUpstream needs a cap > 0 — "
-        "backpressure reaches the spouts through the acker's pending count");
-  }
-  cfg_.max_spout_pending = cap;
 }
 
 void Engine::set_worker_slowdown(std::size_t worker, double factor) {
@@ -858,16 +635,13 @@ void Engine::apply_fault_plan(const FaultPlan& plan) {
   }
 }
 
-std::pair<std::size_t, std::size_t> Engine::tasks_of(const std::string& component) const {
-  return core_.tasks_of(component);
-}
-
-std::size_t Engine::worker_of_task(std::size_t global_task) const {
-  return core_.worker_of_task(global_task);
-}
-
-std::vector<std::size_t> Engine::workers_of(const std::string& component) const {
-  return core_.workers_of(component);
+EngineTotals Engine::totals() const {
+  EngineTotals t = totals_;
+  const RootTotals roots = root_totals();
+  t.roots_emitted = roots.emitted;
+  t.acked = roots.acked;
+  t.failed = roots.failed;
+  return t;
 }
 
 std::size_t Engine::queue_length_of_task(std::size_t global_task) const {

@@ -1,24 +1,20 @@
 #pragma once
 // The stream engine: instantiates a topology on a simulated cluster and
-// drives it on the discrete-event queue — spout pacing, tuple routing via
-// groupings, queueing and service at executors (with machine interference
-// and worker faults), acking, metrics windows, fault plans, and a control
-// hook for the predictive controller.
+// drives it on the discrete-event queue — spout pacing, network delays,
+// admission with park or shed, queueing and service at executors (with
+// machine interference and worker faults), metrics windows, fault plans,
+// and timeout replay.
 //
-// The topology/route tables and the per-window statistics accumulation
-// live in the shared runtime core (src/runtime); this class is the
-// discrete-event *driver* over that core and also implements
-// runtime::ControlSurface so controllers attach to it interchangeably
-// with the real-threads runtime.
+// This class is the simulator's scheduler only. The tuple path it drives
+// (emit buffering, routing, ids and anchors, execute/flush/ack, the window
+// tail, the ControlSurface lookups) is runtime::DataPath, shared with the
+// event-loop runtime; the simulator instantiates it with a no-op lock, so
+// its per-tuple path takes no lock.
 #include <deque>
-#include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "dsps/acker.hpp"
 #include "dsps/cluster.hpp"
 #include "dsps/component.hpp"
 #include "dsps/fault.hpp"
@@ -26,11 +22,8 @@
 #include "dsps/scheduler.hpp"
 #include "dsps/topology.hpp"
 #include "dsps/worker.hpp"
-#include "runtime/control_surface.hpp"
-#include "runtime/flow_control.hpp"
-#include "runtime/topology_state.hpp"
+#include "runtime/data_path.hpp"
 #include "runtime/tuple_batch.hpp"
-#include "runtime/window_stats.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/network.hpp"
@@ -56,7 +49,7 @@ struct EngineTotals {
   std::uint64_t task_migrations = 0;  ///< executors moved by rescale plans
 };
 
-class Engine : public runtime::ControlSurface {
+class Engine : public runtime::DataPath<runtime::NoLock> {
  public:
   Engine(Topology topology, ClusterConfig config);
   ~Engine() override;
@@ -72,17 +65,8 @@ class Engine : public runtime::ControlSurface {
   // --- control surface -----------------------------------------------
   std::string backend_name() const override { return "sim"; }
   double now_seconds() const override { return now(); }
-  /// The DynamicRatio of the (from -> to) dynamic-grouping connection.
-  /// Throws std::invalid_argument when missing or not dynamic.
-  std::shared_ptr<DynamicRatio> dynamic_ratio(const std::string& from,
-                                              const std::string& to) const override;
-  std::vector<runtime::DynamicEdge> dynamic_edges() const override;
-  /// Invoke `fn` every `interval` seconds of simulated time.
-  void set_control_callback(double interval, std::function<void(Engine&)> fn);
-  void set_control_hook(double interval, runtime::ControlSurface::ControlHook hook) override;
   void apply_fault_plan(const FaultPlan& plan);
   // Immediate fault actuators (also usable from tests/examples).
-  bool supports_fault_injection() const override { return true; }
   void set_worker_slowdown(std::size_t worker, double factor) override;
   void set_worker_drop_prob(std::size_t worker, double probability) override;
   double worker_slowdown(std::size_t worker) const override;
@@ -94,59 +78,39 @@ class Engine : public runtime::ControlSurface {
   // Crash/recovery: hard-kill a worker (queued tuples lost, executors
   // reassigned via the shared deterministic supervisor policy) and rejoin
   // it (reclaiming its original executors, queues preserved).
-  bool supports_crash_recovery() const override { return true; }
   void crash_worker(std::size_t worker) override;
   void restart_worker(std::size_t worker) override;
-  bool worker_alive(std::size_t worker) const override;
   // Elastic scaling: graceful retire (executors drain to the remaining
   // active workers, queues preserved), re-activation, and planned
   // executor migration — each migration stalls both endpoint workers by
   // cfg_.rescale_pause (the modeled state-handoff cost).
-  // Spout rate control: the credit-based throttle cap (acker pending
-  // gate) exposed as a live actuator for rate controllers.
-  bool supports_spout_throttle() const override { return true; }
-  std::size_t max_spout_pending() const override { return cfg_.max_spout_pending; }
-  void set_max_spout_pending(std::size_t cap) override;
-  bool supports_elastic_scaling() const override { return true; }
   void add_worker(std::size_t worker) override;
   void retire_worker(std::size_t worker) override;
   void migrate_tasks(const std::vector<TaskMove>& moves) override;
-  bool worker_active(std::size_t worker) const override;
-  std::vector<std::vector<std::size_t>> worker_task_snapshot() const override;
 
   // --- introspection ---------------------------------------------------
-  /// The window-history spine (retention set by ClusterConfig::
-  /// history_capacity; unbounded by default). The inherited history()
-  /// vector view stays the full run history in unbounded mode.
-  const runtime::WindowHistory& window_history() const override { return history_; }
-  const EngineTotals& totals() const { return totals_; }
-  /// In-flight (registered, not yet acked/failed) tuple-tree roots.
-  std::size_t pending_roots() const { return acker_.pending(); }
-  std::size_t worker_count() const override { return workers_.size(); }
+  /// Totals over the run so far (a snapshot).
+  EngineTotals totals() const;
   std::size_t machine_count() const { return machines_.size(); }
   const Worker& worker(std::size_t id) const { return workers_.at(id); }
   const sim::Machine& machine(std::size_t id) const { return machines_.at(id); }
-  const Topology& topology() const { return topo_; }
   const ClusterConfig& config() const { return cfg_; }
-  /// Global task-id range [first, first+parallelism) of a component.
-  std::pair<std::size_t, std::size_t> tasks_of(const std::string& component) const override;
-  std::size_t worker_of_task(std::size_t global_task) const override;
-  /// Workers hosting at least one task of `component`.
-  std::vector<std::size_t> workers_of(const std::string& component) const override;
   std::size_t queue_length_of_task(std::size_t global_task) const override;
-  /// The bounded data path (present even under the kUnbounded default;
-  /// its config() says which policy runs).
-  const runtime::FlowControl* flow_control() const override { return &flow_; }
   /// Tuples currently parked at emit sites by kBlockUpstream backpressure
   /// (zero in any other mode; zero again once a bounded run drains).
   std::size_t parked_tuples() const;
   /// Batch slots in use: batches on the wire, queued, waiting out a stall,
   /// in service or parked (zero again once a run drains).
   std::size_t batches_in_flight() const { return slots_.size() - free_slots_.size(); }
-  /// Placement-table consistency check (the chaos harness's routing
-  /// invariant; see runtime::TopologyState::placement_audit). Empty when
-  /// consistent, else a diagnostic.
-  std::string placement_audit() const;
+
+ protected:
+  void count_emitted(std::size_t task, std::size_t n) override;
+  /// A free batch slot: each routed copy lives in its slot from route on.
+  runtime::TupleBatch& copy_buffer(std::size_t src_task) override;
+  /// Admission at route time: transfer the copy, park it whole
+  /// (kBlockUpstream) or shed its tail (kDropNewest).
+  void admit(std::size_t src_task, std::size_t dest, runtime::TupleBatch& copy) override;
+  void root_done(std::uint64_t root, std::size_t spout_task, bool acked) override;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -178,12 +142,10 @@ class Engine : public runtime::ControlSurface {
     bool empty() const { return head == kNoSlot; }
   };
 
-  class Collector;
-
   /// Per-task discrete-event state; the static tables (spout/bolt
-  /// instances, routes, placement) live in core_.
+  /// instances, routes, placement) live in core_, the emit side in the
+  /// data path.
   struct TaskRuntime {
-    std::unique_ptr<Collector> collector;
     SlotFifo queue;
     std::size_t queued_tuples = 0;  ///< sum of queued batch sizes
     std::size_t in_service = 0;     ///< rows of the batch being serviced (0 if !busy)
@@ -201,20 +163,10 @@ class Engine : public runtime::ControlSurface {
     /// while nonzero the task neither starts service nor (as a spout)
     /// consumes from the workload — that is the hop-by-hop backpressure.
     std::size_t blocked_out = 0;
-    /// Per-stream coalescing buffers for this task's bolt emits; flushed
-    /// when a batch fills and at the end of every execute/on_window run,
-    /// so the buffers are empty between events.
-    runtime::EmitBuffer emits;
   };
 
   void schedule_spout_poll(std::size_t task, double delay);
   void spout_poll(std::size_t task);
-  /// Append a bolt emit to its task's coalescing buffer; routes the
-  /// stream's open batch the moment it reaches the configured size.
-  void buffer_emit(std::size_t task, Tuple&& t);
-  /// Route out whatever the task's emit buffers still hold.
-  void flush_emits(std::size_t task);
-  void route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch);
   /// Put an admitted batch on the (simulated) wire toward `dest` — one
   /// network-delay draw per (destination, batch).
   void transfer(std::size_t src_task, std::size_t dest, std::uint32_t slot);
@@ -238,49 +190,35 @@ class Engine : public runtime::ControlSurface {
   void release_slot(std::uint32_t slot);
   void fifo_push(SlotFifo& q, std::uint32_t slot);
   std::uint32_t fifo_pop(SlotFifo& q);
+  /// The acker's replay hook: re-emit a timed-out root's values under a
+  /// fresh root id, up to cfg_.max_replays times.
   void replay_root(std::size_t spout_task, Values&& values, std::size_t attempt);
   /// Count migrations the core applied and stall both endpoints of each
   /// by the modeled rescale pause.
   void stall_migrations(const std::vector<TaskMove>& applied);
   void sample_window();
   void schedule_gc(std::size_t worker);
-  void fire_control();
   void apply_fault_event(const FaultEvent& ev);
 
-  Topology topo_;
   ClusterConfig cfg_;
   sim::EventQueue queue_;
   sim::Network network_;
-  Acker acker_;
   common::Pcg32 rng_service_;
   common::Pcg32 rng_drop_;
 
   std::vector<sim::Machine> machines_;
   std::vector<Worker> workers_;
-  Assignment assignment_;
-  runtime::TopologyState core_;
-  runtime::FlowControl flow_;
   std::vector<TaskRuntime> tasks_;
-  runtime::BatchRouteScratch route_scratch_;  ///< scratch for core_.route_batch()
   Tuple cost_probe_;   ///< scratch row view for Bolt::tuple_cost
-  Tuple exec_probe_;   ///< scratch row view for Bolt::execute
   /// The batch slots. A deque: a handler holds its slot's reference while
   /// execute -> emit -> route acquires new slots, and growing a deque at
   /// the back moves no element.
   std::deque<BatchSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  runtime::TupleBatch spout_batch_;         ///< scratch: one spout pull or replay
-  std::vector<std::uint64_t> spout_roots_;  ///< scratch: roots of one spout pull
+  std::uint32_t building_ = 0;  ///< the slot copy_buffer() handed out last
 
-  std::uint64_t next_tuple_id_ = 1;
-  runtime::WindowHistory history_;
+  /// Run totals; the root counts come from the data path (see totals()).
   EngineTotals totals_;
-
-  // Per-window topology counters.
-  runtime::TopologyCounters w_topo_;
-
-  double control_interval_ = 0.0;
-  std::function<void(Engine&)> control_fn_;
   bool started_ = false;
 };
 

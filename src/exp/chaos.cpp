@@ -277,8 +277,8 @@ ChaosReport run_chaos_sim(const ChaosSpec& spec, bool include_faults) {
   dsps::Engine engine(built.topo, cfg);
 
   ChaosReport report;
-  engine.set_control_callback(kChaosWindow, [&report](dsps::Engine& e) {
-    if (report.window_audit.empty()) report.window_audit = e.placement_audit();
+  engine.set_control_hook(kChaosWindow, [&report, &engine](runtime::ControlSurface&) {
+    if (report.window_audit.empty()) report.window_audit = engine.placement_audit();
   });
   if (include_faults) engine.apply_fault_plan(spec.plan);
 

@@ -16,6 +16,7 @@
 #include "control/controller.hpp"
 #include "control/controller_factory.hpp"
 #include "control/rescale_planner.hpp"
+#include "exp/scenarios.hpp"
 #include "rt/async_engine.hpp"
 
 namespace repro::exp {
@@ -614,24 +615,17 @@ std::shared_ptr<control::PerformancePredictor> make_scenario_predictor(const Sce
   train.interference.ramp_rate = std::max(train.interference.ramp_rate, 4.0);
   train.duration = spec.train_duration;
 
-  ScenarioApp app = build_scenario_app(train);
-  dsps::Engine engine(app.topology, train.cluster_config());
-  engine.apply_fault_plan(make_fault_plan(train));
-  engine.run_for(train.duration);
-  const auto& trace = engine.history();
-
-  std::vector<std::uint64_t> executed;
-  for (const auto& sample : trace) {
-    if (executed.size() < sample.workers.size()) executed.resize(sample.workers.size(), 0);
-    for (const auto& w : sample.workers) executed[w.worker] += w.executed;
-  }
-  std::vector<std::size_t> workers;
-  for (std::size_t w = 0; w < executed.size(); ++w) {
-    if (executed[w] > 0) workers.push_back(w);
-  }
+  std::vector<dsps::WindowSample> trace;
+  {
+    ScenarioApp app = build_scenario_app(train);
+    dsps::Engine engine(app.topology, train.cluster_config());
+    engine.apply_fault_plan(make_fault_plan(train));
+    engine.run_for(train.duration);
+    trace = engine.history();
+  }  // the engine's batch slots, event slab and acker table are freed before the fit
 
   auto predictor = control::make_predictor("drnn", spec.seed + 17);
-  predictor->fit(trace, workers);
+  predictor->fit(trace, active_workers(trace));
   return predictor;
 }
 
@@ -697,6 +691,8 @@ ScenarioRunResult run_scenario_sim(const ScenarioSpec& spec, control::Controller
 /// Sim-only kinds (machine hogs, stalls, link delays — they model the
 /// simulated cluster, not the in-process threads) are skipped and
 /// reported; ramps degrade to a step slowdown at the ramp's end value.
+/// Timeout replay has no async implementation yet: a spec that asks for
+/// it runs without and reports "replay" as skipped.
 ScenarioRunResult run_scenario_async(const ScenarioSpec& spec, control::Controller* controller) {
   rt::AsyncConfig cfg;
   cfg.workers = spec.worker_count();
@@ -712,6 +708,7 @@ ScenarioRunResult run_scenario_async(const ScenarioSpec& spec, control::Controll
   if (controller) controller->attach(engine);
 
   ScenarioRunResult result;
+  if (spec.replay_on_failure) result.skipped_faults.push_back("replay");
 
   dsps::FaultPlan plan = make_fault_plan(spec);
   std::vector<dsps::FaultEvent> live;
@@ -848,7 +845,7 @@ std::string render_scenario_table(const ScenarioSpec& spec, const ScenarioRunRes
   if (!result.skipped_faults.empty()) {
     std::string skipped;
     for (const auto& s : result.skipped_faults) skipped += (skipped.empty() ? "" : ", ") + s;
-    out << "note: sim-only fault kinds skipped on this backend: " << skipped << "\n";
+    out << "note: sim-only fault kinds and options skipped on this backend: " << skipped << "\n";
   }
   return out.str();
 }

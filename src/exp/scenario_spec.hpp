@@ -269,7 +269,8 @@ struct ScenarioRunResult {
   double mean_round_ms = 0.0;     ///< wall clock — excluded from golden tables
   std::size_t rescales = 0;       ///< elastic controller: applied rescale actions
   double worker_seconds = 0.0;    ///< elastic controller: active-worker integral
-  /// Fault kinds the backend could not apply (async: sim-only kinds).
+  /// Fault kinds and options the backend could not apply (async: the
+  /// sim-only fault kinds, and "replay").
   std::vector<std::string> skipped_faults;
 };
 

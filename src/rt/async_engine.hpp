@@ -16,6 +16,11 @@
 // (same deterministic interleaved schedule and crash reassignment as the
 // simulator) but are decoupled from OS threads: AsyncConfig::threads
 // sizes the loop pool independently.
+//
+// This class is the event loop's scheduler only. The tuple path it drives
+// (emit buffering, routing, ids and anchors, execute/flush/ack, the window
+// tail, the ControlSurface lookups) is runtime::DataPath, shared with the
+// simulator; here it runs with a std::mutex around the acker.
 #include <atomic>
 #include <chrono>
 #include <deque>
@@ -24,17 +29,14 @@
 #include <thread>
 #include <vector>
 
-#include "dsps/acker.hpp"
 #include "dsps/metrics.hpp"
 #include "dsps/scheduler.hpp"
 #include "dsps/topology.hpp"
 #include "rt/event_loop.hpp"
 #include "rt/inflight_limiter.hpp"
-#include "runtime/control_surface.hpp"
+#include "runtime/data_path.hpp"
 #include "runtime/flow_control.hpp"
-#include "runtime/topology_state.hpp"
 #include "runtime/tuple_batch.hpp"
-#include "runtime/window_stats.hpp"
 
 namespace repro::rt {
 
@@ -91,7 +93,7 @@ struct RtTotals {
   std::size_t ready_peak = 0;
 };
 
-class AsyncEngine : public runtime::ControlSurface {
+class AsyncEngine : public runtime::DataPath<std::mutex> {
  public:
   AsyncEngine(dsps::Topology topology, AsyncConfig config);
   ~AsyncEngine() override;
@@ -113,29 +115,18 @@ class AsyncEngine : public runtime::ControlSurface {
   std::vector<std::uint64_t> executed_per_task() const;
 
   // --- control surface -----------------------------------------------
+  // The window history (retention set by AsyncConfig::history_capacity;
+  // bounded by default) is written by the metrics thread: read it from a
+  // control hook (fires on the metrics thread) or after stop().
   std::string backend_name() const override { return "async"; }
   /// Wall-clock seconds since start().
   double now_seconds() const override;
-  /// Wall-clock WindowSamples collected by the metrics thread (retention
-  /// set by AsyncConfig::history_capacity; bounded by default). Safe to
-  /// read from a control hook (fires on the metrics thread) or after
-  /// stop(); racy while the loop runs otherwise.
-  const runtime::WindowHistory& window_history() const override { return history_; }
-  std::size_t worker_count() const override { return config_.workers; }
-  std::pair<std::size_t, std::size_t> tasks_of(const std::string& component) const override;
-  std::size_t worker_of_task(std::size_t global_task) const override;
-  std::vector<std::size_t> workers_of(const std::string& component) const override;
   std::size_t queue_length_of_task(std::size_t global_task) const override;
-  const runtime::FlowControl* flow_control() const override { return &flow_; }
   dsps::SchedulerWindowStats scheduler_totals() const override;
-  std::shared_ptr<dsps::DynamicRatio> dynamic_ratio(const std::string& from,
-                                                    const std::string& to) const override;
-  std::vector<runtime::DynamicEdge> dynamic_edges() const override;
   /// Fire `hook` on the metrics thread every `interval` seconds (rounded
   /// to a whole number of windows). Set before start().
   void set_control_hook(double interval, runtime::ControlSurface::ControlHook hook) override;
   // Fault actuators (thread-safe; usable while the runtime executes).
-  bool supports_fault_injection() const override { return true; }
   /// Stretch the worker's bolt executions by `factor` (busy-wait padding
   /// after each step; shows up in avg_proc_time like a degraded host).
   void set_worker_slowdown(std::size_t worker, double factor) override;
@@ -144,13 +135,6 @@ class AsyncEngine : public runtime::ControlSurface {
   void set_worker_drop_prob(std::size_t worker, double probability) override;
   double worker_slowdown(std::size_t worker) const override;
   double worker_drop_prob(std::size_t worker) const override;
-  // Spout rate control (thread-safe): the credit cap lives in an atomic
-  // the spout steps read, so a rate controller can retune it mid-run.
-  bool supports_spout_throttle() const override { return true; }
-  std::size_t max_spout_pending() const override {
-    return spout_cap_.load(std::memory_order_relaxed);
-  }
-  void set_max_spout_pending(std::size_t cap) override;
   // Crash/recovery (thread-safe; usable while the runtime executes). The
   // in-process analogue of the simulator's hard kill: everything queued
   // at the worker's executors is discarded (those roots fail at the ack
@@ -159,24 +143,22 @@ class AsyncEngine : public runtime::ControlSurface {
   // backends. Documented tolerance vs the simulator: a batch already
   // mid-step on a loop thread completes, and there is no timeout-driven
   // replay on this backend.
-  bool supports_crash_recovery() const override { return true; }
   void crash_worker(std::size_t worker) override;
   void restart_worker(std::size_t worker) override;
-  bool worker_alive(std::size_t worker) const override;
   // Elastic scaling (thread-safe). Graceful migration needs no lease:
   // the EventLoop's single-runner guarantee already serializes steps of a
-  // task, so placement mutates under placement_mutex_ and the moved tasks
-  // are re-notified (outside the mutex) so the loop resumes them on their
+  // task, so placement mutates under placement_lock_ and the moved tasks
+  // are re-notified (outside the lock) so the loop resumes them on their
   // preserved queues.
-  bool supports_elastic_scaling() const override { return true; }
   void add_worker(std::size_t worker) override;
   void retire_worker(std::size_t worker) override;
   void migrate_tasks(const std::vector<dsps::TaskMove>& moves) override;
-  bool worker_active(std::size_t worker) const override;
-  std::vector<std::vector<std::size_t>> worker_task_snapshot() const override;
-  /// Placement-table consistency check (see
-  /// runtime::TopologyState::placement_audit).
-  std::string placement_audit() const;
+
+ protected:
+  void count_emitted(std::size_t task, std::size_t n) override;
+  /// Fault dice, then admission: deliver, shed the tail (kDropNewest) or
+  /// park through the InflightLimiter (kBlockUpstream).
+  void admit(std::size_t src_task, std::size_t dest, runtime::TupleBatch& batch) override;
 
  private:
   struct QueuedBatch {
@@ -193,15 +175,11 @@ class AsyncEngine : public runtime::ControlSurface {
     std::size_t high_water = 0;
   };
 
-  class Collector;
-
   /// Per-task state. Single-runner guarantee comes from the EventLoop's
   /// task state machine (a task is never stepped by two loop threads at
-  /// once), so collector/emits/next_* need no lease.
+  /// once), so next_* need no lease.
   struct TaskAsync {
-    std::unique_ptr<Collector> collector;
     std::unique_ptr<TaskQueue> queue;
-    runtime::EmitBuffer emits;
     std::atomic<std::uint64_t> executed{0};
     std::atomic<std::uint64_t> w_executed{0};
     std::atomic<std::uint64_t> w_emitted{0};
@@ -225,13 +203,12 @@ class AsyncEngine : public runtime::ControlSurface {
   void spout_step(TaskAsync& task, std::size_t task_id,
                   std::chrono::steady_clock::time_point now);
   bool bolt_step(TaskAsync& task, std::size_t task_id, std::size_t worker);
-  void buffer_emit(std::size_t task, dsps::Tuple&& t);
-  void flush_emits(std::size_t task);
-  void route_emit_batch(std::size_t src_task, runtime::TupleBatch& batch);
-  void enqueue(std::size_t src_task, std::size_t dest, runtime::TupleBatch&& b);
   /// Push an admitted batch into dest's queue and notify the task
   /// (credits already acquired / not needed). The limiter's deliver hook.
   void deliver_admitted(std::size_t src, std::size_t dest, runtime::TupleBatch&& b);
+  /// Append `qb` to `q` (its mutex held), merged into the tail batch when
+  /// it fits (DataPath::coalesce).
+  void push_locked(TaskQueue& q, QueuedBatch&& qb);
   double seconds_since_start(std::chrono::steady_clock::time_point tp) const;
   /// Count applied migrations and wake the moved tasks.
   void resume_migrated(const std::vector<dsps::TaskMove>& applied);
@@ -239,19 +216,11 @@ class AsyncEngine : public runtime::ControlSurface {
     return limiter_ != nullptr && limiter_->gated(task);
   }
 
-  dsps::Topology topo_;
   AsyncConfig config_;
-  runtime::TopologyState core_;
-  runtime::FlowControl flow_;
   std::deque<TaskAsync> tasks_;
   std::deque<WorkerFaults> workers_;
-  /// Serializes core_'s placement mutators and worker_tasks() reads; the
-  /// hot paths read owners and liveness through core_'s lock-free loads.
-  mutable std::mutex placement_mutex_;
   std::unique_ptr<InflightLimiter> limiter_;  ///< kBlockUpstream only
   std::unique_ptr<EventLoop> loop_;
-  /// Live spout-throttle cap (initialized from config_.max_spout_pending).
-  std::atomic<std::size_t> spout_cap_{0};
   std::atomic<std::uint64_t> lost_{0};
   std::atomic<std::uint64_t> crashes_{0};
   std::atomic<std::uint64_t> restarts_{0};
@@ -263,20 +232,7 @@ class AsyncEngine : public runtime::ControlSurface {
   bool started_ = false;
   std::chrono::steady_clock::time_point start_time_{};
 
-  mutable std::mutex acker_mutex_;
-  dsps::Acker acker_;
-  runtime::TopologyCounters w_topo_;  ///< guarded by acker_mutex_
-  std::atomic<std::uint64_t> next_tuple_id_{1};
-  std::atomic<std::uint64_t> roots_emitted_{0};
-  std::atomic<std::uint64_t> acked_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> latency_ns_sum_{0};
-
   dsps::SchedulerWindowStats sched_prev_;  ///< metrics thread only: last drained totals
-
-  runtime::WindowHistory history_;  ///< written by metrics thread
-  double control_interval_ = 0.0;
-  runtime::ControlSurface::ControlHook control_hook_;
 };
 
 }  // namespace repro::rt

@@ -82,8 +82,10 @@ class ControlSurface {
   virtual std::vector<DynamicEdge> dynamic_edges() const = 0;
   virtual void set_control_hook(double interval, ControlHook hook) = 0;
 
-  // --- fault actuators (where supported) -------------------------------
-  virtual bool supports_fault_injection() const { return false; }
+  // Actuator groups. A backend that lacks one keeps the defaults below,
+  // which throw std::logic_error naming the backend.
+
+  // --- fault actuators --------------------------------------------------
   /// Multiply the worker's per-tuple service durations by `factor` (>= 1).
   virtual void set_worker_slowdown(std::size_t worker, double factor);
   /// Drop tuples arriving at the worker with this probability.
@@ -92,11 +94,10 @@ class ControlSurface {
   virtual double worker_slowdown(std::size_t worker) const;
   virtual double worker_drop_prob(std::size_t worker) const;
 
-  // --- spout rate control (where supported) ----------------------------
-  /// Backends with a credit-based spout throttle (the acker's pending
-  /// count gates spout emission at max_spout_pending in-flight roots)
-  /// expose the cap as a live actuator so rate controllers can retune it.
-  virtual bool supports_spout_throttle() const { return false; }
+  // --- spout rate control ---------------------------------------------
+  // Backends with a credit-based spout throttle (the acker's pending
+  // count gates spout emission at max_spout_pending in-flight roots)
+  // expose the cap as a live actuator so rate controllers can retune it.
   /// The current in-flight-roots cap shared by every spout task.
   virtual std::size_t max_spout_pending() const;
   /// Retune the cap. Fail-closed: throws std::invalid_argument on 0 under
@@ -104,8 +105,7 @@ class ControlSurface {
   /// Thread-safe on the real-threads backends (the spouts read an atomic).
   virtual void set_max_spout_pending(std::size_t cap);
 
-  // --- crash/recovery (where supported) --------------------------------
-  virtual bool supports_crash_recovery() const { return false; }
+  // --- crash/recovery ---------------------------------------------------
   /// Hard-kill a worker: tuples queued at its executors are lost (their
   /// roots fail at the ack timeout), and the supervisor reassigns the
   /// executors to surviving workers via the shared deterministic policy
@@ -118,13 +118,12 @@ class ControlSurface {
   /// Liveness of a worker; true on backends without crash support.
   virtual bool worker_alive([[maybe_unused]] std::size_t worker) const { return true; }
 
-  // --- elastic scaling (where supported) --------------------------------
+  // --- elastic scaling --------------------------------------------------
   /// The worker pool is fixed at construction; elastic scaling toggles an
   /// orthogonal `active` flag per worker. A retired worker keeps its
   /// process (and crash/restart state) but hosts no executors and is
   /// excluded from placement until re-activated — the modeled analogue of
   /// releasing / re-acquiring a cloud instance.
-  virtual bool supports_elastic_scaling() const { return false; }
   /// Re-activate a retired worker so it may host executors again. Does
   /// not rebalance by itself — the rescale planner issues migrate_tasks()
   /// moves onto the rejoined worker. No-op if already active.

@@ -271,18 +271,4 @@ std::shared_ptr<dsps::DynamicRatio> find_dynamic_ratio(const dsps::Topology& top
 /// controller discovers and takes over.
 std::vector<DynamicEdge> list_dynamic_edges(const dsps::Topology& topo);
 
-/// Shared OutputCollector plumbing: component-relative identity of the
-/// emitting task. Engines derive and add their emit/now semantics.
-class TaskCollectorBase : public dsps::OutputCollector {
- public:
-  TaskCollectorBase(TopologyState* core, std::size_t task) : core_(core), task_(task) {}
-
-  std::size_t task_index() const override { return core_->task(task_).comp_index; }
-  std::size_t peer_count() const override { return core_->component_of_task(task_).parallelism; }
-
- protected:
-  TopologyState* core_;
-  std::size_t task_;
-};
-
 }  // namespace repro::runtime

@@ -298,7 +298,7 @@ TEST(Engine, ControlCallbackFiresAtInterval) {
   BuiltTopo t = two_stage();
   Engine engine(t.topo, small_cluster());
   int calls = 0;
-  engine.set_control_callback(2.0, [&](Engine&) { ++calls; });
+  engine.set_control_hook(2.0, [&](runtime::ControlSurface&) { ++calls; });
   engine.run_for(10.0);
   EXPECT_EQ(calls, 5);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -331,6 +332,26 @@ TEST(ScenarioRegistryTest, RoundTripRunsEveryScenarioOnSim) {
     std::string table = render_scenario_table(spec, result);
     EXPECT_NE(table.find("scenario " + name), std::string::npos);
   }
+}
+
+TEST(ScenarioRegistryTest, AsyncReportsReplayAsSkipped) {
+  // The async backend has no timeout replay: a spec that asks for it must
+  // say so in the result instead of silently running without.
+  ScenarioSpec spec = ScenarioRegistry::instance().get("t4-crash");
+  apply_override(spec, "backend", "async");
+  apply_override(spec, "controller", "none");
+  apply_override(spec, "duration", "1");
+  ASSERT_TRUE(spec.replay_on_failure);
+  spec.validate();
+  auto lists_replay = [](const ScenarioRunResult& r) {
+    return std::find(r.skipped_faults.begin(), r.skipped_faults.end(), "replay") !=
+           r.skipped_faults.end();
+  };
+  EXPECT_TRUE(lists_replay(run_scenario(spec)));
+
+  apply_override(spec, "replay", "false");
+  spec.validate();
+  EXPECT_FALSE(lists_replay(run_scenario(spec)));
 }
 
 TEST(ScenarioApps, MultiTenantPartsMergeDisjoint) {

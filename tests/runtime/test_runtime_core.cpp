@@ -225,9 +225,6 @@ TEST(RuntimeCore, CrashRecoveryParityAcrossBackends) {
   acfg.workers = 4;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
 
-  ASSERT_TRUE(sim.supports_crash_recovery());
-  ASSERT_TRUE(async_engine.supports_crash_recovery());
-
   // Pick a worker that hosts at least one relay task; identical placement
   // means the same worker qualifies on both backends.
   auto [rlo, rhi] = sim.tasks_of("relay");
@@ -302,9 +299,6 @@ TEST(RuntimeCore, ElasticRescaleParityAcrossBackends) {
   rt::AsyncConfig acfg;
   acfg.workers = 4;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
-
-  ASSERT_TRUE(sim.supports_elastic_scaling());
-  ASSERT_TRUE(async_engine.supports_elastic_scaling());
 
   std::vector<runtime::ControlSurface*> backends{&sim, &async_engine};
   auto [rlo, rhi] = sim.tasks_of("relay");
@@ -443,7 +437,6 @@ TEST(RuntimeCore, AsyncFaultActuatorsObservable) {
   cfg.workers = 2;
   rt::AsyncEngine engine(t.topo, cfg);
   runtime::ControlSurface& surface = engine;
-  ASSERT_TRUE(surface.supports_fault_injection());
   surface.set_worker_drop_prob(0, 1.0);
   EXPECT_EQ(surface.worker_drop_prob(0), 1.0);
   surface.set_worker_slowdown(1, 2.5);
@@ -506,14 +499,12 @@ class ScriptedSurface : public runtime::ControlSurface {
   std::vector<runtime::DynamicEdge> dynamic_edges() const override { return {{"src", "relay"}}; }
   void set_control_hook(double, ControlHook) override {}  // rounds driven manually
 
-  bool supports_spout_throttle() const override { return true; }
   std::size_t max_spout_pending() const override { return cap_; }
   void set_max_spout_pending(std::size_t cap) override {
     if (cap == 0) throw std::invalid_argument("cap must be >= 1");
     cap_ = cap;
   }
 
-  bool supports_elastic_scaling() const override { return true; }
   bool worker_active(std::size_t w) const override { return active_.at(w); }
   void add_worker(std::size_t w) override { active_.at(w) = true; }
   void retire_worker(std::size_t w) override {
@@ -737,7 +728,6 @@ TEST(RuntimeCore, DrlAndRateControllersAttachToAsyncBackend) {
   acfg.workers = 2;
   acfg.window_seconds = 0.1;
   rt::AsyncEngine async_engine(async_t.topo, acfg);
-  ASSERT_TRUE(async_engine.supports_spout_throttle());
   control::RateControllerConfig rate_cfg;
   rate_cfg.control_interval = 0.2;
   rate_cfg.min_pending = 8;
