@@ -7,45 +7,39 @@ using namespace repro;
 
 int main() {
   bench::banner("A2", "control-policy ablation (URL Count, 8x slowdown)");
-  exp::ReliabilityOptions base;
-  base.scenario.app = exp::AppKind::kUrlCount;
-  base.scenario.cluster = exp::default_cluster(50);
-  base.scenario.seed = 50;
-  base.train_duration = 300.0;
-  base.run_duration = 120.0;
-  base.fault_time = 40.0;
-  base.fault_magnitude = 8.0;
-  base.run_stock = false;
-  base.run_oracle = false;
+  exp::ScenarioSpec spec;
+  spec.name = "a2-control";
+  spec.seed = 50;
+  spec.interference.hog_intensity = 2.4;
+  spec.controller = "drnn";
+  spec.train_duration = 300.0;
+  spec.interference.ramp_magnitude = 8.0;  // training ramps as strong as the fault
+  const double fault_time = 40.0;
+  exp::inject_reliability_fault(spec, exp::ReliabilityFault::kSlowdown, fault_time, 8.0);
 
   std::printf("pretraining one DRNN for the sweep...\n");
-  auto predictor = exp::pretrain_predictor(base);
+  auto predictor = exp::make_scenario_predictor(spec);
 
   common::Table table({"threshold", "interval(s)", "tput ratio", "latency inflation",
                        "transient peak(ms)"});
   for (double threshold : {1.2, 1.6, 2.2}) {
     for (double interval : {1.0, 4.0}) {
-      exp::ReliabilityOptions opt = base;
-      opt.controller.detector.threshold = threshold;
-      opt.controller.control_interval = interval;
-      exp::ReliabilityResult result = exp::evaluate_reliability(opt, predictor.get());
+      control::ControllerConfig cfg;
+      cfg.detector.threshold = threshold;
+      cfg.control_interval = interval;
+      const exp::ReliabilityRun framework =
+          exp::evaluate_reliability(spec, {"nofault", "framework"}, cfg, predictor)[1];
       // Detection transient: worst window latency in the 25s after injection.
       double peak = 0.0;
-      for (const auto& r : result.runs) {
-        if (r.mode != "framework") continue;
-        for (std::size_t i = 0; i < r.time.size(); ++i) {
-          if (r.time[i] >= opt.fault_time && r.time[i] <= opt.fault_time + 25.0) {
-            peak = std::max(peak, r.avg_latency[i]);
-          }
+      for (const auto& w : framework.result.history) {
+        if (w.time >= fault_time && w.time <= fault_time + 25.0) {
+          peak = std::max(peak, w.topology.avg_complete_latency);
         }
       }
-      for (const auto& s : result.summary) {
-        if (s.mode != "framework") continue;
-        table.add_row({common::format_double(threshold, 1), common::format_double(interval, 0),
-                       common::format_double(s.throughput_ratio, 3),
-                       common::format_double(s.latency_inflation, 2),
-                       common::format_double(peak * 1e3, 1)});
-      }
+      table.add_row({common::format_double(threshold, 1), common::format_double(interval, 0),
+                     common::format_double(framework.throughput_ratio, 3),
+                     common::format_double(framework.latency_inflation, 2),
+                     common::format_double(peak * 1e3, 1)});
       std::printf("threshold %.1f interval %.0f done\n", threshold, interval);
     }
   }

@@ -38,11 +38,12 @@ exp::AccuracyOptions options_for(const Variant& v, std::uint64_t seed) {
 
 int main() {
   bench::banner("A1", "DRNN architecture ablation (URL Count trace)");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(49);
-  scen.seed = 49;
-  auto trace = exp::collect_trace(scen, 360.0);
+  exp::ScenarioSpec spec;
+  spec.name = "a1-trace";
+  spec.seed = 49;
+  spec.duration = 360.0;
+  spec.interference.hog_intensity = 2.4;
+  auto trace = exp::collect_trace(spec);
 
   std::vector<Variant> variants = {
       {"1 layer, 32 hidden, LSTM", 1, 32, nn::CellKind::kLstm, true},

@@ -2,7 +2,7 @@
 // shares must converge to any requested split ratio within one window of
 // an on-the-fly change, including a bypass (zero weight).
 #include "bench_util.hpp"
-#include "exp/scenarios.hpp"
+#include "exp/scenario_spec.hpp"
 
 using namespace repro;
 
@@ -33,21 +33,22 @@ void print_phase(dsps::Engine& engine, std::size_t first_window, std::size_t las
 
 int main() {
   bench::banner("F3", "dynamic grouping: measured share vs requested split ratio");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(45);
-  scen.seed = 45;
-  scen.hog_intensity = 0.0;  // isolate routing behaviour
-  exp::Scenario s = exp::make_scenario(scen);
-  dsps::Engine& engine = *s.engine;
+  // No interference (the spec default): isolate routing behaviour. The
+  // ratios change between runs, so this bench drives the engine itself.
+  exp::ScenarioSpec spec;
+  spec.name = "f3-grouping";
+  spec.seed = 45;
+  exp::ScenarioApp app = exp::build_scenario_app(spec);
+  const std::shared_ptr<dsps::DynamicRatio>& ratio = app.parts.front().ratio;
+  dsps::Engine engine(app.topology, spec.cluster_config());
 
   // Phase 1: uniform.
   engine.run_for(30.0);
   // Phase 2: skewed ratio, switched on the fly at t=30.
-  s.app.ratio->set_ratios({0.4, 0.3, 0.2, 0.1});
+  ratio->set_ratios({0.4, 0.3, 0.2, 0.1});
   engine.run_for(30.0);
   // Phase 3: bypass task 2 entirely at t=60.
-  s.app.ratio->set_ratios({0.35, 0.35, 0.0, 0.3});
+  ratio->set_ratios({0.35, 0.35, 0.0, 0.3});
   engine.run_for(30.0);
 
   print_phase(engine, 0, 30, {0.25, 0.25, 0.25, 0.25}, "phase 1 (t=0..30): uniform");

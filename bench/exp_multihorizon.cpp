@@ -10,11 +10,12 @@ using namespace repro;
 
 int main() {
   bench::banner("X1", "joint multi-horizon DRNN (URL Count, horizons 1..8)");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(44);  // same trace as F2
-  scen.seed = 44;
-  auto trace = exp::collect_trace(scen, 360.0);
+  exp::ScenarioSpec spec;  // same trace as F2
+  spec.name = "x1-trace";
+  spec.seed = 44;
+  spec.duration = 360.0;
+  spec.interference.hog_intensity = 2.4;
+  auto trace = exp::collect_trace(spec);
   std::vector<std::size_t> workers = exp::active_workers(trace);
 
   const std::size_t cut = static_cast<std::size_t>(trace.size() * 0.7);

@@ -90,7 +90,7 @@ ModeResult run_mode(const std::string& name, const runtime::FlowControlConfig& f
   if (predictor) {
     control::ControllerConfig ctl;
     controller = std::make_shared<control::PredictiveController>(ctl, predictor);
-    controller->attach(engine, app.spout_name, app.control_bolt);
+    controller->attach(engine);
   }
 
   // The degraded worker: one that hosts counter executors, ramped to a

@@ -6,12 +6,14 @@ using namespace repro;
 
 int main() {
   bench::banner("T2", "prediction accuracy, Continuous Queries");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kContinuousQuery;
-  scen.cluster = exp::default_cluster(43);
-  scen.seed = 43;
+  exp::ScenarioSpec spec;
+  spec.name = "t2-trace";
+  spec.seed = 43;
+  spec.duration = 420.0;
+  spec.topologies.front().app = exp::AppKind::kContinuousQuery;
+  spec.interference.hog_intensity = 2.4;
   std::printf("collecting 420s trace (sensor stream, standing range queries)...\n");
-  auto trace = exp::collect_trace(scen, 420.0);
+  auto trace = exp::collect_trace(spec);
 
   exp::AccuracyOptions opt;
   opt.models = {"drnn", "svr", "arima", "hw", "observed", "ma"};

@@ -7,11 +7,12 @@ using namespace repro;
 
 int main() {
   bench::banner("F2", "prediction error vs horizon (URL Count)");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(44);
-  scen.seed = 44;
-  auto trace = exp::collect_trace(scen, 360.0);
+  exp::ScenarioSpec spec;
+  spec.name = "f2-trace";
+  spec.seed = 44;
+  spec.duration = 360.0;
+  spec.interference.hog_intensity = 2.4;
+  auto trace = exp::collect_trace(spec);
 
   common::Table table({"horizon(windows)", "DRNN-LSTM MAE(us)", "SVR MAE(us)", "ARIMA MAE(us)",
                        "Observed MAE(us)"});

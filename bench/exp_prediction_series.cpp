@@ -8,11 +8,12 @@ using namespace repro;
 
 int main() {
   bench::banner("F1", "predicted vs actual processing-time series (URL Count)");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(42);
-  scen.seed = 42;
-  auto trace = exp::collect_trace(scen, 420.0);
+  exp::ScenarioSpec spec;
+  spec.name = "f1-trace";
+  spec.seed = 42;
+  spec.duration = 420.0;
+  spec.interference.hog_intensity = 2.4;
+  auto trace = exp::collect_trace(spec);
 
   exp::AccuracyOptions opt;
   opt.models = {"drnn", "svr", "arima"};

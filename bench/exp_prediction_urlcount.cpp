@@ -9,12 +9,13 @@ using namespace repro;
 
 int main() {
   bench::banner("T1", "prediction accuracy, Windowed URL Count");
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(42);
-  scen.seed = 42;
+  exp::ScenarioSpec spec;
+  spec.name = "t1-trace";
+  spec.seed = 42;
+  spec.duration = 420.0;
+  spec.interference.hog_intensity = 2.4;
   std::printf("collecting 420s trace (diurnal Zipf URL stream, hog interference)...\n");
-  auto trace = exp::collect_trace(scen, 420.0);
+  auto trace = exp::collect_trace(spec);
 
   exp::AccuracyOptions opt;
   opt.models = {"drnn", "svr", "arima", "hw", "observed", "ma"};

@@ -4,6 +4,12 @@
 // replay recovers the lost tuple trees. Compares stock routing against
 // the predictive framework and the oracle across outage lengths, plus a
 // no-replay row showing the at-most-once damage.
+//
+// The base run is the registered t4-crash course (seed 48, 120 s, crash at
+// t=40, 8 s outage, replay on). On top of it this bench adds background
+// hog interference 2.4, a DRNN trained on magnitude-8 slowdown ramps, a
+// 1.5 s hang before the crash, the outage/replay sweep, and the nofault
+// reference each row is measured against.
 #include "bench_util.hpp"
 #include "exp/reliability.hpp"
 
@@ -12,25 +18,15 @@ using namespace repro;
 int main() {
   bench::banner("T4", "reliability under worker crash/restart (URL Count)");
 
-  // The base run comes from the scenario registry: "t4-crash" carries the
-  // cluster shape, seed, durations and the crash/restart pair (the restart
-  // event encodes the outage end); the sweep below varies outage length
-  // and replay on top of it.
-  const exp::ScenarioSpec& spec = exp::ScenarioRegistry::instance().get("t4-crash");
-  exp::ReliabilityOptions base;
-  base.scenario.app = spec.topologies.front().app;
-  base.scenario.cluster = spec.cluster_config();
-  base.scenario.seed = spec.seed;
-  base.train_duration = spec.train_duration;
-  base.run_duration = spec.duration;
-  base.fault_time = spec.faults.at(0).at;
-  base.fault = exp::ReliabilityFault::kCrash;
-  // Pretrain against the spec's outage (crash -> restart gap): the worst
+  exp::ScenarioSpec base = exp::ScenarioRegistry::instance().get("t4-crash");
+  base.interference.hog_intensity = 2.4;
+  const double fault_time = base.faults.at(0).at;
+  // Pretrain against the course's outage (crash -> restart gap), the worst
   // case of the sweep.
-  base.fault_magnitude = spec.faults.at(1).at - spec.faults.at(0).at;
+  base.interference.ramp_magnitude = base.faults.at(1).at - fault_time;
 
   std::printf("pretraining one DRNN for the whole sweep...\n");
-  auto predictor = exp::pretrain_predictor(base);
+  auto predictor = exp::make_scenario_predictor(base);
 
   struct CrashCase {
     double outage;
@@ -49,18 +45,17 @@ int main() {
   common::Table table({"fault", "mode", "tput ratio", "latency inflation", "failed", "lost",
                        "replays", "ctl ms"});
   for (const auto& c : cases) {
-    exp::ReliabilityOptions opt = base;
-    opt.fault_magnitude = c.outage;
-    opt.scenario.cluster.replay_on_failure = c.replay;
-    exp::ReliabilityResult result = exp::evaluate_reliability(opt, predictor.get());
-    for (std::size_t i = 0; i < result.summary.size(); ++i) {
-      const auto& s = result.summary[i];
-      if (s.mode == "nofault") continue;
-      const auto& t = result.runs[i].totals;
-      table.add_row({c.label, s.mode, common::format_double(s.throughput_ratio, 3),
-                     common::format_double(s.latency_inflation, 2), std::to_string(s.failed),
+    exp::ScenarioSpec spec = base;
+    spec.replay_on_failure = c.replay;
+    exp::inject_reliability_fault(spec, exp::ReliabilityFault::kCrash, fault_time, c.outage);
+    for (const auto& r : exp::evaluate_reliability(
+             spec, {"nofault", "stock", "framework", "oracle"}, {}, predictor)) {
+      if (r.mode == "nofault") continue;
+      const dsps::EngineTotals& t = r.result.totals;
+      table.add_row({c.label, r.mode, common::format_double(r.throughput_ratio, 3),
+                     common::format_double(r.latency_inflation, 2), std::to_string(t.failed),
                      std::to_string(t.tuples_lost), std::to_string(t.replays),
-                     common::format_double(s.mean_round_ms, 3)});
+                     common::format_double(r.result.mean_round_ms, 3)});
     }
     std::printf("%s done\n", c.label);
   }

@@ -8,44 +8,42 @@ using namespace repro;
 
 int main() {
   bench::banner("F4", "reliability: throughput under a misbehaving worker (URL Count)");
-  exp::ReliabilityOptions opt;
-  opt.scenario.app = exp::AppKind::kUrlCount;
-  opt.scenario.cluster = exp::default_cluster(46);
-  opt.scenario.seed = 46;
-  opt.train_duration = 300.0;
-  opt.run_duration = 150.0;
-  opt.fault_time = 50.0;
-  opt.fault = exp::ReliabilityFault::kSlowdown;
-  opt.fault_magnitude = 8.0;
+  exp::ScenarioSpec spec;
+  spec.name = "f4-throughput";
+  spec.seed = 46;
+  spec.duration = 150.0;
+  spec.interference.hog_intensity = 2.4;
+  spec.controller = "drnn";
+  spec.train_duration = 300.0;
+  spec.interference.ramp_magnitude = 8.0;  // training ramps as strong as the fault
+  const double fault_time = 50.0;
+  std::size_t worker =
+      exp::inject_reliability_fault(spec, exp::ReliabilityFault::kSlowdown, fault_time, 8.0);
 
   std::printf("pretraining DRNN + running nofault/stock/framework/oracle...\n");
-  exp::ReliabilityResult result = exp::evaluate_reliability(opt);
-  std::printf("faulted worker: %zu (8x slowdown ramped in at t=%.0fs)\n\n",
-              result.faulted_worker, opt.fault_time);
+  std::vector<exp::ReliabilityRun> runs = exp::evaluate_reliability(
+      spec, {"nofault", "stock", "framework", "oracle"}, {}, exp::make_scenario_predictor(spec));
+  std::printf("faulted worker: %zu (8x slowdown ramped in at t=%.0fs)\n\n", worker, fault_time);
 
-  const exp::RunSeries *nofault = nullptr, *stock = nullptr, *framework = nullptr,
-                       *oracle = nullptr;
-  for (const auto& r : result.runs) {
-    if (r.mode == "nofault") nofault = &r;
-    if (r.mode == "stock") stock = &r;
-    if (r.mode == "framework") framework = &r;
-    if (r.mode == "oracle") oracle = &r;
-  }
-
+  const auto& nofault = runs[0].result.history;
+  const auto& stock = runs[1].result.history;
+  const auto& framework = runs[2].result.history;
+  const auto& oracle = runs[3].result.history;
   common::Table table({"t(s)", "nofault", "stock", "framework", "oracle"});
-  for (std::size_t i = 4; i < nofault->time.size(); i += 5) {
-    table.add_row({common::format_double(nofault->time[i], 0),
-                   common::format_double(nofault->throughput[i], 0),
-                   common::format_double(stock->throughput[i], 0),
-                   common::format_double(framework->throughput[i], 0),
-                   common::format_double(oracle->throughput[i], 0)});
+  for (std::size_t i = 4; i < nofault.size(); i += 5) {
+    table.add_row({common::format_double(nofault[i].time, 0),
+                   common::format_double(nofault[i].topology.throughput, 0),
+                   common::format_double(stock[i].topology.throughput, 0),
+                   common::format_double(framework[i].topology.throughput, 0),
+                   common::format_double(oracle[i].topology.throughput, 0)});
   }
   table.print("F4: throughput (tuples/s, every 5th window)");
 
   common::Table summary({"mode", "mean tput after fault", "ratio vs nofault", "failed tuples"});
-  for (const auto& s : result.summary) {
-    summary.add_row({s.mode, common::format_double(s.mean_throughput_after, 0),
-                     common::format_double(s.throughput_ratio, 3), std::to_string(s.failed)});
+  for (const auto& r : runs) {
+    summary.add_row({r.mode, common::format_double(r.mean_throughput_after, 0),
+                     common::format_double(r.throughput_ratio, 3),
+                     std::to_string(r.result.totals.failed)});
   }
   summary.print("F4 summary");
   std::printf("\nexpected shape: stock degrades; framework within a few %% of nofault/oracle\n");

@@ -13,47 +13,47 @@
 using namespace repro;
 
 int main() {
-  exp::ReliabilityOptions opt;
-  opt.scenario.app = exp::AppKind::kUrlCount;
-  opt.scenario.cluster = exp::default_cluster(33);
-  opt.scenario.seed = 33;
-  opt.train_duration = 240.0;
-  opt.run_duration = 120.0;
-  opt.fault_time = 40.0;
-  opt.fault = exp::ReliabilityFault::kSlowdown;
-  opt.fault_magnitude = 6.0;
-  opt.run_oracle = false;  // keep the demo quick
+  exp::ScenarioSpec spec;
+  spec.name = "bypass-demo";
+  spec.seed = 33;
+  spec.interference.hog_intensity = 2.4;
+  spec.controller = "drnn";
+  spec.train_duration = 240.0;
+  spec.interference.ramp_magnitude = 6.0;  // training ramps as strong as the fault
+  const double fault_time = 40.0;
+  std::size_t worker =
+      exp::inject_reliability_fault(spec, exp::ReliabilityFault::kSlowdown, fault_time, 6.0);
 
   std::printf("pretraining DRNN on a %.0fs profiling trace, then running\n"
               "stock vs framework with a 6x slowdown injected at t=%.0fs...\n\n",
-              opt.train_duration, opt.fault_time);
-  exp::ReliabilityResult result = exp::evaluate_reliability(opt);
+              spec.train_duration, fault_time);
+  // No oracle run: keeps the demo quick.
+  std::vector<exp::ReliabilityRun> runs = exp::evaluate_reliability(
+      spec, {"nofault", "stock", "framework"}, {}, exp::make_scenario_predictor(spec));
 
-  std::printf("faulted worker: %zu\n\n", result.faulted_worker);
+  std::printf("faulted worker: %zu\n\n", worker);
   common::Table table({"t(s)", "nofault tput", "stock tput", "framework tput", "stock lat(ms)",
                        "framework lat(ms)"});
-  const exp::RunSeries *nofault = nullptr, *stock = nullptr, *framework = nullptr;
-  for (const auto& r : result.runs) {
-    if (r.mode == "nofault") nofault = &r;
-    if (r.mode == "stock") stock = &r;
-    if (r.mode == "framework") framework = &r;
-  }
-  for (std::size_t i = 9; i < stock->time.size(); i += 10) {
-    table.add_row({common::format_double(stock->time[i], 0),
-                   common::format_double(nofault->throughput[i], 0),
-                   common::format_double(stock->throughput[i], 0),
-                   common::format_double(framework->throughput[i], 0),
-                   common::format_double(stock->avg_latency[i] * 1e3, 1),
-                   common::format_double(framework->avg_latency[i] * 1e3, 1)});
+  const auto& nofault = runs[0].result.history;
+  const auto& stock = runs[1].result.history;
+  const auto& framework = runs[2].result.history;
+  for (std::size_t i = 9; i < stock.size(); i += 10) {
+    table.add_row({common::format_double(stock[i].time, 0),
+                   common::format_double(nofault[i].topology.throughput, 0),
+                   common::format_double(stock[i].topology.throughput, 0),
+                   common::format_double(framework[i].topology.throughput, 0),
+                   common::format_double(stock[i].topology.avg_complete_latency * 1e3, 1),
+                   common::format_double(framework[i].topology.avg_complete_latency * 1e3, 1)});
   }
   table.print("throughput & latency (fault at t=40s)");
 
   common::Table summary({"mode", "tput after fault", "tput ratio vs nofault", "lat inflation",
                          "failed tuples"});
-  for (const auto& s : result.summary) {
-    summary.add_row({s.mode, common::format_double(s.mean_throughput_after, 0),
-                     common::format_double(s.throughput_ratio, 3),
-                     common::format_double(s.latency_inflation, 2), std::to_string(s.failed)});
+  for (const auto& r : runs) {
+    summary.add_row({r.mode, common::format_double(r.mean_throughput_after, 0),
+                     common::format_double(r.throughput_ratio, 3),
+                     common::format_double(r.latency_inflation, 2),
+                     std::to_string(r.result.totals.failed)});
   }
   summary.print("summary");
   return 0;

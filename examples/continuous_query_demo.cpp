@@ -8,7 +8,7 @@
 #include "apps/continuous_query.hpp"
 #include "common/table.hpp"
 #include "dsps/engine.hpp"
-#include "exp/scenarios.hpp"
+#include "exp/scenario_spec.hpp"
 
 using namespace repro;
 
@@ -33,7 +33,12 @@ int main() {
   }
   qtable.print("first 5 of 32 standing queries");
 
-  dsps::Engine engine(app.topology, exp::default_cluster(5));
+  // The experiments' standard cluster; the ratio switch below needs a
+  // live engine, so the demo drives one itself.
+  exp::ScenarioSpec spec;
+  spec.name = "cq-demo";
+  spec.seed = 5;
+  dsps::Engine engine(app.topology, spec.cluster_config());
   engine.run_for(60.0);
 
   // Skewed split: move most readings to task 0 and verify results keep

@@ -20,13 +20,14 @@ int main(int argc, char** argv) {
   std::string model_path = (dir / "drnn_model.ckpt").string();
 
   // Step 1: collect and persist a profiling trace.
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(77);
-  scen.seed = 77;
-  scen.ramp_rate = 4.0;  // include misbehaviour episodes
+  exp::ScenarioSpec spec;
+  spec.name = "offline-training";
+  spec.seed = 77;
+  spec.duration = 240.0;
+  spec.interference.hog_intensity = 2.4;
+  spec.interference.ramp_rate = 4.0;  // include misbehaviour episodes
   std::printf("collecting 240s profiling trace...\n");
-  auto trace = exp::collect_trace(scen, 240.0);
+  auto trace = exp::collect_trace(spec);
   exp::save_trace_csv(trace, trace_path);
   std::printf("trace saved to %s (%zu windows)\n", trace_path.c_str(), trace.size());
 

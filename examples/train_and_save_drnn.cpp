@@ -15,12 +15,13 @@ using namespace repro;
 int main(int argc, char** argv) {
   const std::string path = argc > 1 ? argv[1] : "/tmp/drnn_checkpoint.txt";
 
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(9);
-  scen.seed = 9;
+  exp::ScenarioSpec spec;
+  spec.name = "drnn-checkpoint";
+  spec.seed = 9;
+  spec.duration = 240.0;
+  spec.interference.hog_intensity = 2.4;
   std::printf("collecting a 240s profiling trace...\n");
-  std::vector<dsps::WindowSample> trace = exp::collect_trace(scen, 240.0);
+  std::vector<dsps::WindowSample> trace = exp::collect_trace(spec);
   std::vector<std::size_t> workers = exp::active_workers(trace);
 
   control::DrnnPredictorConfig cfg;

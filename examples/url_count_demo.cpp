@@ -6,22 +6,20 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "exp/scenarios.hpp"
+#include "exp/scenario_spec.hpp"
 
 using namespace repro;
 
 int main() {
-  exp::ScenarioOptions scen;
-  scen.app = exp::AppKind::kUrlCount;
-  scen.cluster = exp::default_cluster(/*seed=*/21);
-  scen.seed = 21;
+  exp::ScenarioSpec spec;
+  spec.name = "url-count-demo";
+  spec.seed = 21;
+  spec.interference.hog_intensity = 2.4;
+  exp::ScenarioRunResult run = exp::run_scenario_with(spec, nullptr);
 
-  exp::Scenario s = exp::make_scenario(scen);
-  exp::schedule_interference(*s.engine, scen, 0.0, 120.0);
-  s.engine->run_for(120.0);
-
-  const auto& history = s.engine->history();
-  std::printf("ran %zu windows of '%s'\n", history.size(), s.app.topology.name.c_str());
+  const auto& history = run.history;
+  std::printf("ran %zu windows of '%s'\n", history.size(),
+              exp::app_name(spec.topologies.front().app));
 
   // Throughput / latency every 10 windows.
   common::Table series({"t(s)", "throughput(tup/s)", "avg_latency(ms)", "p99(ms)", "pending"});
@@ -35,24 +33,29 @@ int main() {
   }
   series.print("topology view (every 10s)");
 
-  // Per-counter-task totals over the run.
-  auto [lo, hi] = s.engine->tasks_of("counter");
-  std::vector<std::uint64_t> received(hi - lo, 0);
+  // Per-counter-task totals over the run, with each task's final worker.
+  std::vector<std::uint64_t> received;
+  std::vector<std::size_t> worker;
   for (const auto& w : history) {
     for (const auto& t : w.tasks) {
-      if (t.task >= lo && t.task < hi) received[t.task - lo] += t.received;
+      if (t.component != "counter") continue;
+      if (received.size() <= t.comp_index) {
+        received.resize(t.comp_index + 1, 0);
+        worker.resize(t.comp_index + 1, 0);
+      }
+      received[t.comp_index] += t.received;
+      worker[t.comp_index] = t.worker;
     }
   }
   common::Table per_task({"counter task", "worker", "tuples received"});
   for (std::size_t i = 0; i < received.size(); ++i) {
-    per_task.add_row({std::to_string(i), std::to_string(s.engine->worker_of_task(lo + i)),
-                      std::to_string(received[i])});
+    per_task.add_row(
+        {std::to_string(i), std::to_string(worker[i]), std::to_string(received[i])});
   }
   per_task.print("counter load distribution (uniform dynamic ratio)");
 
   std::printf("\ntotals: roots=%llu acked=%llu failed=%llu\n",
-              (unsigned long long)s.engine->totals().roots_emitted,
-              (unsigned long long)s.engine->totals().acked,
-              (unsigned long long)s.engine->totals().failed);
+              (unsigned long long)run.totals.roots_emitted, (unsigned long long)run.totals.acked,
+              (unsigned long long)run.totals.failed);
   return 0;
 }

@@ -14,13 +14,6 @@ Controller::Controller(double control_interval) : interval_(control_interval) {
   }
 }
 
-void Controller::set_control_interval(double interval) {
-  if (!(interval > 0.0)) {
-    throw std::invalid_argument("Controller: control_interval must be > 0");
-  }
-  interval_ = interval;
-}
-
 void Controller::attach(runtime::ControlSurface& surface) {
   on_attach(surface);
   // A fresh attach starts a fresh round count: totals() describes the
@@ -54,20 +47,11 @@ PredictiveController::PredictiveController(ControllerConfig config,
   if (!predictor_) throw std::invalid_argument("PredictiveController: null predictor");
 }
 
-void PredictiveController::attach(runtime::ControlSurface& surface, const std::string& from,
-                                  const std::string& to) {
-  pinned_ = {{from, to}};
-  Controller::attach(surface);
-}
-
 void PredictiveController::on_attach(runtime::ControlSurface& surface) {
-  std::vector<runtime::DynamicEdge> edges = pinned_;
+  std::vector<runtime::DynamicEdge> edges = surface.dynamic_edges();
   if (edges.empty()) {
-    edges = surface.dynamic_edges();
-    if (edges.empty()) {
-      throw std::invalid_argument("PredictiveController::attach: topology has no dynamic-grouping "
-                                  "edge to control");
-    }
+    throw std::invalid_argument("PredictiveController::attach: topology has no dynamic-grouping "
+                                "edge to control");
   }
   edges_.clear();
   round_workers_.clear();
@@ -157,24 +141,19 @@ void PredictiveController::maybe_refit(runtime::ControlSurface& surface) {
   }
 }
 
-OracleController::OracleController(PlannerConfig planner)
-    : Controller(1.0), planner_(planner) {}
-
-void OracleController::attach(runtime::ControlSurface& surface, const std::string& from,
-                              const std::string& to, double interval) {
-  from_ = from;
-  to_ = to;
-  set_control_interval(interval);
-  Controller::attach(surface);
-}
+OracleController::OracleController(PlannerConfig planner, double control_interval)
+    : Controller(control_interval), planner_(planner) {}
 
 void OracleController::on_attach(runtime::ControlSurface& surface) {
-  if (from_.empty()) {
-    throw std::invalid_argument("OracleController::attach: use the (surface, from, to) form — "
-                                "the oracle controls exactly one connection");
+  std::vector<runtime::DynamicEdge> edges = surface.dynamic_edges();
+  if (edges.size() != 1) {
+    throw std::invalid_argument(
+        "OracleController::attach: the oracle controls exactly one dynamic-grouping edge; the "
+        "topology has " +
+        std::to_string(edges.size()));
   }
-  ratio_ = surface.dynamic_ratio(from_, to_);
-  auto [lo, hi] = surface.tasks_of(to_);
+  ratio_ = surface.dynamic_ratio(edges[0].from, edges[0].to);
+  auto [lo, hi] = surface.tasks_of(edges[0].to);
   task_workers_.clear();
   for (std::size_t t = lo; t < hi; ++t) task_workers_.push_back(surface.worker_of_task(t));
 }

@@ -17,9 +17,7 @@
 // A predictive controller attaches to a whole topology: it discovers
 // every dynamic-grouping edge from the runtime's control surface and
 // keeps per-edge detector/planner state, while one shared predictor
-// streams the window history incrementally. The single-edge
-// attach(surface, from, to) form is a thin wrapper that pins the
-// controller to one connection.
+// streams the window history incrementally.
 #include <algorithm>
 #include <functional>
 #include <memory>
@@ -87,9 +85,6 @@ class Controller {
 
  protected:
   explicit Controller(double control_interval);
-
-  /// For arms whose interval is an attach-time parameter (OracleController).
-  void set_control_interval(double interval);
 
   /// Validate the topology and capture per-run state. Runs before the
   /// hook registration; throw to refuse the attach.
@@ -163,19 +158,14 @@ struct ControlAction {
   double round_seconds = 0.0;
 };
 
+/// attach() discovers every dynamic-grouping connection and takes over
+/// each edge's DynamicRatio; it throws std::invalid_argument when the
+/// topology has no dynamic edge. The predictor must already be fitted
+/// (pretrain on a profiling trace) unless ControllerConfig::refit_interval
+/// schedules fits.
 class PredictiveController : public Controller {
  public:
   PredictiveController(ControllerConfig config, std::shared_ptr<PerformancePredictor> predictor);
-
-  /// Topology attach: discovers every dynamic-grouping connection and
-  /// takes over each edge's DynamicRatio. Throws std::invalid_argument
-  /// when the topology has no dynamic edge. The predictor must already be
-  /// fitted (pretrain on a profiling trace) unless
-  /// ControllerConfig::refit_interval schedules fits.
-  using Controller::attach;
-
-  /// Single-edge form: control only the (from -> to) connection.
-  void attach(runtime::ControlSurface& surface, const std::string& from, const std::string& to);
 
   const std::vector<ControlAction>& actions() const { return actions_; }
   PerformancePredictor& predictor() { return *predictor_; }
@@ -211,7 +201,6 @@ class PredictiveController : public Controller {
 
   ControllerConfig cfg_;
   std::shared_ptr<PerformancePredictor> predictor_;
-  std::vector<runtime::DynamicEdge> pinned_;  ///< single-edge attach form
   std::vector<Edge> edges_;
   std::vector<std::size_t> round_workers_;  ///< every edge's task_workers, in edge order
   std::vector<double> round_predicted_;     ///< one forecast per round_workers_ entry
@@ -225,12 +214,12 @@ class PredictiveController : public Controller {
 /// Fault-oracle controller for the T3 upper bound: reads the injected
 /// worker slowdowns directly instead of predicting them (requires a
 /// backend with fault injection). Deliberately absent from
-/// make_controller — it cheats, so it is not a deployable arm.
+/// make_controller — it cheats, so it is not a deployable arm. It
+/// controls the topology's one dynamic-grouping edge: attach() throws
+/// std::invalid_argument when there is not exactly one.
 class OracleController : public Controller {
  public:
-  explicit OracleController(PlannerConfig planner = {});
-  void attach(runtime::ControlSurface& surface, const std::string& from, const std::string& to,
-              double interval = 1.0);
+  explicit OracleController(PlannerConfig planner = {}, double control_interval = 1.0);
 
   std::string name() const override { return "oracle"; }
 
@@ -240,8 +229,6 @@ class OracleController : public Controller {
 
  private:
   SplitRatioPlanner planner_;
-  std::string from_;
-  std::string to_;
   std::shared_ptr<dsps::DynamicRatio> ratio_;
   std::vector<std::size_t> task_workers_;
 };

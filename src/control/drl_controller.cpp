@@ -65,20 +65,11 @@ DrlController::DrlController(DrlControllerConfig config)
 
 DrlController::~DrlController() = default;
 
-void DrlController::attach(runtime::ControlSurface& surface, const std::string& from,
-                           const std::string& to) {
-  pinned_ = {{from, to}};
-  Controller::attach(surface);
-}
-
 void DrlController::on_attach(runtime::ControlSurface& surface) {
-  std::vector<runtime::DynamicEdge> edges = pinned_;
+  std::vector<runtime::DynamicEdge> edges = surface.dynamic_edges();
   if (edges.empty()) {
-    edges = surface.dynamic_edges();
-    if (edges.empty()) {
-      throw std::invalid_argument("DrlController::attach: topology has no dynamic-grouping "
-                                  "edge to control");
-    }
+    throw std::invalid_argument("DrlController::attach: topology has no dynamic-grouping "
+                                "edge to control");
   }
   from_ = edges.front().from;
   to_ = edges.front().to;

@@ -78,11 +78,8 @@ class DrlController : public Controller {
   explicit DrlController(DrlControllerConfig config = {});
   ~DrlController();
 
-  /// Topology attach (inherited): controls the first dynamic-grouping
-  /// edge. Throws std::invalid_argument when the topology has none.
-  using Controller::attach;
-  /// Single-edge form: control only the (from -> to) connection.
-  void attach(runtime::ControlSurface& surface, const std::string& from, const std::string& to);
+  /// attach() controls the topology's first dynamic-grouping edge and
+  /// throws std::invalid_argument when the topology has none.
 
   /// Training mode: explore (epsilon-greedy), record transitions, and run
   /// replay updates each round. Off = frozen greedy policy (the
@@ -136,7 +133,6 @@ class DrlController : public Controller {
   common::Pcg32 rng_;
 
   // Controlled edge (captured at attach).
-  std::vector<runtime::DynamicEdge> pinned_;
   std::string from_;
   std::string to_;
   std::shared_ptr<dsps::DynamicRatio> ratio_;

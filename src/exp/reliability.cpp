@@ -1,192 +1,141 @@
 #include "exp/reliability.hpp"
 
-#include <memory>
+#include <algorithm>
 #include <stdexcept>
 
-#include "common/logging.hpp"
-#include "control/baseline_predictors.hpp"
-#include "control/drnn_predictor.hpp"
+#include "control/controller_factory.hpp"
 
 namespace repro::exp {
 namespace {
 
-std::unique_ptr<control::PerformancePredictor> build_predictor(const std::string& name,
-                                                               std::uint64_t seed) {
-  return control::make_predictor(name, seed);
-}
+constexpr double kSlowdownRampSeconds = 6.0;
+/// Pre-crash hang: real crashes are rarely clean fail-stops — the process
+/// wedges first.
+constexpr double kCrashHangSeconds = 1.5;
 
-dsps::FaultPlan fault_plan_for(const ReliabilityOptions& opt, std::size_t worker,
-                               std::size_t machine) {
-  dsps::FaultPlan plan;
-  switch (opt.fault) {
-    case ReliabilityFault::kSlowdown:
-      plan.ramp(opt.fault_time, worker, opt.fault_magnitude, opt.fault_ramp);
-      break;
-    case ReliabilityFault::kHog:
-      plan.hog(opt.fault_time, machine, opt.fault_magnitude);
-      break;
-    case ReliabilityFault::kStall:
-      // Repeated long stalls for the rest of the run.
-      for (double t = opt.fault_time; t < opt.run_duration; t += 2.0 * opt.fault_magnitude) {
-        plan.stall(t, worker, opt.fault_magnitude);
-      }
-      break;
-    case ReliabilityFault::kDrop:
-      plan.drop(opt.fault_time, worker, opt.fault_magnitude);
-      break;
-    case ReliabilityFault::kCrash: {
-      // Fail-stutter then fail-stop: the worker hangs (queue builds up),
-      // then dies — losing whatever the hang accumulated — and rejoins
-      // after an outage of fault_magnitude seconds total.
-      double hang = std::min(kCrashHangSeconds, 0.5 * opt.fault_magnitude);
-      plan.stall(opt.fault_time, worker, hang);
-      plan.crash(opt.fault_time + hang, worker);
-      plan.restart(opt.fault_time + opt.fault_magnitude, worker);
-      break;
-    }
+ScenarioRunResult run_mode(const ScenarioSpec& spec, const std::string& mode,
+                           const control::ControllerConfig& cfg,
+                           const std::shared_ptr<control::PerformancePredictor>& predictor) {
+  if (mode == "nofault") {
+    ScenarioSpec clean = spec;
+    clean.faults.clear();
+    return run_scenario_with(clean, nullptr);
   }
-  return plan;
-}
-
-RunSeries run_one(const ReliabilityOptions& opt, const std::string& mode,
-                  control::PerformancePredictor* trained, std::size_t faulted_worker) {
-  ScenarioOptions scen = opt.scenario;
-  scen.ramp_rate = 0.0;  // evaluation runs contain only the injected fault
-  Scenario s = make_scenario(scen);
-  dsps::Engine& engine = *s.engine;
-  schedule_interference(engine, scen, 0.0, opt.run_duration);
-
-  std::shared_ptr<control::PredictiveController> controller;
-  control::OracleController oracle(opt.controller.planner);
+  if (mode == "stock") return run_scenario_with(spec, nullptr);
+  if (mode == "oracle") {
+    control::OracleController oracle(cfg.planner, cfg.control_interval);
+    return run_scenario_with(spec, &oracle);
+  }
+  control::ControllerOptions opts;
+  opts.predictive = cfg;
   if (mode == "framework") {
-    if (trained == nullptr) throw std::logic_error("framework mode needs a trained predictor");
-    // Wrap the raw pointer: the controller only needs it for this run.
-    std::shared_ptr<control::PerformancePredictor> alias(trained, [](auto*) {});
-    controller = std::make_shared<control::PredictiveController>(opt.controller, alias);
-    controller->attach(engine, s.app.spout_name, s.app.control_bolt);
-  } else if (mode == "reactive") {
-    controller = std::make_shared<control::PredictiveController>(
-        opt.controller, std::make_shared<control::ObservedPredictor>());
-    controller->attach(engine, s.app.spout_name, s.app.control_bolt);
-  } else if (mode == "oracle") {
-    oracle.attach(engine, s.app.spout_name, s.app.control_bolt, opt.controller.control_interval);
+    if (!predictor) {
+      throw std::invalid_argument("evaluate_reliability: the framework mode needs a fitted "
+                                  "predictor");
+    }
+    opts.predictor = predictor;
+    return run_scenario_with(spec, control::make_controller("drnn", opts).get());
   }
-
-  if (mode != "nofault") {
-    std::size_t machine = engine.worker(faulted_worker).machine;
-    engine.apply_fault_plan(fault_plan_for(opt, faulted_worker, machine));
+  if (mode == "reactive") {
+    return run_scenario_with(spec, control::make_controller("observed", opts).get());
   }
-
-  engine.run_for(opt.run_duration);
-
-  RunSeries series;
-  series.mode = mode;
-  for (const auto& sample : engine.history()) {
-    series.time.push_back(sample.time);
-    series.throughput.push_back(sample.topology.throughput);
-    series.avg_latency.push_back(sample.topology.avg_complete_latency);
-    series.p99_latency.push_back(sample.topology.p99_complete_latency);
-  }
-  series.totals = engine.totals();
-  if (controller && !controller->actions().empty()) {
-    double sum = 0.0;
-    for (const auto& a : controller->actions()) sum += a.round_seconds;
-    series.control_rounds = controller->actions().size();
-    series.mean_round_seconds = sum / static_cast<double>(series.control_rounds);
-  }
-  return series;
+  throw std::invalid_argument("evaluate_reliability: unknown mode \"" + mode +
+                              "\" (use nofault|stock|framework|reactive|oracle)");
 }
 
-double mean_after(const RunSeries& s, const std::vector<double>& values, double t0) {
+template <typename Metric>
+double mean_after(const ScenarioRunResult& run, double t0, Metric metric) {
   double sum = 0.0;
   std::size_t n = 0;
-  for (std::size_t i = 0; i < s.time.size(); ++i) {
-    if (s.time[i] >= t0) {
-      sum += values[i];
+  for (const dsps::WindowSample& w : run.history) {
+    if (w.time >= t0) {
+      sum += metric(w);
       ++n;
     }
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
+double throughput(const dsps::WindowSample& w) { return w.topology.throughput; }
+double latency(const dsps::WindowSample& w) { return w.topology.avg_complete_latency; }
+
 }  // namespace
 
-const char* fault_name(ReliabilityFault fault) {
+std::size_t inject_reliability_fault(ScenarioSpec& spec, ReliabilityFault fault, double at,
+                                     double magnitude) {
+  ScenarioApp app = build_scenario_app(spec);
+  dsps::Engine probe(app.topology, spec.cluster_config());
+  std::vector<std::size_t> candidates = probe.workers_of(app.parts.front().control_bolt);
+  if (candidates.empty()) {
+    throw std::logic_error("inject_reliability_fault: no worker hosts the controlled bolt");
+  }
+  const std::size_t worker = candidates.front();
+
+  spec.faults.clear();
   switch (fault) {
-    case ReliabilityFault::kSlowdown: return "slowdown";
-    case ReliabilityFault::kHog: return "cpu-hog";
-    case ReliabilityFault::kStall: return "stall";
-    case ReliabilityFault::kDrop: return "drop";
-    case ReliabilityFault::kCrash: return "crash";
-  }
-  return "?";
-}
-
-std::unique_ptr<control::PerformancePredictor> pretrain_predictor(const ReliabilityOptions& opt) {
-  ScenarioOptions train_scen = opt.scenario;
-  train_scen.ramp_rate = train_scen.ramp_rate > 0.0 ? train_scen.ramp_rate : 4.0;
-  train_scen.ramp_magnitude = std::max(train_scen.ramp_magnitude, opt.fault_magnitude);
-  std::vector<dsps::WindowSample> trace = collect_trace(train_scen, opt.train_duration);
-  std::vector<std::size_t> workers = active_workers(trace);
-  auto predictor = build_predictor(opt.predictor, opt.scenario.seed + 17);
-  predictor->fit(trace, workers);
-  return predictor;
-}
-
-ReliabilityResult evaluate_reliability(const ReliabilityOptions& opt,
-                                       control::PerformancePredictor* pretrained) {
-  // Probe run to learn the (deterministic) placement: target a worker that
-  // hosts at least one task of the controlled bolt.
-  ScenarioOptions scen = opt.scenario;
-  Scenario probe = make_scenario(scen);
-  std::vector<std::size_t> candidates = probe.engine->workers_of(probe.app.control_bolt);
-  if (candidates.empty()) throw std::logic_error("evaluate_reliability: no candidate workers");
-  std::size_t faulted_worker = candidates.front();
-
-  // Pretrain the predictor on a profiling trace that includes misbehaviour
-  // ramps (the controller must know what a degrading worker looks like) —
-  // unless the caller supplied a trained model.
-  std::unique_ptr<control::PerformancePredictor> owned;
-  control::PerformancePredictor* predictor = pretrained;
-  if (opt.run_framework && predictor == nullptr) {
-    owned = pretrain_predictor(opt);
-    predictor = owned.get();
-  }
-
-  ReliabilityResult result;
-  result.faulted_worker = faulted_worker;
-  if (opt.run_nofault) result.runs.push_back(run_one(opt, "nofault", nullptr, faulted_worker));
-  if (opt.run_stock) result.runs.push_back(run_one(opt, "stock", nullptr, faulted_worker));
-  if (opt.run_framework) {
-    result.runs.push_back(run_one(opt, "framework", predictor, faulted_worker));
-  }
-  if (opt.run_reactive) result.runs.push_back(run_one(opt, "reactive", nullptr, faulted_worker));
-  if (opt.run_oracle) result.runs.push_back(run_one(opt, "oracle", nullptr, faulted_worker));
-
-  // Summaries vs the nofault reference.
-  const RunSeries* ref = nullptr;
-  for (const auto& r : result.runs) {
-    if (r.mode == "nofault") ref = &r;
-  }
-  for (const auto& r : result.runs) {
-    ReliabilitySummary s;
-    s.mode = r.mode;
-    s.mean_throughput_after = mean_after(r, r.throughput, opt.fault_time + 5.0);
-    s.mean_latency_after = mean_after(r, r.avg_latency, opt.fault_time + 5.0);
-    s.failed = r.totals.failed;
-    s.mean_round_ms = r.mean_round_seconds * 1e3;
-    if (ref != nullptr && ref != &r) {
-      double ref_tput = mean_after(*ref, ref->throughput, opt.fault_time + 5.0);
-      double ref_lat = mean_after(*ref, ref->avg_latency, opt.fault_time + 5.0);
-      s.throughput_ratio = ref_tput > 0.0 ? s.mean_throughput_after / ref_tput : 0.0;
-      s.latency_inflation = ref_lat > 0.0 ? s.mean_latency_after / ref_lat : 0.0;
-    } else if (ref == &r) {
-      s.throughput_ratio = 1.0;
-      s.latency_inflation = 1.0;
+    case ReliabilityFault::kSlowdown:
+      spec.faults.push_back({"ramp", at, worker, magnitude, kSlowdownRampSeconds});
+      break;
+    case ReliabilityFault::kHog:
+      spec.faults.push_back({"hog", at, probe.worker(worker).machine, magnitude});
+      break;
+    case ReliabilityFault::kStall:
+      for (double t = at; t < spec.duration; t += 2.0 * magnitude) {
+        spec.faults.push_back({"stall", t, worker, magnitude});
+      }
+      break;
+    case ReliabilityFault::kDrop:
+      spec.faults.push_back({"drop", at, worker, magnitude});
+      break;
+    case ReliabilityFault::kCrash: {
+      // Fail-stutter then fail-stop: the hang builds a queue the crash
+      // then destroys.
+      double hang = std::min(kCrashHangSeconds, 0.5 * magnitude);
+      spec.faults.push_back({"stall", at, worker, hang});
+      spec.faults.push_back({"crash", at + hang, worker});
+      spec.faults.push_back({"restart", at + magnitude, worker});
+      break;
     }
-    result.summary.push_back(s);
   }
-  return result;
+  return worker;
+}
+
+std::vector<ReliabilityRun> evaluate_reliability(
+    const ScenarioSpec& spec, const std::vector<std::string>& modes,
+    const control::ControllerConfig& controller,
+    std::shared_ptr<control::PerformancePredictor> predictor) {
+  if (spec.faults.empty()) {
+    throw std::invalid_argument("evaluate_reliability: scenario " + spec.name +
+                                " injects no fault");
+  }
+  const double t0 = spec.faults.front().at + 5.0;
+
+  std::vector<ReliabilityRun> runs;
+  for (const std::string& mode : modes) {
+    ReliabilityRun r;
+    r.mode = mode;
+    r.result = run_mode(spec, mode, controller, predictor);
+    r.mean_throughput_after = mean_after(r.result, t0, throughput);
+    r.mean_latency_after = mean_after(r.result, t0, latency);
+    runs.push_back(std::move(r));
+  }
+
+  auto ref = std::find_if(runs.begin(), runs.end(),
+                          [](const ReliabilityRun& r) { return r.mode == "nofault"; });
+  if (ref == runs.end()) return runs;
+  for (ReliabilityRun& r : runs) {
+    if (&r == &*ref) {
+      r.throughput_ratio = 1.0;
+      r.latency_inflation = 1.0;
+    } else {
+      r.throughput_ratio = ref->mean_throughput_after > 0.0
+                               ? r.mean_throughput_after / ref->mean_throughput_after
+                               : 0.0;
+      r.latency_inflation =
+          ref->mean_latency_after > 0.0 ? r.mean_latency_after / ref->mean_latency_after : 0.0;
+    }
+  }
+  return runs;
 }
 
 }  // namespace repro::exp

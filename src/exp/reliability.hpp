@@ -1,95 +1,66 @@
 #pragma once
-// Reliability evaluation (experiments F4/F5, T3): run the application with
-// a misbehaving worker injected mid-run, comparing
+// Reliability evaluation (experiments F4/F5, T3/T4, A2): a ScenarioSpec
+// with one misbehaving worker injected mid-run, run once per mode through
+// run_scenario_with and summarized against the fault-free run:
+//   nofault   — the spec without its faults, no control (the reference)
 //   stock     — shuffle-equivalent routing, no control
-//   framework — the predictive controller with a pretrained DRNN
+//   framework — the predictive controller with a fitted DRNN
 //   reactive  — same controller driven by the last *observed* value
 //               (no prediction): the paper's implicit reactive baseline
 //   oracle    — a controller that reads the injected fault directly
-//   nofault   — reference run without the fault.
+#include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "control/controller.hpp"
-#include "exp/scenarios.hpp"
+#include "exp/scenario_spec.hpp"
 
 namespace repro::exp {
 
+/// Fault kinds; each reads its `magnitude` differently.
 enum class ReliabilityFault {
-  kSlowdown,
-  kHog,
-  kStall,
-  kDrop,
-  /// Hard worker crash: the worker hangs for kCrashHangSeconds starting
-  /// at fault_time (fail-stutter — its queue builds up), then dies, then
-  /// rejoins after fault_magnitude seconds of total outage (executors are
-  /// reassigned meanwhile; enable ClusterConfig::replay_on_failure for
-  /// at-least-once recovery of the tuples the crash destroyed).
+  kSlowdown,  ///< service-time factor, ramped in over 6 s
+  kHog,       ///< core-units of hog load on the worker's machine
+  kStall,     ///< seconds per stall; stalls repeat every 2x that until the run ends
+  kDrop,      ///< per-tuple drop probability
+  /// Hard worker crash: the worker hangs for 1.5 s (at most half the
+  /// outage) starting at the fault time (fail-stutter — its queue builds
+  /// up), then dies, then rejoins after `magnitude` seconds of total
+  /// outage (executors are reassigned meanwhile; set
+  /// ScenarioSpec::replay_on_failure for at-least-once recovery of the
+  /// tuples the crash destroyed).
   kCrash,
 };
 
-/// Pre-crash hang: real crashes are rarely clean fail-stops — the process
-/// wedges first. Capped at half the outage for very short outages.
-inline constexpr double kCrashHangSeconds = 1.5;
+/// Replace spec.faults with `fault` injected at `at` seconds on the first
+/// worker hosting a task of the controlled bolt (read from a probe engine
+/// built from the spec; placement is deterministic). Returns that worker.
+std::size_t inject_reliability_fault(ScenarioSpec& spec, ReliabilityFault fault, double at,
+                                     double magnitude);
 
-const char* fault_name(ReliabilityFault fault);
-
-struct ReliabilityOptions {
-  ScenarioOptions scenario{};
-  double train_duration = 300.0;  ///< profiling trace for predictor pretraining
-  double run_duration = 150.0;
-  double fault_time = 50.0;
-  ReliabilityFault fault = ReliabilityFault::kSlowdown;
-  double fault_magnitude = 6.0;   ///< slowdown factor / hog cores / stall secs / drop prob
-  double fault_ramp = 6.0;        ///< seconds to ramp a slowdown in
-  std::string predictor = "drnn";
-  control::ControllerConfig controller{};
-  /// Which modes to run.
-  bool run_stock = true;
-  bool run_framework = true;
-  bool run_reactive = false;
-  bool run_oracle = true;
-  bool run_nofault = true;
-};
-
-struct RunSeries {
+/// One mode's run and its after-fault summary: means over the windows
+/// from 5 s after the spec's first fault on, and their ratios to the
+/// nofault run (1.0 for the nofault run itself; 0 when no nofault run
+/// was asked for).
+struct ReliabilityRun {
   std::string mode;
-  std::vector<double> time;
-  std::vector<double> throughput;
-  std::vector<double> avg_latency;
-  std::vector<double> p99_latency;
-  dsps::EngineTotals totals;
-  /// Controller cost, for modes that ran one (0 otherwise): number of
-  /// control rounds and their mean wall-clock duration.
-  std::size_t control_rounds = 0;
-  double mean_round_seconds = 0.0;
-};
-
-struct ReliabilitySummary {
-  std::string mode;
-  double mean_throughput_after = 0.0;   ///< windows after fault injection
-  double throughput_ratio = 0.0;        ///< vs the nofault run (1.0 = no loss)
+  ScenarioRunResult result;
+  double mean_throughput_after = 0.0;
+  double throughput_ratio = 0.0;
   double mean_latency_after = 0.0;
-  double latency_inflation = 0.0;       ///< vs nofault
-  std::uint64_t failed = 0;
-  double mean_round_ms = 0.0;           ///< mean controller round (wall-clock ms)
+  double latency_inflation = 0.0;
 };
 
-struct ReliabilityResult {
-  std::vector<RunSeries> runs;
-  std::vector<ReliabilitySummary> summary;
-  std::size_t faulted_worker = 0;
-};
-
-/// Pretrain the framework's predictor on a profiling trace matching
-/// `options.scenario` (with misbehaviour ramps mixed in).
-std::unique_ptr<control::PerformancePredictor> pretrain_predictor(
-    const ReliabilityOptions& options);
-
-/// Run the reliability comparison. When `pretrained` is non-null it is
-/// used for the framework mode (lets one trained model serve a whole
-/// fault-type sweep); otherwise a model is trained internally.
-ReliabilityResult evaluate_reliability(const ReliabilityOptions& options,
-                                       control::PerformancePredictor* pretrained = nullptr);
+/// Run `spec` once per listed mode, in order, each through one
+/// run_scenario_with call. `controller` configures the framework,
+/// reactive and oracle arms; `predictor` is the fitted model the
+/// framework arm uses (required when "framework" is listed), so one model
+/// can serve a whole fault sweep. Throws std::invalid_argument on an
+/// unknown mode or a spec without faults.
+std::vector<ReliabilityRun> evaluate_reliability(
+    const ScenarioSpec& spec, const std::vector<std::string>& modes,
+    const control::ControllerConfig& controller = {},
+    std::shared_ptr<control::PerformancePredictor> predictor = nullptr);
 
 }  // namespace repro::exp

@@ -521,8 +521,7 @@ ScenarioApp build_scenario_app(const ScenarioSpec& spec) {
   for (const auto& topo : spec.topologies) app.parts.push_back(build_part(spec, topo));
 
   if (app.parts.size() == 1) {
-    // Single-tenant: the historical un-prefixed graph, byte-identical to
-    // what make_app always built.
+    // Single-tenant: the un-prefixed graph.
     app.topology = app.parts.front().topology;
     return app;
   }
@@ -596,38 +595,6 @@ dsps::FaultPlan make_fault_plan(const ScenarioSpec& spec) {
 }
 
 namespace {
-
-std::shared_ptr<control::PerformancePredictor> make_scenario_predictor(const ScenarioSpec& spec) {
-  if (spec.controller == "none") return nullptr;
-  // Model-free arms: the DQN learns online, the AIMD rate policy is pure.
-  if (spec.controller == "drl" || spec.controller == "rate") return nullptr;
-  if (spec.controller == "observed") return control::make_predictor("observed", spec.seed);
-  // The reactive elastic baseline sizes from observed queue depths only.
-  if (spec.controller == "elastic" && spec.elastic.reactive) return nullptr;
-
-  // "drnn" / "elastic": pretrain on a simulator profiling trace of the same scenario
-  // (whatever backend then runs it) with slowdown ramps mixed in so the
-  // model sees misbehaviour episodes — the experiments' standard recipe.
-  ScenarioSpec train = spec;
-  train.backend = runtime::BackendKind::kSim;
-  train.controller = "none";
-  train.faults.clear();  // the profiling trace precedes the injected faults
-  train.interference.ramp_rate = std::max(train.interference.ramp_rate, 4.0);
-  train.duration = spec.train_duration;
-
-  std::vector<dsps::WindowSample> trace;
-  {
-    ScenarioApp app = build_scenario_app(train);
-    dsps::Engine engine(app.topology, train.cluster_config());
-    engine.apply_fault_plan(make_fault_plan(train));
-    engine.run_for(train.duration);
-    trace = engine.history();
-  }  // the engine's batch slots, event slab and acker table are freed before the fit
-
-  auto predictor = control::make_predictor("drnn", spec.seed + 17);
-  predictor->fit(trace, active_workers(trace));
-  return predictor;
-}
 
 /// Copy a finished controller's totals onto the result — one path for
 /// every kind, via the Controller interface.
@@ -764,6 +731,30 @@ ScenarioRunResult run_scenario_async(const ScenarioSpec& spec, control::Controll
 }
 
 }  // namespace
+
+std::shared_ptr<control::PerformancePredictor> make_scenario_predictor(const ScenarioSpec& spec) {
+  if (spec.controller == "none") return nullptr;
+  // Model-free arms: the DQN learns online, the AIMD rate policy is pure.
+  if (spec.controller == "drl" || spec.controller == "rate") return nullptr;
+  if (spec.controller == "observed") return control::make_predictor("observed", spec.seed);
+  // The reactive elastic baseline sizes from observed queue depths only.
+  if (spec.controller == "elastic" && spec.elastic.reactive) return nullptr;
+
+  // "drnn" / "elastic": the profiling trace comes from the sim whatever
+  // backend then runs the spec, and precedes the injected faults.
+  ScenarioSpec train = spec;
+  train.backend = runtime::BackendKind::kSim;
+  train.faults.clear();
+  train.interference.ramp_rate = std::max(train.interference.ramp_rate, 4.0);
+  train.duration = spec.train_duration;
+  // collect_trace frees the profiling engine (batch slots, event slab,
+  // acker table) before it returns, so the fit does not run beside it.
+  std::vector<dsps::WindowSample> trace = collect_trace(train);
+
+  auto predictor = control::make_predictor("drnn", spec.seed + 17);
+  predictor->fit(trace, active_workers(trace));
+  return predictor;
+}
 
 std::unique_ptr<control::Controller> make_scenario_controller(const ScenarioSpec& spec) {
   if (spec.controller == "none") return nullptr;

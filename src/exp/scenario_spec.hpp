@@ -27,6 +27,7 @@
 
 namespace repro::control {
 class Controller;
+class PerformancePredictor;
 }  // namespace repro::control
 
 namespace repro::exp {
@@ -124,8 +125,10 @@ struct ElasticSpec {
   bool reactive = false;
 };
 
-/// The declarative description of a full run. Defaults mirror
-/// default_cluster() so experiment specs stay terse.
+/// The declarative description of a full run. Defaults are the
+/// experiments' standard cluster (3 machines x 2 workers, 2 cores each,
+/// so co-located hog load pushes machines past saturation), which keeps
+/// experiment specs terse.
 struct ScenarioSpec {
   std::string name;         ///< registry key: [a-z0-9-], non-empty
   std::string description;  ///< one line, shown by `exp_scenario --list`
@@ -277,6 +280,16 @@ struct ScenarioRunResult {
 /// Run a validated spec on its backend (spec.backend). Sim runs are
 /// deterministic: same spec -> byte-identical history and totals.
 ScenarioRunResult run_scenario(const ScenarioSpec& spec);
+
+/// The fitted predictor the spec's control arm consults: nullptr for the
+/// arms that need none ("none", "drl", "rate", reactive "elastic"), the
+/// last-observation baseline for "observed", and for "drnn"/"elastic" a
+/// DRNN (seed spec.seed + 17) fitted on collect_trace() of the spec on
+/// the sim: spec.train_duration seconds, faults dropped, and slowdown
+/// ramps mixed in (at least 4 per 100 s per worker, peaking at
+/// interference.ramp_magnitude) so the model sees misbehaviour episodes.
+/// Experiments that sweep faults fit one and share it across their runs.
+std::shared_ptr<control::PerformancePredictor> make_scenario_predictor(const ScenarioSpec& spec);
 
 /// Build (and, for "drl", train) the spec's control arm through the shared
 /// control::make_controller factory; nullptr when spec.controller is

@@ -2,79 +2,8 @@
 
 namespace repro::exp {
 
-dsps::ClusterConfig default_cluster(std::uint64_t seed) {
-  dsps::ClusterConfig cfg;
-  cfg.machines = 3;
-  // Two cores per machine: co-located hog load actually pushes machines
-  // past saturation, which is where interference bites.
-  cfg.cores_per_machine = 2.0;
-  cfg.workers_per_machine = 2;
-  cfg.window_seconds = 1.0;
-  cfg.service_noise_cv = 0.15;
-  cfg.ack_timeout = 8.0;
-  cfg.max_spout_pending = 4000;
-  cfg.gc_interval_mean = 20.0;
-  cfg.gc_pause_mean = 0.03;
-  cfg.seed = seed;
-  return cfg;
-}
-
-ScenarioSpec ScenarioOptions::to_spec() const {
-  ScenarioSpec spec;
-  spec.name = "adhoc";
-  spec.description = "ad-hoc scenario (ScenarioOptions adapter)";
-  spec.machines = cluster.machines;
-  spec.cores_per_machine = cluster.cores_per_machine;
-  spec.workers_per_machine = cluster.workers_per_machine;
-  spec.window_seconds = cluster.window_seconds;
-  spec.service_noise_cv = cluster.service_noise_cv;
-  spec.gc_interval_mean = cluster.gc_interval_mean;
-  spec.gc_pause_mean = cluster.gc_pause_mean;
-  spec.ack_timeout = cluster.ack_timeout;
-  spec.max_spout_pending = cluster.max_spout_pending;
-  spec.replay_on_failure = cluster.replay_on_failure;
-  spec.max_replays = cluster.max_replays;
-  spec.batch_size = cluster.batch_size;
-  spec.flow = cluster.flow;
-  spec.seed = seed;
-
-  TopologySpec topo;
-  topo.app = app;
-  topo.use_dynamic_grouping = use_dynamic_grouping;
-  spec.topologies = {topo};
-
-  spec.interference.hog_intensity = hog_intensity;
-  spec.interference.hog_update = hog_update;
-  spec.interference.ramp_rate = ramp_rate;
-  spec.interference.ramp_magnitude = ramp_magnitude;
-  return spec;
-}
-
-apps::BuiltApp make_app(const ScenarioOptions& options) {
-  ScenarioSpec spec = options.to_spec();
-  // The adapter's cluster seed may differ from the scenario seed; only
-  // the app build consumes the spec here, so no normalization needed.
-  ScenarioApp app = build_scenario_app(spec);
-  return std::move(app.parts.front());
-}
-
-Scenario make_scenario(const ScenarioOptions& options) {
-  Scenario s;
-  s.app = make_app(options);
-  s.engine = std::make_unique<dsps::Engine>(s.app.topology, options.cluster);
-  return s;
-}
-
-void schedule_interference(dsps::Engine& engine, const ScenarioOptions& options, double t0,
-                           double duration) {
-  InterferenceSpec interference;
-  interference.hog_intensity = options.hog_intensity;
-  interference.hog_update = options.hog_update;
-  interference.ramp_rate = options.ramp_rate;
-  interference.ramp_magnitude = options.ramp_magnitude;
-  engine.apply_fault_plan(make_interference_plan(interference, options.seed,
-                                                 engine.machine_count(), engine.worker_count(),
-                                                 t0, duration));
+std::vector<dsps::WindowSample> collect_trace(const ScenarioSpec& spec) {
+  return run_scenario_with(spec, nullptr).history;
 }
 
 std::vector<std::size_t> active_workers(const std::vector<dsps::WindowSample>& trace) {
@@ -88,13 +17,6 @@ std::vector<std::size_t> active_workers(const std::vector<dsps::WindowSample>& t
     if (executed[w] > 0) out.push_back(w);
   }
   return out;
-}
-
-std::vector<dsps::WindowSample> collect_trace(const ScenarioOptions& options, double duration) {
-  Scenario s = make_scenario(options);
-  schedule_interference(*s.engine, options, 0.0, duration);
-  s.engine->run_for(duration);
-  return s.engine->history();
 }
 
 }  // namespace repro::exp

@@ -111,12 +111,6 @@ bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
   return true;
 }
 
-bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
-                           std::size_t& max_spout_pending, std::size_t& batch_size) {
-  BackendKind ignored = BackendKind::kSim;
-  return apply_data_path_flags(flags, flow, max_spout_pending, batch_size, ignored);
-}
-
 FlowControl::FlowControl(FlowControlConfig config, std::size_t task_count) : cfg_(config) {
   cfg_.validate();
   tasks_.reserve(task_count);

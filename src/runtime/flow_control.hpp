@@ -101,10 +101,6 @@ const char* data_path_flag_usage();
 bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
                            std::size_t& max_spout_pending, std::size_t& batch_size,
                            BackendKind& backend);
-/// Overload for binaries with a fixed backend: --backend is still parsed
-/// (and still rejects bad values) but the selection is discarded.
-bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
-                           std::size_t& max_spout_pending, std::size_t& batch_size);
 
 /// Per-task flow-control state shared by both engines: admission
 /// decisions against the configured capacity, occupancy (credit)

@@ -73,7 +73,7 @@ TEST_F(ControllerFixture, BypassesFlaggedWorker) {
   cfg.planner.bypass_weight = 0.0;  // full bypass (no probe trickle)
   auto predictor = std::make_shared<ScriptedPredictor>(victim_task_worker, 5.0);
   PredictiveController controller(cfg, predictor);
-  controller.attach(engine, "src", "work");
+  controller.attach(engine);
 
   engine.run_for(10.0);
 
@@ -101,20 +101,13 @@ TEST_F(ControllerFixture, NoActionWhenHealthy) {
   cfg.control_interval = 1.0;
   auto predictor = std::make_shared<ScriptedPredictor>(999, 1e9);  // never misbehaves
   PredictiveController controller(cfg, predictor);
-  controller.attach(engine, "src", "work");
+  controller.attach(engine);
   engine.run_for(8.0);
   for (const auto& a : controller.actions()) {
     for (bool f : a.misbehaving) EXPECT_FALSE(f);
   }
   // Ratios stay (near) uniform.
   for (double w : ratio->weights()) EXPECT_NEAR(w, 0.25, 0.05);
-}
-
-TEST_F(ControllerFixture, AttachRequiresDynamicGrouping) {
-  dsps::Engine engine(topo, cluster);
-  ControllerConfig cfg;
-  PredictiveController controller(cfg, std::make_shared<ScriptedPredictor>(0, 0.0));
-  EXPECT_THROW(controller.attach(engine, "work", "src"), std::invalid_argument);
 }
 
 TEST_F(ControllerFixture, NullPredictorThrows) {
@@ -130,23 +123,45 @@ class ForwardBolt : public dsps::Bolt {
   double tuple_cost(const dsps::Tuple&) const override { return 30e-6; }
 };
 
-// Acceptance scenario for the topology-wide controller: a two-stage
-// pipeline with *two* dynamic-grouping edges (src -> stage1 -> stage2),
-// one controller attached to the whole topology, one worker degrading.
-// The controller must discover both edges and steer both independently.
-TEST(TopologyController, OneControllerDrivesEveryDynamicEdge) {
+/// A two-stage pipeline with *two* dynamic-grouping edges:
+/// src -> stage1 -> stage2.
+struct TwoEdgePipeline {
+  dsps::Topology topo;
+  std::shared_ptr<dsps::DynamicRatio> ratio1;
+  std::shared_ptr<dsps::DynamicRatio> ratio2;
+  dsps::ClusterConfig cluster;
+};
+
+TwoEdgePipeline two_edge_pipeline() {
+  TwoEdgePipeline p;
   dsps::TopologyBuilder b("two-edges");
   b.set_spout("src", [] { return std::make_unique<SeqSpout>(); });
-  auto ratio1 = b.set_bolt("stage1", [] { return std::make_unique<ForwardBolt>(); }, 4)
-                    .dynamic_grouping("src");
-  auto ratio2 = b.set_bolt("stage2", [] { return std::make_unique<SinkBolt>(); }, 4)
-                    .dynamic_grouping("stage1");
-  dsps::ClusterConfig cluster;
-  cluster.machines = 2;
-  cluster.cores_per_machine = 2;
-  cluster.workers_per_machine = 2;
-  cluster.seed = 5;
-  dsps::Engine engine(b.build(), cluster);
+  p.ratio1 = b.set_bolt("stage1", [] { return std::make_unique<ForwardBolt>(); }, 4)
+                 .dynamic_grouping("src");
+  p.ratio2 = b.set_bolt("stage2", [] { return std::make_unique<SinkBolt>(); }, 4)
+                 .dynamic_grouping("stage1");
+  p.topo = b.build();
+  p.cluster.machines = 2;
+  p.cluster.cores_per_machine = 2;
+  p.cluster.workers_per_machine = 2;
+  p.cluster.seed = 5;
+  return p;
+}
+
+/// src -> work over a shuffle grouping: no dynamic edge at all.
+dsps::Topology static_topology() {
+  dsps::TopologyBuilder b("static");
+  b.set_spout("src", [] { return std::make_unique<SeqSpout>(); });
+  b.set_bolt("work", [] { return std::make_unique<SinkBolt>(); }, 2).shuffle_grouping("src");
+  return b.build();
+}
+
+// Acceptance scenario for the topology-wide controller: one controller
+// attached to the two-edge pipeline, one worker degrading. The
+// controller must discover both edges and steer both independently.
+TEST(TopologyController, OneControllerDrivesEveryDynamicEdge) {
+  TwoEdgePipeline p = two_edge_pipeline();
+  dsps::Engine engine(p.topo, p.cluster);
 
   std::size_t victim = engine.worker_of_task(engine.tasks_of("stage1").first);
   ControllerConfig cfg;
@@ -182,17 +197,14 @@ TEST(TopologyController, OneControllerDrivesEveryDynamicEdge) {
       }
     }
   };
-  check_edge("stage1", ratio1);
-  check_edge("stage2", ratio2);
+  check_edge("stage1", p.ratio1);
+  check_edge("stage2", p.ratio2);
 }
 
 TEST(TopologyController, AttachThrowsWithoutDynamicEdges) {
-  dsps::TopologyBuilder b("static");
-  b.set_spout("src", [] { return std::make_unique<SeqSpout>(); });
-  b.set_bolt("work", [] { return std::make_unique<SinkBolt>(); }, 2).shuffle_grouping("src");
   dsps::ClusterConfig cluster;
   cluster.machines = 1;
-  dsps::Engine engine(b.build(), cluster);
+  dsps::Engine engine(static_topology(), cluster);
   PredictiveController controller(ControllerConfig{},
                                   std::make_shared<ScriptedPredictor>(0, 1e9));
   EXPECT_THROW(controller.attach(engine), std::invalid_argument);
@@ -203,7 +215,7 @@ TEST_F(ControllerFixture, RoundLatencyIsStamped) {
   ControllerConfig cfg;
   cfg.control_interval = 1.0;
   PredictiveController controller(cfg, std::make_shared<ScriptedPredictor>(999, 1e9));
-  controller.attach(engine, "src", "work");
+  controller.attach(engine);
   engine.run_for(5.0);
   ASSERT_FALSE(controller.actions().empty());
   for (const auto& a : controller.actions()) {
@@ -216,8 +228,8 @@ TEST_F(ControllerFixture, RoundLatencyIsStamped) {
 
 TEST_F(ControllerFixture, OracleBypassesInjectedSlowdown) {
   dsps::Engine engine(topo, cluster);
-  OracleController oracle;
-  oracle.attach(engine, "src", "work", 1.0);
+  OracleController oracle({}, 1.0);
+  oracle.attach(engine);
   std::size_t victim = engine.workers_of("work")[0];
   engine.set_worker_slowdown(victim, 8.0);
   engine.run_for(5.0);
@@ -226,6 +238,33 @@ TEST_F(ControllerFixture, OracleBypassesInjectedSlowdown) {
   for (std::size_t t = lo; t < hi; ++t) {
     if (engine.worker_of_task(t) == victim) EXPECT_LT(weights[t - lo], 0.05);
   }
+}
+
+/// The oracle controls exactly one edge: attach fails closed on a
+/// topology with none or with two, naming the count it found.
+std::string oracle_attach_error(runtime::ControlSurface& surface) {
+  OracleController oracle;
+  try {
+    oracle.attach(surface);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OracleController, AttachThrowsWithoutDynamicEdge) {
+  dsps::ClusterConfig cluster;
+  cluster.machines = 1;
+  dsps::Engine engine(static_topology(), cluster);
+  std::string error = oracle_attach_error(engine);
+  EXPECT_NE(error.find("has 0"), std::string::npos) << error;
+}
+
+TEST(OracleController, AttachThrowsOnTwoDynamicEdges) {
+  TwoEdgePipeline p = two_edge_pipeline();
+  dsps::Engine engine(p.topo, p.cluster);
+  std::string error = oracle_attach_error(engine);
+  EXPECT_NE(error.find("has 2"), std::string::npos) << error;
 }
 
 }  // namespace

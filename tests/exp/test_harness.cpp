@@ -9,11 +9,18 @@
 namespace repro::exp {
 namespace {
 
+/// A URL Count spec under the experiments' background hog load.
+ScenarioSpec harness_spec(std::uint64_t seed, double duration) {
+  ScenarioSpec spec;
+  spec.name = "harness";
+  spec.seed = seed;
+  spec.duration = duration;
+  spec.interference.hog_intensity = 2.4;
+  return spec;
+}
+
 TEST(Accuracy, CheapModelsOnShortTrace) {
-  ScenarioOptions scen;
-  scen.cluster = default_cluster(13);
-  scen.seed = 13;
-  auto trace = collect_trace(scen, 120.0);
+  auto trace = collect_trace(harness_spec(13, 120.0));
 
   AccuracyOptions opt;
   opt.models = {"observed", "ma", "arima"};
@@ -33,10 +40,7 @@ TEST(Accuracy, CheapModelsOnShortTrace) {
 }
 
 TEST(Accuracy, HorizonReducesAccuracy) {
-  ScenarioOptions scen;
-  scen.cluster = default_cluster(14);
-  scen.seed = 14;
-  auto trace = collect_trace(scen, 150.0);
+  auto trace = collect_trace(harness_spec(14, 150.0));
 
   AccuracyOptions h1, h4;
   h1.models = {"observed"};
@@ -49,10 +53,7 @@ TEST(Accuracy, HorizonReducesAccuracy) {
 }
 
 TEST(Accuracy, UnknownModelThrows) {
-  ScenarioOptions scen;
-  scen.cluster = default_cluster(15);
-  scen.seed = 15;
-  auto trace = collect_trace(scen, 80.0);
+  auto trace = collect_trace(harness_spec(15, 80.0));
   AccuracyOptions opt;
   opt.models = {"nope"};
   opt.seq_len = 8;
@@ -66,53 +67,27 @@ TEST(Accuracy, TooShortTraceThrows) {
 }
 
 TEST(Reliability, StockDegradesFrameworkOracleRecovers) {
-  ReliabilityOptions opt;
-  opt.scenario.cluster = default_cluster(16);
-  opt.scenario.seed = 16;
-  opt.scenario.hog_intensity = 0.8;  // keep the run mild and fast
-  opt.run_duration = 60.0;
-  opt.fault_time = 20.0;
-  opt.fault_magnitude = 8.0;
-  opt.run_framework = false;  // DRNN training is exercised elsewhere
-  auto result = evaluate_reliability(opt);
-
-  const ReliabilitySummary *stock = nullptr, *oracle = nullptr, *nofault = nullptr;
-  for (const auto& s : result.summary) {
-    if (s.mode == "stock") stock = &s;
-    if (s.mode == "oracle") oracle = &s;
-    if (s.mode == "nofault") nofault = &s;
-  }
-  ASSERT_NE(stock, nullptr);
-  ASSERT_NE(oracle, nullptr);
-  ASSERT_NE(nofault, nullptr);
+  ScenarioSpec spec = harness_spec(16, 60.0);
+  spec.interference.hog_intensity = 0.8;  // keep the run mild and fast
+  inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 20.0, 8.0);
+  // DRNN training is exercised elsewhere.
+  auto runs = evaluate_reliability(spec, {"nofault", "stock", "oracle"});
+  ASSERT_EQ(runs.size(), 3u);
+  const ReliabilityRun& nofault = runs[0];
+  const ReliabilityRun& stock = runs[1];
+  const ReliabilityRun& oracle = runs[2];
   // The slow worker must hurt stock latency far more than oracle latency.
-  EXPECT_GT(stock->latency_inflation, oracle->latency_inflation * 2.0);
-  EXPECT_LT(oracle->latency_inflation, 3.0);
-  EXPECT_DOUBLE_EQ(nofault->throughput_ratio, 1.0);
-}
-
-TEST(Reliability, FaultNames) {
-  EXPECT_STREQ(fault_name(ReliabilityFault::kSlowdown), "slowdown");
-  EXPECT_STREQ(fault_name(ReliabilityFault::kHog), "cpu-hog");
-  EXPECT_STREQ(fault_name(ReliabilityFault::kStall), "stall");
-  EXPECT_STREQ(fault_name(ReliabilityFault::kDrop), "drop");
+  EXPECT_GT(stock.latency_inflation, oracle.latency_inflation * 2.0);
+  EXPECT_LT(oracle.latency_inflation, 3.0);
+  EXPECT_DOUBLE_EQ(nofault.throughput_ratio, 1.0);
 }
 
 TEST(Reliability, SeriesWellFormed) {
-  ReliabilityOptions opt;
-  opt.scenario.cluster = default_cluster(17);
-  opt.scenario.seed = 17;
-  opt.run_duration = 40.0;
-  opt.fault_time = 15.0;
-  opt.run_framework = false;
-  opt.run_oracle = false;
-  auto result = evaluate_reliability(opt);
-  ASSERT_EQ(result.runs.size(), 2u);  // nofault + stock
-  for (const auto& r : result.runs) {
-    EXPECT_EQ(r.time.size(), 40u);
-    EXPECT_EQ(r.throughput.size(), r.time.size());
-    EXPECT_EQ(r.avg_latency.size(), r.time.size());
-  }
+  ScenarioSpec spec = harness_spec(17, 40.0);
+  inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 15.0, 6.0);
+  auto runs = evaluate_reliability(spec, {"nofault", "stock"});
+  ASSERT_EQ(runs.size(), 2u);
+  for (const auto& r : runs) EXPECT_EQ(r.result.history.size(), 40u) << r.mode;
 }
 
 }  // namespace

@@ -5,46 +5,58 @@
 namespace repro::exp {
 namespace {
 
-TEST(Scenarios, DefaultClusterSane) {
-  dsps::ClusterConfig cfg = default_cluster(5);
+/// A URL Count trace spec under the experiments' background hog load.
+ScenarioSpec trace_spec(std::uint64_t seed, double duration) {
+  ScenarioSpec spec;
+  spec.name = "trace";
+  spec.seed = seed;
+  spec.duration = duration;
+  spec.interference.hog_intensity = 2.4;
+  return spec;
+}
+
+/// The spec defaults are the cluster every experiment table was recorded
+/// on; changing one moves them all.
+TEST(Scenarios, SpecDefaultsAreTheExperimentCluster) {
+  dsps::ClusterConfig cfg = trace_spec(5, 10.0).cluster_config();
   EXPECT_EQ(cfg.machines, 3u);
   EXPECT_EQ(cfg.workers_per_machine, 2u);
+  EXPECT_DOUBLE_EQ(cfg.cores_per_machine, 2.0);
+  EXPECT_DOUBLE_EQ(cfg.window_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(cfg.service_noise_cv, 0.15);
+  EXPECT_DOUBLE_EQ(cfg.ack_timeout, 8.0);
+  EXPECT_EQ(cfg.max_spout_pending, 4000u);
+  EXPECT_DOUBLE_EQ(cfg.gc_interval_mean, 20.0);
+  EXPECT_DOUBLE_EQ(cfg.gc_pause_mean, 0.03);
   EXPECT_EQ(cfg.seed, 5u);
 }
 
-TEST(Scenarios, MakeScenarioBothApps) {
+TEST(Scenarios, BuildScenarioAppBothApps) {
   for (AppKind app : {AppKind::kUrlCount, AppKind::kContinuousQuery}) {
-    ScenarioOptions opt;
-    opt.app = app;
-    opt.cluster = default_cluster(3);
-    Scenario s = make_scenario(opt);
-    ASSERT_NE(s.engine, nullptr);
-    ASSERT_NE(s.app.ratio, nullptr);
-    EXPECT_TRUE(s.app.topology.has_component(s.app.spout_name));
-    EXPECT_TRUE(s.app.topology.has_component(s.app.control_bolt));
+    ScenarioSpec spec = trace_spec(3, 10.0);
+    spec.topologies.front().app = app;
+    ScenarioApp built = build_scenario_app(spec);
+    const apps::BuiltApp& part = built.parts.front();
+    ASSERT_NE(part.ratio, nullptr);
+    EXPECT_TRUE(built.topology.has_component(part.spout_name));
+    EXPECT_TRUE(built.topology.has_component(part.control_bolt));
   }
 }
 
 TEST(Scenarios, CollectTraceProducesWindows) {
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(7);
-  opt.seed = 7;
-  std::vector<dsps::WindowSample> trace = collect_trace(opt, 30.0);
+  std::vector<dsps::WindowSample> trace = collect_trace(trace_spec(7, 30.0));
   EXPECT_EQ(trace.size(), 30u);
   EXPECT_FALSE(trace[0].workers.empty());
   EXPECT_FALSE(trace[0].machines.empty());
 }
 
 TEST(Scenarios, InterferenceMovesMachineLoad) {
-  ScenarioOptions calm;
-  calm.cluster = default_cluster(8);
-  calm.seed = 8;
-  calm.hog_intensity = 0.0;
-  ScenarioOptions noisy = calm;
-  noisy.hog_intensity = 2.4;
+  ScenarioSpec calm = trace_spec(8, 40.0);
+  calm.interference.hog_intensity = 0.0;
+  ScenarioSpec noisy = trace_spec(8, 40.0);
 
-  auto trace_calm = collect_trace(calm, 40.0);
-  auto trace_noisy = collect_trace(noisy, 40.0);
+  auto trace_calm = collect_trace(calm);
+  auto trace_noisy = collect_trace(noisy);
   double load_calm = 0.0, load_noisy = 0.0;
   for (std::size_t i = 0; i < 40; ++i) {
     load_calm += trace_calm[i].machines[0].load;
@@ -54,14 +66,12 @@ TEST(Scenarios, InterferenceMovesMachineLoad) {
 }
 
 TEST(Scenarios, RampsInjectSlowdownEpisodes) {
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(9);
-  opt.seed = 9;
-  opt.hog_intensity = 0.0;
-  opt.ramp_rate = 20.0;  // frequent ramps
-  opt.ramp_magnitude = 5.0;
+  ScenarioSpec spec = trace_spec(9, 120.0);
+  spec.interference.hog_intensity = 0.0;
+  spec.interference.ramp_rate = 20.0;  // frequent ramps
+  spec.interference.ramp_magnitude = 5.0;
 
-  auto trace = collect_trace(opt, 120.0);
+  auto trace = collect_trace(spec);
   // Some window must show a strongly inflated processing time.
   double max_ratio = 0.0;
   std::vector<std::size_t> workers = active_workers(trace);
@@ -85,10 +95,7 @@ TEST(Scenarios, RampsInjectSlowdownEpisodes) {
 }
 
 TEST(Scenarios, ActiveWorkersExcludesIdle) {
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(10);
-  opt.seed = 10;
-  auto trace = collect_trace(opt, 20.0);
+  auto trace = collect_trace(trace_spec(10, 20.0));
   std::vector<std::size_t> active = active_workers(trace);
   EXPECT_FALSE(active.empty());
   EXPECT_LT(active.size(), trace[0].workers.size() + 1);
@@ -100,11 +107,8 @@ TEST(Scenarios, ActiveWorkersExcludesIdle) {
 }
 
 TEST(Scenarios, TracesAreDeterministic) {
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(11);
-  opt.seed = 11;
-  auto a = collect_trace(opt, 15.0);
-  auto b = collect_trace(opt, 15.0);
+  auto a = collect_trace(trace_spec(11, 15.0));
+  auto b = collect_trace(trace_spec(11, 15.0));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].topology.acked, b[i].topology.acked);
@@ -127,29 +131,6 @@ TEST(Scenarios, ParseAppKindRoundTripsAndFailsClosed) {
   EXPECT_EQ(parse_app_kind("url-count"), AppKind::kUrlCount);
   EXPECT_EQ(parse_app_kind("continuous-query"), AppKind::kContinuousQuery);
   EXPECT_THROW(parse_app_kind("word-count"), std::invalid_argument);
-}
-
-TEST(Scenarios, OptionsToSpecCarriesClusterAndInterference) {
-  ScenarioOptions opt;
-  opt.app = AppKind::kContinuousQuery;
-  opt.cluster = default_cluster(21);
-  opt.cluster.batch_size = 4;
-  opt.seed = 21;
-  opt.hog_intensity = 1.5;
-  opt.ramp_rate = 3.0;
-  ScenarioSpec spec = opt.to_spec();
-  EXPECT_EQ(spec.seed, 21u);
-  EXPECT_EQ(spec.machines, opt.cluster.machines);
-  EXPECT_EQ(spec.batch_size, 4u);
-  EXPECT_DOUBLE_EQ(spec.interference.hog_intensity, 1.5);
-  EXPECT_DOUBLE_EQ(spec.interference.ramp_rate, 3.0);
-  ASSERT_EQ(spec.topologies.size(), 1u);
-  EXPECT_EQ(spec.topologies[0].app, AppKind::kContinuousQuery);
-  // The equivalent cluster config round-trips field by field.
-  dsps::ClusterConfig cfg = spec.cluster_config();
-  EXPECT_EQ(cfg.machines, opt.cluster.machines);
-  EXPECT_DOUBLE_EQ(cfg.ack_timeout, opt.cluster.ack_timeout);
-  EXPECT_EQ(cfg.batch_size, opt.cluster.batch_size);
 }
 
 }  // namespace

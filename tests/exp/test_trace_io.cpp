@@ -21,10 +21,12 @@ class TraceIoTest : public ::testing::Test {
 };
 
 TEST_F(TraceIoTest, RoundTripRealTrace) {
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(31);
-  opt.seed = 31;
-  std::vector<dsps::WindowSample> trace = collect_trace(opt, 12.0);
+  ScenarioSpec spec;
+  spec.name = "trace-io";
+  spec.seed = 31;
+  spec.duration = 12.0;
+  spec.interference.hog_intensity = 2.4;
+  std::vector<dsps::WindowSample> trace = collect_trace(spec);
   save_trace_csv(trace, path_);
   std::vector<dsps::WindowSample> loaded = load_trace_csv(path_);
 
@@ -52,10 +54,12 @@ TEST_F(TraceIoTest, RoundTripRealTrace) {
 TEST_F(TraceIoTest, LoadedTraceTrainsIdentically) {
   // The downstream use case: features built from a reloaded trace must be
   // identical to features from the original.
-  ScenarioOptions opt;
-  opt.cluster = default_cluster(32);
-  opt.seed = 32;
-  auto trace = collect_trace(opt, 10.0);
+  ScenarioSpec spec;
+  spec.name = "trace-io";
+  spec.seed = 32;
+  spec.duration = 10.0;
+  spec.interference.hog_intensity = 2.4;
+  auto trace = collect_trace(spec);
   save_trace_csv(trace, path_);
   auto loaded = load_trace_csv(path_);
 

@@ -107,10 +107,11 @@ TEST(DataPathFlags, AppliesOnlyPresentFlags) {
   EXPECT_EQ(batch, 32u);
   EXPECT_EQ(backend, BackendKind::kAsync);
 
-  // The 4-arg overload (fixed-backend binaries) still validates --backend.
-  EXPECT_TRUE(apply_data_path_flags(make_flags({"--backend=sim"}), flow, pending, batch));
-  EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=rt"}), flow, pending, batch));
-  EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=nope"}), flow, pending, batch));
+  EXPECT_TRUE(apply_data_path_flags(make_flags({"--backend=sim"}), flow, pending, batch, backend));
+  EXPECT_EQ(backend, BackendKind::kSim);
+  EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=rt"}), flow, pending, batch, backend));
+  EXPECT_FALSE(
+      apply_data_path_flags(make_flags({"--backend=nope"}), flow, pending, batch, backend));
 }
 
 TEST(DataPathFlags, BadValuesReturnFalseForExit2) {

@@ -379,7 +379,7 @@ TEST(RuntimeCore, ControllerAttachesToBothBackends) {
   dsps::Engine sim(sim_t.topo, sim_cluster());
   control::PredictiveController sim_ctrl(ccfg,
                                          std::make_shared<control::ObservedPredictor>());
-  sim_ctrl.attach(sim, "src", "relay");
+  sim_ctrl.attach(sim);
   EXPECT_EQ(sim.backend_name(), "sim");
   sim.run_for(4.0);
   EXPECT_GT(sim_ctrl.actions().size(), 0u);
@@ -391,7 +391,7 @@ TEST(RuntimeCore, ControllerAttachesToBothBackends) {
   rt::AsyncEngine async_engine(async_t.topo, acfg);
   control::PredictiveController async_ctrl(ccfg,
                                            std::make_shared<control::ObservedPredictor>());
-  async_ctrl.attach(async_engine, "src", "relay");
+  async_ctrl.attach(async_engine);
   EXPECT_EQ(async_engine.backend_name(), "async");
   async_engine.run_for(std::chrono::milliseconds(1200));
   EXPECT_GT(async_ctrl.actions().size(), 0u);
