@@ -21,7 +21,7 @@ runtime::DataPathConfig path_config(const ClusterConfig& cfg) {
 
 Engine::Engine(Topology topology, ClusterConfig config)
     : DataPath(std::move(topology), config.machines * config.workers_per_machine,
-               config.machines, config.seed, path_config(config)),
+               config.machines, config.seed, path_config(config), runtime::P99Source::kExact),
       cfg_(config),
       network_(config.network, config.seed),
       rng_service_(config.seed, 0x51),

@@ -1,6 +1,7 @@
 #include "exp/reliability.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "control/controller_factory.hpp"
@@ -16,11 +17,6 @@ constexpr double kCrashHangSeconds = 1.5;
 ScenarioRunResult run_mode(const ScenarioSpec& spec, const std::string& mode,
                            const control::ControllerConfig& cfg,
                            const std::shared_ptr<control::PerformancePredictor>& predictor) {
-  if (mode == "nofault") {
-    ScenarioSpec clean = spec;
-    clean.faults.clear();
-    return run_scenario_with(clean, nullptr);
-  }
   if (mode == "stock") return run_scenario_with(spec, nullptr);
   if (mode == "oracle") {
     control::OracleController oracle(cfg.planner, cfg.control_interval);
@@ -100,40 +96,46 @@ std::size_t inject_reliability_fault(ScenarioSpec& spec, ReliabilityFault fault,
   return worker;
 }
 
+ScenarioRunResult run_nofault(const ScenarioSpec& spec) {
+  ScenarioSpec clean = spec;
+  clean.faults.clear();
+  return run_scenario_with(clean, nullptr);
+}
+
 std::vector<ReliabilityRun> evaluate_reliability(
     const ScenarioSpec& spec, const std::vector<std::string>& modes,
     const control::ControllerConfig& controller,
-    std::shared_ptr<control::PerformancePredictor> predictor) {
+    std::shared_ptr<control::PerformancePredictor> predictor,
+    const ScenarioRunResult* nofault) {
   if (spec.faults.empty()) {
     throw std::invalid_argument("evaluate_reliability: scenario " + spec.name +
                                 " injects no fault");
   }
   const double t0 = spec.faults.front().at + 5.0;
 
+  std::optional<ScenarioRunResult> own_nofault;
+  if (nofault == nullptr && std::find(modes.begin(), modes.end(), "nofault") != modes.end()) {
+    own_nofault = run_nofault(spec);
+    nofault = &*own_nofault;
+  }
+  const double ref_throughput = nofault ? mean_after(*nofault, t0, throughput) : 0.0;
+  const double ref_latency = nofault ? mean_after(*nofault, t0, latency) : 0.0;
+
   std::vector<ReliabilityRun> runs;
   for (const std::string& mode : modes) {
     ReliabilityRun r;
     r.mode = mode;
-    r.result = run_mode(spec, mode, controller, predictor);
+    r.result = mode == "nofault" ? *nofault : run_mode(spec, mode, controller, predictor);
     r.mean_throughput_after = mean_after(r.result, t0, throughput);
     r.mean_latency_after = mean_after(r.result, t0, latency);
-    runs.push_back(std::move(r));
-  }
-
-  auto ref = std::find_if(runs.begin(), runs.end(),
-                          [](const ReliabilityRun& r) { return r.mode == "nofault"; });
-  if (ref == runs.end()) return runs;
-  for (ReliabilityRun& r : runs) {
-    if (&r == &*ref) {
+    if (mode == "nofault") {
       r.throughput_ratio = 1.0;
       r.latency_inflation = 1.0;
     } else {
-      r.throughput_ratio = ref->mean_throughput_after > 0.0
-                               ? r.mean_throughput_after / ref->mean_throughput_after
-                               : 0.0;
-      r.latency_inflation =
-          ref->mean_latency_after > 0.0 ? r.mean_latency_after / ref->mean_latency_after : 0.0;
+      r.throughput_ratio = ref_throughput > 0.0 ? r.mean_throughput_after / ref_throughput : 0.0;
+      r.latency_inflation = ref_latency > 0.0 ? r.mean_latency_after / ref_latency : 0.0;
     }
+    runs.push_back(std::move(r));
   }
   return runs;
 }

@@ -41,8 +41,7 @@ std::size_t inject_reliability_fault(ScenarioSpec& spec, ReliabilityFault fault,
 
 /// One mode's run and its after-fault summary: means over the windows
 /// from 5 s after the spec's first fault on, and their ratios to the
-/// nofault run (1.0 for the nofault run itself; 0 when no nofault run
-/// was asked for).
+/// nofault run (1.0 for the nofault run itself; 0 when there is none).
 struct ReliabilityRun {
   std::string mode;
   ScenarioRunResult result;
@@ -52,15 +51,25 @@ struct ReliabilityRun {
   double latency_inflation = 0.0;
 };
 
+/// The fault-free reference of `spec`: the spec without its faults, run
+/// without control. Every spec that differs from `spec` only in its faults
+/// has the same one, so a fault sweep runs it once and passes it to each
+/// evaluate_reliability call.
+ScenarioRunResult run_nofault(const ScenarioSpec& spec);
+
 /// Run `spec` once per listed mode, in order, each through one
 /// run_scenario_with call. `controller` configures the framework,
 /// reactive and oracle arms; `predictor` is the fitted model the
 /// framework arm uses (required when "framework" is listed), so one model
-/// can serve a whole fault sweep. Throws std::invalid_argument on an
-/// unknown mode or a spec without faults.
+/// can serve a whole fault sweep. `nofault`, when given, is run_nofault of
+/// this spec, run earlier in the sweep: the "nofault" mode and the ratios
+/// reuse it instead of running it again. Without it, the ratios read 0
+/// unless "nofault" is listed. Throws std::invalid_argument on an unknown
+/// mode or a spec without faults.
 std::vector<ReliabilityRun> evaluate_reliability(
     const ScenarioSpec& spec, const std::vector<std::string>& modes,
     const control::ControllerConfig& controller = {},
-    std::shared_ptr<control::PerformancePredictor> predictor = nullptr);
+    std::shared_ptr<control::PerformancePredictor> predictor = nullptr,
+    const ScenarioRunResult* nofault = nullptr);
 
 }  // namespace repro::exp

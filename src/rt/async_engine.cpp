@@ -49,7 +49,8 @@ std::chrono::steady_clock::duration to_duration(double seconds) {
 }  // namespace
 
 AsyncEngine::AsyncEngine(dsps::Topology topology, AsyncConfig config)
-    : DataPath(std::move(topology), config.workers, 1, 0x9000, path_config(config)),
+    : DataPath(std::move(topology), config.workers, 1, 0x9000, path_config(config),
+               runtime::P99Source::kHistogram),
       config_(config) {
   tasks_.resize(core_.task_count());
   for (TaskAsync& t : tasks_) t.queue = std::make_unique<TaskQueue>();

@@ -11,11 +11,20 @@ namespace {
 thread_local const EventLoop* tl_loop = nullptr;
 thread_local std::size_t tl_slot = 0;
 
+/// Longest sleep with nothing due: belt and braces against a missed poke.
+constexpr auto kIdlePoll = std::chrono::milliseconds(250);
+
 std::int64_t to_ns(EventLoop::Clock::time_point tp) {
   if (tp == EventLoop::Clock::time_point::max()) {
     return std::numeric_limits<std::int64_t>::max();
   }
   return std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch()).count();
+}
+
+EventLoop::Clock::time_point from_ns(std::int64_t ns) {
+  if (ns == std::numeric_limits<std::int64_t>::max()) return EventLoop::Clock::time_point::max();
+  return EventLoop::Clock::time_point(
+      std::chrono::duration_cast<EventLoop::Clock::duration>(std::chrono::nanoseconds(ns)));
 }
 
 }  // namespace
@@ -188,27 +197,32 @@ EventLoopStats EventLoop::stats() const {
 }
 
 void EventLoop::push_ready(std::uint32_t task) {
-  // seq_cst pairs with the sleeper's seq_cst increment of sleepers_: either
-  // the producer sees the sleeper (and notifies), or the sleeper's re-check
-  // sees this increment — no lost wakeups (Dekker-style).
-  std::size_t depth = ready_count_.fetch_add(1, std::memory_order_seq_cst) + 1;
+  std::size_t depth = ready_count_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::size_t peak = ready_peak_.load(std::memory_order_relaxed);
   while (depth > peak &&
          !ready_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
   }
 
   if (tl_loop == this) {
+    // Locality first: the notifier runs the task after its current step.
+    // No wakeup — a sleeping peer would only take the task to another core;
+    // one stuck behind a long step is stolen once it has waited kStealAge.
+    const Clock::time_point now = Clock::now();
     LocalQueue& q = *local_[tl_slot];
     std::lock_guard<std::mutex> lk(q.mutex);
-    q.tasks.push_back(task);
-  } else {
-    // Lock-free MPSC-style injector push (Treiber stack over task ids; the
-    // state machine guarantees a task id is pushed at most once at a time).
-    std::uint32_t head = injector_head_.load(std::memory_order_relaxed);
-    do {
-      injector_next_[task].store(head, std::memory_order_relaxed);
-    } while (!injector_head_.compare_exchange_weak(head, task, std::memory_order_acq_rel));
+    q.tasks.push_back({task, now});
+    return;
   }
+
+  // Lock-free MPSC-style injector push (Treiber stack over task ids; the
+  // state machine guarantees a task id is pushed at most once at a time).
+  // seq_cst pairs with the sleeper's increment of sleepers_ and re-read of
+  // injector_head_: either this push sees the sleeper (and notifies), or the
+  // sleeper's re-read sees this push — no lost wakeups (Dekker-style).
+  std::uint32_t head = injector_head_.load(std::memory_order_relaxed);
+  do {
+    injector_next_[task].store(head, std::memory_order_relaxed);
+  } while (!injector_head_.compare_exchange_weak(head, task, std::memory_order_seq_cst));
 
   if (sleepers_.load(std::memory_order_seq_cst) > 0) {
     {
@@ -227,18 +241,21 @@ bool EventLoop::drain_injector(std::size_t self) {
     chain.push_back(head);
     head = injector_next_[head].load(std::memory_order_relaxed);
   }
+  const Clock::time_point now = Clock::now();
   LocalQueue& q = *local_[self];
   std::lock_guard<std::mutex> lk(q.mutex);
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) q.tasks.push_back(*it);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) q.tasks.push_back({*it, now});
   return true;
 }
 
-bool EventLoop::steal(std::size_t self, std::uint32_t& task) {
+bool EventLoop::steal(std::size_t self, Clock::time_point now, std::uint32_t& task) {
   for (std::size_t i = 1; i < threads_; ++i) {
     LocalQueue& victim = *local_[(self + i) % threads_];
     std::lock_guard<std::mutex> lk(victim.mutex);
-    if (!victim.tasks.empty()) {
-      task = victim.tasks.front();
+    // The front task is the queue's oldest: when it is too young to take,
+    // so is every task behind it.
+    if (!victim.tasks.empty() && now - victim.tasks.front().since >= kStealAge) {
+      task = victim.tasks.front().task;
       victim.tasks.pop_front();
       steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -247,12 +264,12 @@ bool EventLoop::steal(std::size_t self, std::uint32_t& task) {
   return false;
 }
 
-bool EventLoop::pop_ready(std::size_t self, std::uint32_t& task) {
+bool EventLoop::pop_ready(std::size_t self, Clock::time_point now, std::uint32_t& task) {
   LocalQueue& mine = *local_[self];
   {
     std::lock_guard<std::mutex> lk(mine.mutex);
     if (!mine.tasks.empty()) {
-      task = mine.tasks.front();
+      task = mine.tasks.front().task;
       mine.tasks.pop_front();
       ready_count_.fetch_sub(1, std::memory_order_relaxed);
       return true;
@@ -261,13 +278,13 @@ bool EventLoop::pop_ready(std::size_t self, std::uint32_t& task) {
   if (drain_injector(self)) {
     std::lock_guard<std::mutex> lk(mine.mutex);
     if (!mine.tasks.empty()) {
-      task = mine.tasks.front();
+      task = mine.tasks.front().task;
       mine.tasks.pop_front();
       ready_count_.fetch_sub(1, std::memory_order_relaxed);
       return true;
     }
   }
-  if (steal(self, task)) {
+  if (steal(self, now, task)) {
     ready_count_.fetch_sub(1, std::memory_order_relaxed);
     return true;
   }
@@ -334,7 +351,7 @@ void EventLoop::thread_main(std::size_t self) {
     }
 
     std::uint32_t task;
-    if (pop_ready(self, task)) {
+    if (pop_ready(self, now, task)) {
       if (just_woke) {
         wakeups_productive_.fetch_add(1, std::memory_order_relaxed);
         just_woke = false;
@@ -347,23 +364,22 @@ void EventLoop::thread_main(std::size_t self) {
       just_woke = false;
     }
 
-    std::int64_t next_ns = next_timer_ns_.load(std::memory_order_acquire);
-    Clock::time_point bound = now + std::chrono::milliseconds(250);
-    if (next_ns != std::numeric_limits<std::int64_t>::max()) {
-      Clock::time_point next(std::chrono::duration_cast<Clock::duration>(
-          std::chrono::nanoseconds(next_ns)));
-      bound = std::min(bound, next);
-    }
     std::unique_lock<std::mutex> lk(sleep_mutex_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (ready_count_.load(std::memory_order_seq_cst) > 0 ||
-        injector_head_.load(std::memory_order_acquire) != kNil ||
+    if (injector_head_.load(std::memory_order_seq_cst) != kNil ||
         !running_.load(std::memory_order_acquire)) {
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
       continue;
     }
-    // Bounded sleep (belt and braces against a missed poke), never past
-    // the earliest armed timer.
+    // Never sleep past the earliest armed timer. The deadline is read
+    // under the sleep mutex, which schedule_at holds while it arms one: an
+    // earlier timer armed after this read finds this thread counted in
+    // sleepers_ and pokes it.
+    Clock::time_point bound =
+        std::min(now + kIdlePoll, from_ns(next_timer_ns_.load(std::memory_order_relaxed)));
+    // A task waiting in a peer's queue becomes stealable at kStealAge; its
+    // owner may be stuck in a long step and nobody pokes for local pushes.
+    if (ready_count_.load(std::memory_order_relaxed) > 0) bound = std::min(bound, now + kStealAge);
     sleep_cv_.wait_until(lk, bound);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
     just_woke = true;

@@ -2,14 +2,20 @@
 // Work-stealing ready-queue scheduler for the async backend.
 //
 // Executors are *tasks*, not threads: an executor becomes runnable when an
-// enqueue event notifies it, runs a bounded step on whichever loop thread
-// picks it up, and goes back to idle (or suspends on backpressure) instead
-// of parking a dedicated thread on a per-queue condition variable. The loop
-// keeps per-thread local run queues plus a global lock-free MPSC injector
-// for notifications arriving from outside the loop, steals across threads
-// when a local queue runs dry, and drives deadlines (spout pacing, window
-// ticks) through a hashed timer wheel so a sleeping loop thread wakes
-// exactly when the next deadline is due.
+// enqueue event notifies it, runs a bounded step on a loop thread, and goes
+// back to idle (or suspends on backpressure) instead of parking a dedicated
+// thread on a per-queue condition variable. The loop keeps per-thread local
+// run queues plus a global lock-free MPSC injector for notifications
+// arriving from outside the loop, and drives deadlines (spout pacing,
+// window ticks) through a hashed timer wheel so a sleeping loop thread
+// wakes exactly when the next deadline is due.
+//
+// Locality first: a task notified from a loop thread joins that thread's
+// own queue and wakes nobody, so a batch's values, acker entries and frees
+// stay on the core that produced them. A peer steals a queued task only
+// once it has waited kStealAge, and a sleeping thread bounds its wait by
+// that age while any queue holds a task, so work stuck behind a long step
+// is still taken. Of the task pushes, only injector pushes wake a sleeper.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -78,6 +84,11 @@ class EventLoop {
     kSuspend,  ///< backpressure-gated; only resume() re-queues the task
   };
 
+  /// How long a task waits in its notifier's queue before a peer may steal
+  /// it: longer than a typical step, so the notifier almost always runs it
+  /// itself, and short enough that a task queued behind a long step moves.
+  static constexpr Clock::duration kStealAge = std::chrono::microseconds(50);
+
   /// Bounded task step: (task id, loop-thread index) -> what next.
   using RunFn = std::function<StepResult(std::uint32_t, std::size_t)>;
   /// Is the task still blocked? Re-checked right after a kSuspend step
@@ -141,16 +152,22 @@ class EventLoop {
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
+  struct Queued {
+    std::uint32_t task;
+    Clock::time_point since;  ///< when it joined this queue (steal age)
+  };
+
   struct LocalQueue {
     std::mutex mutex;
-    std::deque<std::uint32_t> tasks;
+    std::deque<Queued> tasks;
   };
 
   void push_ready(std::uint32_t task);
-  bool pop_ready(std::size_t self, std::uint32_t& task);
+  bool pop_ready(std::size_t self, Clock::time_point now, std::uint32_t& task);
   /// Drain the MPSC injector stack into `self`'s local queue (FIFO order).
   bool drain_injector(std::size_t self);
-  bool steal(std::size_t self, std::uint32_t& task);
+  /// Take the front task of a peer's queue that has waited kStealAge.
+  bool steal(std::size_t self, Clock::time_point now, std::uint32_t& task);
   void run_task(std::uint32_t task, std::size_t self);
   void thread_main(std::size_t self);
   /// Fire every due timer (notify()s the owners) and refresh the cached

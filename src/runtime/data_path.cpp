@@ -21,7 +21,7 @@ bool any_anchored(const TupleBatch& batch) {
 
 template <typename Lock>
 DataPath<Lock>::DataPath(dsps::Topology topology, std::size_t workers, std::size_t machines,
-                         std::uint64_t route_seed, DataPathConfig config)
+                         std::uint64_t route_seed, DataPathConfig config, P99Source p99)
     : topo_(std::move(topology)),
       assignment_(make_assignment(topo_, workers, machines)),
       path_cfg_(std::move(config)),
@@ -45,13 +45,12 @@ DataPath<Lock>::DataPath(dsps::Topology topology, std::size_t workers, std::size
         "whole, so a larger batch could never be admitted");
   }
   spout_cap_.store(path_cfg_.max_spout_pending, std::memory_order_relaxed);
+  w_topo_.p99_source = p99;
   paths_.reserve(core_.task_count());
   for (std::size_t task = 0; task < core_.task_count(); ++task) paths_.emplace_back(this, task);
 
   acker_.set_on_complete([this](std::uint64_t root, double latency, std::size_t spout_task) {
-    ++w_topo_.acked;
-    w_topo_.latency_sum += latency;
-    w_topo_.latencies.push_back(latency);
+    w_topo_.record_latency(latency);
     ++roots_.acked;
     roots_.latency_sum += latency;
     root_done(root, spout_task, true);

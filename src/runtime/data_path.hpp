@@ -120,10 +120,11 @@ class DataPath : public ControlSurface {
 
   /// Instantiate `topology` over `workers` workers on `machines` machines
   /// (dsps::interleaved_schedule), seeding the route groupings from
-  /// `route_seed`, and open its components. Throws std::invalid_argument
-  /// on no worker or on a data-path setting the flow policy cannot run.
+  /// `route_seed`, and open its components. `p99` says where the window's
+  /// p99 complete latency comes from. Throws std::invalid_argument on no
+  /// worker or on a data-path setting the flow policy cannot run.
   DataPath(dsps::Topology topology, std::size_t workers, std::size_t machines,
-           std::uint64_t route_seed, DataPathConfig config);
+           std::uint64_t route_seed, DataPathConfig config, P99Source p99);
 
   // --- what each engine supplies ----------------------------------------
   /// Count a batch of `n` tuples that `task` emitted (its window counters).

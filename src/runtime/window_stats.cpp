@@ -61,11 +61,16 @@ dsps::TopologyWindowStats finalize_topology_window(TopologyCounters& c, double w
   topo.throughput = static_cast<double>(c.acked) / window_seconds;
   topo.avg_complete_latency =
       c.acked > 0 ? c.latency_sum / static_cast<double>(c.acked) : 0.0;
-  if (!c.latencies.empty()) {
-    // Element floor(0.99 * (n - 1)) of the sorted latencies, found by
-    // selection in O(n) instead of a full sort.
-    auto idx = static_cast<std::size_t>(0.99 * static_cast<double>(c.latencies.size() - 1));
-    auto nth = c.latencies.begin() + static_cast<std::ptrdiff_t>(idx);
+  auto p99_rank = [](std::size_t n) {
+    return static_cast<std::size_t>(0.99 * static_cast<double>(n - 1));
+  };
+  if (c.p99_source == P99Source::kHistogram) {
+    if (c.latency_hist.count() > 0) {
+      topo.p99_complete_latency = c.latency_hist.element(p99_rank(c.latency_hist.count()));
+    }
+  } else if (!c.latencies.empty()) {
+    // Selection in O(n) instead of a full sort.
+    auto nth = c.latencies.begin() + static_cast<std::ptrdiff_t>(p99_rank(c.latencies.size()));
     std::nth_element(c.latencies.begin(), nth, c.latencies.end());
     topo.p99_complete_latency = *nth;
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dsps/metrics.hpp"
+#include "runtime/latency_histogram.hpp"
 
 namespace repro::runtime {
 
@@ -42,6 +43,16 @@ struct WorkerCounters {
   void reset() { *this = WorkerCounters{}; }
 };
 
+/// Where a window's p99 complete latency comes from; each engine picks one.
+enum class P99Source : std::uint8_t {
+  /// The exact element, selected from one entry per acked root. The
+  /// simulator's: its goldens pin the bits.
+  kExact,
+  /// A LatencyHistogram, within 1/128 of the exact element plus 1 ns, in
+  /// fixed memory whatever the ack rate. The event loop's.
+  kHistogram,
+};
+
 /// Raw topology-level counters for the current window.
 struct TopologyCounters {
   std::uint64_t roots_emitted = 0;
@@ -49,12 +60,26 @@ struct TopologyCounters {
   std::uint64_t failed = 0;
   std::uint64_t dropped_overflow = 0;  ///< summed over tasks this window
   double latency_sum = 0.0;
-  std::vector<double> latencies;  ///< per acked root, for the p99
+  P99Source p99_source = P99Source::kExact;  ///< kept across reset()
+  std::vector<double> latencies;  ///< per acked root (kExact)
+  LatencyHistogram latency_hist;  ///< kHistogram
+
+  /// Count one acked root's complete latency.
+  void record_latency(double latency) {
+    ++acked;
+    latency_sum += latency;
+    if (p99_source == P99Source::kExact) {
+      latencies.push_back(latency);
+    } else {
+      latency_hist.record(latency);
+    }
+  }
 
   void reset() {
     roots_emitted = acked = failed = dropped_overflow = 0;
     latency_sum = 0.0;
     latencies.clear();
+    latency_hist.clear();
   }
 };
 
@@ -72,8 +97,10 @@ dsps::WorkerWindowStats finalize_worker_window(std::size_t worker, std::size_t m
                                                std::size_t queue_len, double window_seconds);
 
 /// Fold the topology window counters into stats and reset them.
-/// `pending` is the number of in-flight roots at the boundary. Note:
-/// reorders (and then clears) `c.latencies` to select the p99.
+/// `pending` is the number of in-flight roots at the boundary. The p99 is
+/// element floor(0.99 * (n - 1)) of the window's n sorted latencies, read
+/// from `c.p99_source`. Note: reorders (and then clears) `c.latencies` to
+/// select it.
 dsps::TopologyWindowStats finalize_topology_window(TopologyCounters& c, double window_seconds,
                                                    std::uint64_t pending);
 

@@ -90,5 +90,31 @@ TEST(Reliability, SeriesWellFormed) {
   for (const auto& r : runs) EXPECT_EQ(r.result.history.size(), 40u) << r.mode;
 }
 
+TEST(Reliability, PassedInReferenceGivesTheSameSummary) {
+  // A sweep runs the fault-free reference once and passes it in: the
+  // summary must read as if each call had run it again, for a different
+  // fault on the same course too.
+  ScenarioSpec spec = harness_spec(18, 30.0);
+  inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 10.0, 6.0);
+  const ScenarioRunResult nofault = run_nofault(spec);
+  for (ReliabilityFault fault : {ReliabilityFault::kSlowdown, ReliabilityFault::kDrop}) {
+    ScenarioSpec faulted = spec;
+    inject_reliability_fault(faulted, fault, 10.0, fault == ReliabilityFault::kDrop ? 0.3 : 4.0);
+    const auto own = evaluate_reliability(faulted, {"nofault", "stock"});
+    const auto reused = evaluate_reliability(faulted, {"nofault", "stock"}, {}, nullptr, &nofault);
+    ASSERT_EQ(reused.size(), 2u);
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      EXPECT_EQ(reused[i].mode, own[i].mode);
+      EXPECT_EQ(reused[i].mean_throughput_after, own[i].mean_throughput_after) << own[i].mode;
+      EXPECT_EQ(reused[i].mean_latency_after, own[i].mean_latency_after) << own[i].mode;
+      EXPECT_EQ(reused[i].throughput_ratio, own[i].throughput_ratio) << own[i].mode;
+      EXPECT_EQ(reused[i].latency_inflation, own[i].latency_inflation) << own[i].mode;
+    }
+    // Without the nofault row, the passed-in reference still sets the ratios.
+    const auto stock_only = evaluate_reliability(faulted, {"stock"}, {}, nullptr, &nofault);
+    EXPECT_EQ(stock_only.at(0).throughput_ratio, own[1].throughput_ratio);
+  }
+}
+
 }  // namespace
 }  // namespace repro::exp

@@ -51,6 +51,9 @@ TEST(ReactiveMode, EvaluationFailsClosed) {
   EXPECT_THROW(evaluate_reliability(spec, {"framework"}), std::invalid_argument);
   spec.faults.clear();
   EXPECT_THROW(evaluate_reliability(spec, {"stock"}), std::invalid_argument);
+  const ScenarioRunResult reference{};
+  EXPECT_THROW(evaluate_reliability(spec, {"stock"}, {}, nullptr, &reference),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -140,6 +140,48 @@ TEST(AsyncEngine, MeanLatencyIsPlausible) {
   EXPECT_LT(latency, 0.5);  // relays are trivial; anything near 500ms is a bug
 }
 
+/// Busy-waits a fixed time per tuple, so every root's complete latency is
+/// at least that long.
+class SpinBolt : public dsps::Bolt {
+ public:
+  static constexpr auto kSpin = std::chrono::microseconds(300);
+  void execute(const dsps::Tuple&, dsps::OutputCollector&) override {
+    const auto until = std::chrono::steady_clock::now() + kSpin;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+};
+
+TEST(AsyncEngine, WindowP99ComesFromTheLatencyHistogram) {
+  // The engine reads each window's p99 from a fixed-memory histogram,
+  // within 1/128 (plus 1 ns) of the exact element. Every root here spends
+  // at least kSpin in service, so no window with acks can read less than
+  // kSpin minus that error, and a window without acks reads 0.
+  dsps::TopologyBuilder b("async-p99");
+  b.set_spout("src", [] { return std::make_unique<CountingSpout>(500.0); });
+  b.set_bolt("spin", [] { return std::make_unique<SpinBolt>(); }).shuffle_grouping("src");
+  AsyncConfig cfg;
+  cfg.workers = 1;
+  cfg.window_seconds = 0.05;
+  AsyncEngine engine(b.build(), cfg);
+  engine.run_for(std::chrono::milliseconds(500));
+
+  const double spin = std::chrono::duration<double>(SpinBolt::kSpin).count();
+  std::size_t with_acks = 0;
+  for (const dsps::WindowSample& w : engine.history()) {
+    if (w.topology.acked == 0) {
+      EXPECT_EQ(w.topology.p99_complete_latency, 0.0) << "t = " << w.time;
+      continue;
+    }
+    ++with_acks;
+    EXPECT_GE(w.topology.avg_complete_latency, spin) << "t = " << w.time;
+    EXPECT_GE(w.topology.p99_complete_latency, spin * (1.0 - 1.0 / 128.0) - 1e-9)
+        << "t = " << w.time;
+    EXPECT_LT(w.topology.p99_complete_latency, cfg.ack_timeout) << "t = " << w.time;
+  }
+  EXPECT_GE(with_acks, 5u);
+}
+
 TEST(AsyncEngine, StopIsIdempotentAndRestartForbidden) {
   AsyncConfig cfg;
   cfg.workers = 1;

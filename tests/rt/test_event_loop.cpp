@@ -1,7 +1,9 @@
 // Unit tests for the async scheduler primitives in isolation: the
-// TimerWheel's expiry arithmetic and the EventLoop's task state machine
+// TimerWheel's expiry arithmetic, the EventLoop's task state machine
 // (notify dedupe, single-runner guarantee, suspend/resume without lost
-// wakeups) — the properties the AsyncEngine's correctness rests on.
+// wakeups) — the properties the AsyncEngine's correctness rests on — and
+// its locality-first queueing (a notified task stays on its notifier's
+// thread, peers steal only work that has waited).
 #include "rt/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +22,8 @@ using std::chrono::milliseconds;
 // Suspend check for loops whose tasks never suspend, or stay suspended
 // until an explicit resume(): no wake condition, so always still blocked.
 bool blocked_until_resume(std::uint32_t) { return true; }
+
+constexpr std::size_t kNoSlot = ~std::size_t{0};
 
 TEST(TimerWheel, FiresDueEntriesAndReportsNextDeadline) {
   TimerWheel wheel(milliseconds(1), 16);
@@ -220,6 +224,8 @@ TEST(EventLoop, GateReleaseRacingSuspendIsNotLost) {
 TEST(EventLoop, YieldRequeuesForFairness) {
   // One task yields 5 times then idles; a second task must get cycles
   // interleaved on the single thread (it runs before the yielder drains).
+  // Both are notified before start(), so the queue order is fixed: the
+  // yielder first, its yields behind the second task.
   std::atomic<int> yields_left{5};
   std::atomic<bool> other_ran{false};
   std::atomic<bool> other_ran_before_drain{false};
@@ -232,9 +238,9 @@ TEST(EventLoop, YieldRequeuesForFairness) {
     return yields_left.fetch_sub(1) > 1 ? EventLoop::StepResult::kYield
                                         : EventLoop::StepResult::kIdle;
   }, blocked_until_resume);
-  loop.start();
   loop.notify(0);
   loop.notify(1);
+  loop.start();
   std::this_thread::sleep_for(milliseconds(100));
   loop.stop();
   EXPECT_TRUE(other_ran.load());
@@ -243,6 +249,11 @@ TEST(EventLoop, YieldRequeuesForFairness) {
 }
 
 TEST(EventLoop, TimersNotifyOwnersNearDeadline) {
+  // The timer is armed while the fresh loop thread may be on its way to
+  // its first park. The thread reads the earliest deadline under the
+  // sleep mutex that schedule_at holds, so it either sleeps until this
+  // deadline or is already counted as a sleeper and gets poked: its wait
+  // never runs the full idle poll past the deadline.
   std::atomic<int> runs{0};
   Clock::time_point fired_at{};
   EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
@@ -252,11 +263,256 @@ TEST(EventLoop, TimersNotifyOwnersNearDeadline) {
   loop.start();
   Clock::time_point deadline = Clock::now() + milliseconds(30);
   loop.schedule_at(0, deadline);
-  std::this_thread::sleep_for(milliseconds(150));
+  const Clock::time_point give_up = deadline + milliseconds(2000);
+  while (runs.load() == 0 && Clock::now() < give_up) std::this_thread::sleep_for(milliseconds(1));
   loop.stop();
   ASSERT_GE(runs.load(), 1);
   EXPECT_GE(fired_at + milliseconds(2), deadline) << "timer fired way too early";
   EXPECT_LE(fired_at, deadline + milliseconds(100)) << "timer fired way too late";
+}
+
+/// Spin until `done()` holds; false after two seconds without it.
+template <typename Done>
+bool wait_for(Done done) {
+  const Clock::time_point give_up = Clock::now() + milliseconds(2000);
+  while (!done()) {
+    if (Clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(EventLoop, NotifyFromAStepRunsOnTheNotifyingThread) {
+  // Locality first: task 0 notifies task 1 from inside its step, so task 1
+  // joins that thread's own queue and runs there right after the step,
+  // long before a peer could steal it. Only a notifier descheduled for the
+  // whole steal age can lose its task, and never to a peer before the
+  // task has waited kStealAge.
+  constexpr int kRounds = 200;
+  std::atomic<std::size_t> notifier_slot{0};
+  std::atomic<std::size_t> runner_slot{0};
+  std::atomic<int> done{0};
+  Clock::time_point notified_at{};  // written before the notify, read by task 1
+  std::atomic<std::int64_t> waited_ns{0};
+  EventLoop loop(2, 2, [&](std::uint32_t task, std::size_t slot) {
+    if (task == 0) {
+      notifier_slot.store(slot);
+      notified_at = Clock::now();
+      loop.notify(1);
+    } else {
+      waited_ns.store(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - notified_at).count());
+      runner_slot.store(slot);
+      done.fetch_add(1);
+    }
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  int local = 0;
+  int stolen_young = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    loop.notify(0);
+    ASSERT_TRUE(wait_for([&] { return done.load() == round + 1; })) << "round " << round;
+    if (runner_slot.load() == notifier_slot.load()) {
+      ++local;
+    } else if (std::chrono::nanoseconds(waited_ns.load()) < EventLoop::kStealAge) {
+      ++stolen_young;
+    }
+  }
+  loop.stop();
+  EXPECT_EQ(stolen_young, 0) << "rounds whose task a peer took before the steal age";
+  EXPECT_GE(local, kRounds * 9 / 10) << "rounds whose task ran on its notifier's thread";
+}
+
+TEST(EventLoop, AwakePeerLeavesAFreshTaskToItsNotifier) {
+  // Task 0 notifies task 1 and returns 5 us later. The other thread is
+  // awake in task 2 until the push lands, so it looks at task 1 at once.
+  // It must leave it: a peer steals only a task that has waited, and the
+  // notifier is back at its queue within microseconds. No round may see
+  // task 1 taken elsewhere before it waited kFresh; the notifier runs it
+  // in nearly every round (only a notifier descheduled for the whole
+  // steal age loses it).
+  constexpr int kRounds = 200;
+  constexpr auto kFresh = std::chrono::microseconds(10);
+  std::atomic<int> round_started{-1};
+  std::atomic<bool> watching{false};
+  std::atomic<bool> pushed{false};
+  std::atomic<int> round_done{-1};
+  std::atomic<int> watch_done{-1};
+  std::atomic<std::size_t> notifier_slot{kNoSlot};
+  std::atomic<std::size_t> runner_slot{kNoSlot};
+  std::atomic<std::int64_t> waited_ns{0};
+  Clock::time_point pushed_at{};  // written before `pushed`, read after it
+  EventLoop loop(2, 3, [&](std::uint32_t task, std::size_t slot) {
+    const Clock::time_point give_up = Clock::now() + milliseconds(2000);
+    if (task == 0) {
+      notifier_slot.store(slot);
+      round_started.fetch_add(1);
+      while (!watching.load() && Clock::now() < give_up) {
+      }
+      pushed_at = Clock::now();
+      loop.notify(1);
+      pushed.store(true);
+      const Clock::time_point until = Clock::now() + std::chrono::microseconds(5);
+      while (Clock::now() < until) {
+      }
+    } else if (task == 1) {
+      while (!pushed.load()) {
+      }
+      waited_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                                           pushed_at)
+                          .count());
+      runner_slot.store(slot);
+      round_done.fetch_add(1);
+    } else {
+      watching.store(true);
+      while (!pushed.load() && Clock::now() < give_up) {
+      }
+      watch_done.fetch_add(1);
+    }
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  int stolen_fresh = 0;
+  int local = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    watching.store(false);
+    pushed.store(false);
+    loop.notify(0);
+    ASSERT_TRUE(wait_for([&] { return round_started.load() == round; })) << "round " << round;
+    loop.notify(2);  // the notifier is busy: this wakes the other thread
+    // Task 2 must have seen the push before the next round resets it.
+    ASSERT_TRUE(wait_for([&] { return round_done.load() == round && watch_done.load() == round; }))
+        << "round " << round;
+    if (runner_slot.load() == notifier_slot.load()) {
+      ++local;
+    } else if (std::chrono::nanoseconds(waited_ns.load()) < kFresh) {
+      ++stolen_fresh;
+    }
+  }
+  loop.stop();
+  EXPECT_EQ(stolen_fresh, 0) << "rounds whose task an awake peer took before it had waited";
+  EXPECT_GE(local, kRounds * 9 / 10) << "rounds whose notifier ran its task itself";
+}
+
+TEST(EventLoop, TaskBehindALongStepIsStolenOnceItHasWaited) {
+  // Task 0 notifies task 1 and then runs a 5 ms step, so task 1 waits in
+  // that thread's queue. The other thread, busy in task 2 when the push
+  // lands, finds task 1 too young to steal and parks, but only for the
+  // steal age, because a queue holds a task. It takes task 1 once it has
+  // waited kStealAge: no earlier, and long before the step ends.
+  constexpr auto kLongStep = milliseconds(5);
+  std::atomic<std::size_t> long_slot{kNoSlot};
+  std::atomic<std::size_t> ran_slot{kNoSlot};
+  std::atomic<bool> watching{false};
+  std::atomic<bool> pushed{false};
+  std::atomic<bool> step_over{false};
+  std::atomic<bool> ran_during_step{false};
+  Clock::time_point pushed_at{};  // read after stop(), which joins the writers
+  Clock::time_point ran_at{};
+  EventLoop loop(2, 3, [&](std::uint32_t task, std::size_t slot) {
+    const Clock::time_point give_up = Clock::now() + milliseconds(2000);
+    if (task == 0) {
+      long_slot.store(slot);
+      while (!watching.load() && Clock::now() < give_up) {
+      }
+      pushed_at = Clock::now();
+      loop.notify(1);
+      pushed.store(true);
+      std::this_thread::sleep_for(kLongStep);
+      step_over.store(true);
+    } else if (task == 1) {
+      ran_at = Clock::now();
+      ran_during_step.store(!step_over.load());
+      ran_slot.store(slot);
+    } else {
+      // Keep the other thread awake until the push lands, so its first
+      // look at task 1 comes before the steal age.
+      watching.store(true);
+      while (!pushed.load() && Clock::now() < give_up) {
+      }
+    }
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  loop.notify(0);
+  ASSERT_TRUE(wait_for([&] { return long_slot.load() != kNoSlot; }));
+  loop.notify(2);  // the thread running task 0 is busy: this wakes the other
+  ASSERT_TRUE(wait_for([&] { return ran_slot.load() != kNoSlot; }));
+  loop.stop();
+  EXPECT_NE(ran_slot.load(), long_slot.load()) << "task 1 waited for the long step to end";
+  EXPECT_GE(ran_at - pushed_at, EventLoop::kStealAge) << "stolen before the steal age";
+  EXPECT_TRUE(ran_during_step.load()) << "task 1 ran only after the 5 ms step";
+}
+
+TEST(EventLoop, LocalNotifyBurstDrainedByItsNotifierWakesNobody) {
+  // Task 0 notifies a burst of tasks from its step. They join the
+  // notifier's own queue and it runs them all, while the parked peer stays
+  // parked: the only wakeup is the one task 0's external notify made.
+  constexpr std::uint32_t kBurst = 16;
+  std::atomic<std::size_t> notifier_slot{kNoSlot};
+  std::vector<std::atomic<std::size_t>> slot_of(kBurst + 1);
+  std::atomic<std::uint32_t> ran{0};
+  EventLoop loop(2, kBurst + 1, [&](std::uint32_t task, std::size_t slot) {
+    if (task == 0) {
+      notifier_slot.store(slot);
+      for (std::uint32_t t = 1; t <= kBurst; ++t) loop.notify(t);
+    } else {
+      // Long enough that a woken peer would find the burst's tail old
+      // enough to steal.
+      const Clock::time_point until = Clock::now() + std::chrono::microseconds(10);
+      while (Clock::now() < until) {
+      }
+      slot_of[task].store(slot);
+      ran.fetch_add(1);
+    }
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  std::this_thread::sleep_for(milliseconds(50));  // both threads park
+  const EventLoopStats before = loop.stats();
+  loop.notify(0);
+  ASSERT_TRUE(wait_for([&] { return ran.load() == kBurst; }));
+  // Give a wrongly woken peer time to register its wakeup, well inside
+  // the parked threads' idle poll.
+  std::this_thread::sleep_for(milliseconds(20));
+  const EventLoopStats after = loop.stats();
+  loop.stop();
+  EXPECT_EQ(after.wakeups_productive - before.wakeups_productive, 1u)
+      << "only the external notify of task 0 wakes a thread";
+  EXPECT_EQ(after.wakeups_spurious - before.wakeups_spurious, 0u);
+  EXPECT_EQ(after.steals - before.steals, 0u);
+  for (std::uint32_t t = 1; t <= kBurst; ++t) {
+    EXPECT_EQ(slot_of[t].load(), notifier_slot.load()) << "task " << t;
+  }
+}
+
+TEST(EventLoop, ExternalNotifyRacingAParkAlwaysRuns) {
+  // The Dekker pair between an injector push and a parking thread's
+  // re-read of the injector: a notify that lands while the only loop
+  // thread is on its way to sleep must still run. Each round sweeps the
+  // next notify across the park with a different delay.
+  std::atomic<std::uint64_t> runs{0};
+  EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  constexpr int kRounds = 100000;
+  int lost_round = -1;
+  for (int round = 0; round < kRounds && lost_round < 0; ++round) {
+    const std::uint64_t before = runs.load(std::memory_order_relaxed);
+    loop.notify(0);
+    if (!wait_for([&] { return runs.load(std::memory_order_relaxed) != before; })) {
+      lost_round = round;
+    }
+    const Clock::time_point next = Clock::now() + std::chrono::nanoseconds(round % 2000);
+    while (Clock::now() < next) {
+    }
+  }
+  loop.stop();
+  EXPECT_EQ(lost_round, -1) << "a notify never ran";
+  EXPECT_EQ(runs.load(), static_cast<std::uint64_t>(kRounds));
 }
 
 TEST(EventLoop, CountsStealsAcrossThreads) {

@@ -65,7 +65,7 @@ class HandPath : public DataPath<NoLock> {
   };
 
   HandPath(dsps::Topology topology, DataPathConfig config)
-      : DataPath(std::move(topology), 2, 1, 7, config) {}
+      : DataPath(std::move(topology), 2, 1, 7, config, P99Source::kExact) {}
 
   std::string backend_name() const override { return "hand"; }
   double now_seconds() const override { return now; }
