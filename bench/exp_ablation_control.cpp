@@ -31,7 +31,7 @@ int main() {
       cfg.detector.threshold = threshold;
       cfg.control_interval = interval;
       const exp::ReliabilityRun framework =
-          exp::evaluate_reliability(spec, {"framework"}, cfg, predictor, &nofault).front();
+          exp::evaluate_reliability(spec, nofault, {"framework"}, cfg, predictor).front();
       // Detection transient: worst window latency in the 25s after injection.
       double peak = 0.0;
       for (const auto& w : framework.result.history) {

@@ -57,8 +57,8 @@ int main() {
     spec.replay_on_failure = c.replay;
     exp::inject_reliability_fault(spec, exp::ReliabilityFault::kCrash, fault_time, c.outage);
     for (const auto& r : exp::evaluate_reliability(
-             spec, {"stock", "framework", "oracle"}, {}, predictor,
-             c.replay ? &nofault_replay : &nofault_no_replay)) {
+             spec, c.replay ? nofault_replay : nofault_no_replay,
+             {"stock", "framework", "oracle"}, {}, predictor)) {
       const dsps::EngineTotals& t = r.result.totals;
       table.add_row({c.label, r.mode, common::format_double(r.throughput_ratio, 3),
                      common::format_double(r.latency_inflation, 2), std::to_string(t.failed),

@@ -22,8 +22,9 @@ int main() {
       exp::inject_reliability_fault(spec, exp::ReliabilityFault::kSlowdown, fault_time, 6.0);
 
   std::printf("pretraining DRNN + running nofault/stock/framework/oracle...\n");
+  auto predictor = exp::make_scenario_predictor(spec);
   std::vector<exp::ReliabilityRun> runs = exp::evaluate_reliability(
-      spec, {"nofault", "stock", "framework", "oracle"}, {}, exp::make_scenario_predictor(spec));
+      spec, exp::run_nofault(spec), {"nofault", "stock", "framework", "oracle"}, {}, predictor);
   std::printf("faulted worker: %zu (6x slowdown ramped in at t=%.0fs)\n\n", worker, fault_time);
 
   const auto& nofault = runs[0].result.history;

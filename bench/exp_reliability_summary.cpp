@@ -45,7 +45,7 @@ int main() {
     exp::ScenarioSpec spec = base;
     exp::inject_reliability_fault(spec, c.fault, fault_time, c.magnitude);
     for (const auto& r : exp::evaluate_reliability(
-             spec, {"stock", "framework", "reactive", "oracle"}, {}, predictor, &nofault)) {
+             spec, nofault, {"stock", "framework", "reactive", "oracle"}, {}, predictor)) {
       table.add_row({c.label, r.mode, common::format_double(r.throughput_ratio, 3),
                      common::format_double(r.latency_inflation, 2),
                      std::to_string(r.result.totals.failed),

@@ -28,8 +28,9 @@ int main() {
               "stock vs framework with a 6x slowdown injected at t=%.0fs...\n\n",
               spec.train_duration, fault_time);
   // No oracle run: keeps the demo quick.
+  auto predictor = exp::make_scenario_predictor(spec);
   std::vector<exp::ReliabilityRun> runs = exp::evaluate_reliability(
-      spec, {"nofault", "stock", "framework"}, {}, exp::make_scenario_predictor(spec));
+      spec, exp::run_nofault(spec), {"nofault", "stock", "framework"}, {}, predictor);
 
   std::printf("faulted worker: %zu\n\n", worker);
   common::Table table({"t(s)", "nofault tput", "stock tput", "framework tput", "stock lat(ms)",

@@ -1,7 +1,6 @@
 #include "exp/reliability.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 #include "control/controller_factory.hpp"
@@ -103,29 +102,22 @@ ScenarioRunResult run_nofault(const ScenarioSpec& spec) {
 }
 
 std::vector<ReliabilityRun> evaluate_reliability(
-    const ScenarioSpec& spec, const std::vector<std::string>& modes,
-    const control::ControllerConfig& controller,
-    std::shared_ptr<control::PerformancePredictor> predictor,
-    const ScenarioRunResult* nofault) {
+    const ScenarioSpec& spec, const ScenarioRunResult& nofault,
+    const std::vector<std::string>& modes, const control::ControllerConfig& controller,
+    std::shared_ptr<control::PerformancePredictor> predictor) {
   if (spec.faults.empty()) {
     throw std::invalid_argument("evaluate_reliability: scenario " + spec.name +
                                 " injects no fault");
   }
   const double t0 = spec.faults.front().at + 5.0;
-
-  std::optional<ScenarioRunResult> own_nofault;
-  if (nofault == nullptr && std::find(modes.begin(), modes.end(), "nofault") != modes.end()) {
-    own_nofault = run_nofault(spec);
-    nofault = &*own_nofault;
-  }
-  const double ref_throughput = nofault ? mean_after(*nofault, t0, throughput) : 0.0;
-  const double ref_latency = nofault ? mean_after(*nofault, t0, latency) : 0.0;
+  const double ref_throughput = mean_after(nofault, t0, throughput);
+  const double ref_latency = mean_after(nofault, t0, latency);
 
   std::vector<ReliabilityRun> runs;
   for (const std::string& mode : modes) {
     ReliabilityRun r;
     r.mode = mode;
-    r.result = mode == "nofault" ? *nofault : run_mode(spec, mode, controller, predictor);
+    r.result = mode == "nofault" ? nofault : run_mode(spec, mode, controller, predictor);
     r.mean_throughput_after = mean_after(r.result, t0, throughput);
     r.mean_latency_after = mean_after(r.result, t0, latency);
     if (mode == "nofault") {

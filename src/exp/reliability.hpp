@@ -41,7 +41,7 @@ std::size_t inject_reliability_fault(ScenarioSpec& spec, ReliabilityFault fault,
 
 /// One mode's run and its after-fault summary: means over the windows
 /// from 5 s after the spec's first fault on, and their ratios to the
-/// nofault run (1.0 for the nofault run itself; 0 when there is none).
+/// nofault run (1.0 for the nofault run itself).
 struct ReliabilityRun {
   std::string mode;
   ScenarioRunResult result;
@@ -58,18 +58,16 @@ struct ReliabilityRun {
 ScenarioRunResult run_nofault(const ScenarioSpec& spec);
 
 /// Run `spec` once per listed mode, in order, each through one
-/// run_scenario_with call. `controller` configures the framework,
-/// reactive and oracle arms; `predictor` is the fitted model the
-/// framework arm uses (required when "framework" is listed), so one model
-/// can serve a whole fault sweep. `nofault`, when given, is run_nofault of
-/// this spec, run earlier in the sweep: the "nofault" mode and the ratios
-/// reuse it instead of running it again. Without it, the ratios read 0
-/// unless "nofault" is listed. Throws std::invalid_argument on an unknown
-/// mode or a spec without faults.
+/// run_scenario_with call, and summarize each against `nofault`, which is
+/// run_nofault of this spec (the "nofault" mode reports it as is).
+/// `controller` configures the framework, reactive and oracle arms;
+/// `predictor` is the fitted model the framework arm uses (required when
+/// "framework" is listed), so one model can serve a whole fault sweep.
+/// Throws std::invalid_argument on an unknown mode or a spec without
+/// faults.
 std::vector<ReliabilityRun> evaluate_reliability(
-    const ScenarioSpec& spec, const std::vector<std::string>& modes,
-    const control::ControllerConfig& controller = {},
-    std::shared_ptr<control::PerformancePredictor> predictor = nullptr,
-    const ScenarioRunResult* nofault = nullptr);
+    const ScenarioSpec& spec, const ScenarioRunResult& nofault,
+    const std::vector<std::string>& modes, const control::ControllerConfig& controller = {},
+    std::shared_ptr<control::PerformancePredictor> predictor = nullptr);
 
 }  // namespace repro::exp

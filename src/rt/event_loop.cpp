@@ -41,7 +41,11 @@ std::size_t TimerWheel::slot_of(Clock::time_point when) const {
 }
 
 void TimerWheel::schedule(std::uint32_t task, Clock::time_point when) {
-  slots_[slot_of(when)].push_back(Entry{task, when});
+  // A deadline the cursor has passed (computed from a clock read taken
+  // before another thread advanced the wheel) goes into the cursor's own
+  // slot, which the next advance visits; its own slot would wait a whole
+  // revolution.
+  slots_[slot_of(std::max(when, last_advance_))].push_back(Entry{task, when});
   ++count_;
 }
 
@@ -192,12 +196,14 @@ EventLoopStats EventLoop::stats() const {
   s.wakeups_productive = wakeups_productive_.load(std::memory_order_relaxed);
   s.wakeups_spurious = wakeups_spurious_.load(std::memory_order_relaxed);
   s.steals = steals_.load(std::memory_order_relaxed);
+  s.watch_pokes = watch_pokes_.load(std::memory_order_relaxed);
   s.ready_peak = ready_peak_.load(std::memory_order_relaxed);
   return s;
 }
 
 void EventLoop::push_ready(std::uint32_t task) {
-  std::size_t depth = ready_count_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // seq_cst: pairs with leave_watch's release of the watch (see there).
+  std::size_t depth = ready_count_.fetch_add(1, std::memory_order_seq_cst) + 1;
   std::size_t peak = ready_peak_.load(std::memory_order_relaxed);
   while (depth > peak &&
          !ready_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
@@ -205,12 +211,16 @@ void EventLoop::push_ready(std::uint32_t task) {
 
   if (tl_loop == this) {
     // Locality first: the notifier runs the task after its current step.
-    // No wakeup — a sleeping peer would only take the task to another core;
-    // one stuck behind a long step is stolen once it has waited kStealAge.
+    // A woken peer would only take the task to another core; one stuck
+    // behind a long step is stolen once it has waited kStealAge, which the
+    // watcher sees to.
     const Clock::time_point now = Clock::now();
-    LocalQueue& q = *local_[tl_slot];
-    std::lock_guard<std::mutex> lk(q.mutex);
-    q.tasks.push_back({task, now});
+    {
+      LocalQueue& q = *local_[tl_slot];
+      std::lock_guard<std::mutex> lk(q.mutex);
+      q.tasks.push_back({task, now});
+    }
+    request_watch();
     return;
   }
 
@@ -242,9 +252,13 @@ bool EventLoop::drain_injector(std::size_t self) {
     head = injector_next_[head].load(std::memory_order_relaxed);
   }
   const Clock::time_point now = Clock::now();
-  LocalQueue& q = *local_[self];
-  std::lock_guard<std::mutex> lk(q.mutex);
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) q.tasks.push_back({*it, now});
+  {
+    LocalQueue& q = *local_[self];
+    std::lock_guard<std::mutex> lk(q.mutex);
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) q.tasks.push_back({*it, now});
+  }
+  // All but the first wait behind this thread's next step, like local pushes.
+  if (chain.size() > 1) request_watch();
   return true;
 }
 
@@ -262,6 +276,88 @@ bool EventLoop::steal(std::size_t self, Clock::time_point now, std::uint32_t& ta
     }
   }
   return false;
+}
+
+bool EventLoop::oldest_peer_front(std::size_t self, Clock::time_point& since) {
+  bool found = false;
+  for (std::size_t i = 1; i < threads_; ++i) {
+    LocalQueue& peer = *local_[(self + i) % threads_];
+    std::lock_guard<std::mutex> lk(peer.mutex);
+    if (!peer.tasks.empty() && (!found || peer.tasks.front().since < since)) {
+      since = peer.tasks.front().since;
+      found = true;
+    }
+  }
+  return found;
+}
+
+// The watch. While any queue holds a task, either some thread holds the
+// watch (watcher_ is its slot, or kWatchPoked while a poked sleeper is on
+// its way to take it) or no thread sleeps, so every task is looked at once
+// it has waited about kStealAge. A parked watcher sleeps until the oldest
+// peer front's stamp plus the age, which steal() tests; other parked
+// threads sleep until a timer or an injector push.
+//
+// The queue mutex orders a local push against a parking thread's scan:
+// either the scan sees the task, or the parking thread counted itself in
+// sleepers_ before it and the pusher, reading sleepers_ after its push,
+// finds no watcher and pokes. A watcher that lets go does so before its
+// last look at the queues: it clears watcher_ (seq_cst) and then reads
+// ready_count_ (seq_cst), while a pusher increments ready_count_ (seq_cst)
+// and then reads watcher_ (seq_cst). In the single order of those four
+// operations one side sees the other and pokes a sleeper.
+
+void EventLoop::poke_sleeper() {
+  watch_pokes_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(sleep_mutex_);
+  }
+  sleep_cv_.notify_one();
+}
+
+void EventLoop::request_watch() {
+  if (watcher_.load(std::memory_order_seq_cst) != kNoWatcher ||
+      sleepers_.load(std::memory_order_seq_cst) == 0) {
+    return;
+  }
+  std::size_t expected = kNoWatcher;
+  if (watcher_.compare_exchange_strong(expected, kWatchPoked, std::memory_order_seq_cst)) {
+    poke_sleeper();
+  }
+}
+
+bool EventLoop::take_watch(std::size_t self, Clock::time_point now, Clock::time_point& until) {
+  std::size_t w = watcher_.load(std::memory_order_seq_cst);
+  if (w != self && w != kNoWatcher && w != kWatchPoked) return false;  // a peer watches
+  // ready_count_ after this thread's count in sleepers_ (both seq_cst): a
+  // pusher that increments it too late for this read finds the sleeper.
+  Clock::time_point oldest;
+  bool queued = ready_count_.load(std::memory_order_seq_cst) > 0 && oldest_peer_front(self, oldest);
+  if (!queued && w == self) {
+    // Let go, then look once more: a push the first look missed either
+    // shows now or finds the watch free and pokes.
+    watcher_.store(kNoWatcher, std::memory_order_seq_cst);
+    w = kNoWatcher;
+    queued = ready_count_.load(std::memory_order_seq_cst) > 0 && oldest_peer_front(self, oldest);
+  }
+  if (queued) {
+    until = oldest + kStealAge;
+  } else if (w == kWatchPoked) {
+    // Poked for a push its notifier has run since: watch one age anyway,
+    // so the notifier's next pushes do not poke once each.
+    until = now + kStealAge;
+  } else {
+    return false;
+  }
+  if (w != self) watcher_.store(self, std::memory_order_seq_cst);
+  return true;
+}
+
+void EventLoop::leave_watch(std::size_t self, bool just_woke) {
+  std::size_t w = watcher_.load(std::memory_order_relaxed);
+  if (w != self && !(just_woke && w == kWatchPoked)) return;
+  if (!watcher_.compare_exchange_strong(w, kNoWatcher, std::memory_order_seq_cst)) return;
+  if (ready_count_.load(std::memory_order_seq_cst) > 0) request_watch();
 }
 
 bool EventLoop::pop_ready(std::size_t self, Clock::time_point now, std::uint32_t& task) {
@@ -352,6 +448,7 @@ void EventLoop::thread_main(std::size_t self) {
 
     std::uint32_t task;
     if (pop_ready(self, now, task)) {
+      leave_watch(self, just_woke);
       if (just_woke) {
         wakeups_productive_.fetch_add(1, std::memory_order_relaxed);
         just_woke = false;
@@ -377,9 +474,8 @@ void EventLoop::thread_main(std::size_t self) {
     // sleepers_ and pokes it.
     Clock::time_point bound =
         std::min(now + kIdlePoll, from_ns(next_timer_ns_.load(std::memory_order_relaxed)));
-    // A task waiting in a peer's queue becomes stealable at kStealAge; its
-    // owner may be stuck in a long step and nobody pokes for local pushes.
-    if (ready_count_.load(std::memory_order_relaxed) > 0) bound = std::min(bound, now + kStealAge);
+    Clock::time_point watch_until;
+    if (take_watch(self, now, watch_until)) bound = std::min(bound, watch_until);
     sleep_cv_.wait_until(lk, bound);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
     just_woke = true;

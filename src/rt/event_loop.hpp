@@ -11,11 +11,12 @@
 // wakes exactly when the next deadline is due.
 //
 // Locality first: a task notified from a loop thread joins that thread's
-// own queue and wakes nobody, so a batch's values, acker entries and frees
-// stay on the core that produced them. A peer steals a queued task only
-// once it has waited kStealAge, and a sleeping thread bounds its wait by
-// that age while any queue holds a task, so work stuck behind a long step
-// is still taken. Of the task pushes, only injector pushes wake a sleeper.
+// own queue, so a batch's values, acker entries and frees stay on the core
+// that produced them. A peer steals a queued task only once it has waited
+// kStealAge. One parked thread at most, the watcher, bounds its sleep by
+// the oldest queued task's stamp plus that age, so work stuck behind a long
+// step is still taken; the other parked threads sleep until a timer or an
+// injector push. A local push wakes a sleeper only when nobody watches.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -37,6 +38,7 @@ struct EventLoopStats {
   std::uint64_t wakeups_productive = 0;  ///< thread wakeups that found work
   std::uint64_t wakeups_spurious = 0;    ///< thread wakeups that found none
   std::uint64_t steals = 0;              ///< tasks taken from another thread's queue
+  std::uint64_t watch_pokes = 0;         ///< sleepers poked to watch the queues
   std::size_t ready_peak = 0;            ///< peak ready-queue depth observed
 };
 
@@ -85,8 +87,11 @@ class EventLoop {
   };
 
   /// How long a task waits in its notifier's queue before a peer may steal
-  /// it: longer than a typical step, so the notifier almost always runs it
-  /// itself, and short enough that a task queued behind a long step moves.
+  /// it. Long enough that the notifier almost always runs the task itself,
+  /// short enough that a task queued behind a long step moves. On
+  /// perfbench's live workloads (Release, shared 4-vCPU VM) steps averaged
+  /// 6.6 us (live-saturate) and 3.5 us (live-steady), and 99.85% of them
+  /// ended within 50 us. No other age was tried.
   static constexpr Clock::duration kStealAge = std::chrono::microseconds(50);
 
   /// Bounded task step: (task id, loop-thread index) -> what next.
@@ -151,6 +156,10 @@ class EventLoop {
   };
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// watcher_ values besides a thread slot: nobody watches, or a sleeper
+  /// was poked to take the watch and has not parked again yet.
+  static constexpr std::size_t kNoWatcher = ~std::size_t{0};
+  static constexpr std::size_t kWatchPoked = ~std::size_t{0} - 1;
 
   struct Queued {
     std::uint32_t task;
@@ -168,6 +177,18 @@ class EventLoop {
   bool drain_injector(std::size_t self);
   /// Take the front task of a peer's queue that has waited kStealAge.
   bool steal(std::size_t self, Clock::time_point now, std::uint32_t& task);
+  /// The earliest stamp among the front tasks of `self`'s peers' queues;
+  /// false when they are all empty.
+  bool oldest_peer_front(std::size_t self, Clock::time_point& since);
+  /// Called under sleep_mutex_ by a parking thread: true when it holds the
+  /// watch and must wake by `until` to look at its peers' queues.
+  bool take_watch(std::size_t self, Clock::time_point now, Clock::time_point& until);
+  /// A thread about to run a task gives up the watch it holds (or the
+  /// poke it answered), handing it to a sleeper when tasks stay queued.
+  void leave_watch(std::size_t self, bool just_woke);
+  /// Poke a sleeper to take the watch, unless a thread holds it already.
+  void request_watch();
+  void poke_sleeper();
   void run_task(std::uint32_t task, std::size_t self);
   void thread_main(std::size_t self);
   /// Fire every due timer (notify()s the owners) and refresh the cached
@@ -197,6 +218,9 @@ class EventLoop {
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
   std::atomic<std::size_t> sleepers_{0};       // modified under sleep_mutex_
+  // Who watches the queues: a slot, kNoWatcher or kWatchPoked. Taken only
+  // under sleep_mutex_ by a parking thread.
+  std::atomic<std::size_t> watcher_{kNoWatcher};
   TimerWheel wheel_;                           // guarded by sleep_mutex_
   std::vector<std::uint32_t> due_scratch_;     // guarded by sleep_mutex_
   std::atomic<std::int64_t> next_timer_ns_{std::numeric_limits<std::int64_t>::max()};
@@ -207,6 +231,7 @@ class EventLoop {
   std::atomic<std::uint64_t> wakeups_productive_{0};
   std::atomic<std::uint64_t> wakeups_spurious_{0};
   std::atomic<std::uint64_t> steals_{0};
+  std::atomic<std::uint64_t> watch_pokes_{0};
 };
 
 }  // namespace repro::rt

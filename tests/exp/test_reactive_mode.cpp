@@ -22,7 +22,7 @@ ScenarioSpec slowdown_spec(std::uint64_t seed, double duration, double fault_tim
 TEST(ReactiveMode, BypassesSustainedSlowdown) {
   ScenarioSpec spec = slowdown_spec(61, 60.0, 20.0, 8.0);
   spec.interference.hog_intensity = 0.8;
-  auto runs = evaluate_reliability(spec, {"nofault", "stock", "reactive"});
+  auto runs = evaluate_reliability(spec, run_nofault(spec), {"nofault", "stock", "reactive"});
   const ReliabilityRun& stock = runs[1];
   const ReliabilityRun& reactive = runs[2];
   EXPECT_LT(reactive.latency_inflation, stock.latency_inflation * 0.5);
@@ -32,7 +32,7 @@ TEST(ReactiveMode, BypassesSustainedSlowdown) {
 TEST(ReactiveMode, RunsProduceAllRequestedModes) {
   ScenarioSpec spec = slowdown_spec(62, 30.0, 10.0, 6.0);
   const std::vector<std::string> modes = {"nofault", "stock", "reactive", "oracle"};
-  auto runs = evaluate_reliability(spec, modes);
+  auto runs = evaluate_reliability(spec, run_nofault(spec), modes);
   ASSERT_EQ(runs.size(), modes.size());
   for (std::size_t i = 0; i < modes.size(); ++i) {
     EXPECT_EQ(runs[i].mode, modes[i]);
@@ -46,14 +46,12 @@ TEST(ReactiveMode, RunsProduceAllRequestedModes) {
 
 TEST(ReactiveMode, EvaluationFailsClosed) {
   ScenarioSpec spec = slowdown_spec(63, 10.0, 5.0, 6.0);
-  EXPECT_THROW(evaluate_reliability(spec, {"bogus"}), std::invalid_argument);
-  // The framework arm needs a fitted model; none is built implicitly.
-  EXPECT_THROW(evaluate_reliability(spec, {"framework"}), std::invalid_argument);
-  spec.faults.clear();
-  EXPECT_THROW(evaluate_reliability(spec, {"stock"}), std::invalid_argument);
   const ScenarioRunResult reference{};
-  EXPECT_THROW(evaluate_reliability(spec, {"stock"}, {}, nullptr, &reference),
-               std::invalid_argument);
+  EXPECT_THROW(evaluate_reliability(spec, reference, {"bogus"}), std::invalid_argument);
+  // The framework arm needs a fitted model; none is built implicitly.
+  EXPECT_THROW(evaluate_reliability(spec, reference, {"framework"}), std::invalid_argument);
+  spec.faults.clear();
+  EXPECT_THROW(evaluate_reliability(spec, reference, {"stock"}), std::invalid_argument);
 }
 
 }  // namespace
