@@ -13,7 +13,7 @@ void print_phase(dsps::Engine& engine, std::size_t first_window, std::size_t las
   auto [lo, hi] = engine.tasks_of("counter");
   std::size_t n = hi - lo;
   std::vector<std::uint64_t> received(n, 0);
-  const auto& hist = engine.history();
+  const auto& hist = engine.window_history().samples();
   for (std::size_t w = first_window; w < last_window && w < hist.size(); ++w) {
     for (std::size_t t = 0; t < n; ++t) received[t] += hist[w].tasks[lo + t].received;
   }
@@ -58,7 +58,7 @@ int main() {
 
   // Convergence speed: share in the very first window after each switch.
   auto [lo, hi] = engine.tasks_of("counter");
-  const auto& w30 = engine.history()[30];
+  const auto& w30 = engine.window_history().samples()[30];
   std::uint64_t tot = 0;
   for (std::size_t t = lo; t < hi; ++t) tot += w30.tasks[t].received;
   std::printf("\nfirst window after switch at t=30: task shares =");

@@ -107,7 +107,7 @@ ModeResult run_mode(const std::string& name, const runtime::FlowControlConfig& f
   r.totals = engine.totals();
   double acked_surge = 0.0;
   std::size_t surge_windows = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) r.peak_queue = std::max(r.peak_queue, t.queue_len);
     if (w.time >= 80.0) {  // second surge: rate climbing back to peak
       acked_surge += w.topology.throughput;
@@ -142,7 +142,7 @@ std::shared_ptr<control::PerformancePredictor> pretrain() {
   engine.apply_fault_plan(plan);
   engine.run_for(kTrainDuration);
 
-  std::vector<dsps::WindowSample> trace(engine.history().begin(), engine.history().end());
+  std::vector<dsps::WindowSample> trace = engine.window_history().samples();
   std::vector<std::size_t> workers = exp::active_workers(trace);
   std::shared_ptr<control::PerformancePredictor> predictor =
       control::make_predictor("drnn", kSeed + 17);

@@ -3,8 +3,8 @@
 // a control round over the window-history spine is O(workers x window) —
 // flat whether the run has produced 1k, 10k, or 100k windows — because
 // the predictor streams each window exactly once instead of re-reading
-// the trace. BM_FullTraceRefitDataset shows the linear cost the budgeted
-// refit (copy_tail over a fixed window) avoids.
+// the trace. BM_FullTraceRefitDataset shows the linear cost a round that
+// re-read the whole trace would pay.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -148,7 +148,7 @@ BENCHMARK(BM_WindowHistoryPush)->Arg(1024)->Arg(4096);
 
 /// The contrast: rebuilding a supervised dataset over the FULL trace, as a
 /// naive per-round refit would. Linear in run length — this is the cost
-/// ControllerConfig::refit_window's bounded copy_tail sidesteps. (Capped
+/// the streaming round never pays. (Capped
 /// at 10k windows; the trend is already unambiguous and 100k would mostly
 /// benchmark the allocator.)
 void BM_FullTraceRefitDataset(benchmark::State& state) {

@@ -211,7 +211,6 @@ void BM_DrnnTrainEpoch(benchmark::State& state) {
   tc.epochs = 1;
   tc.batch_size = 64;
   tc.validation_fraction = 0.15;
-  tc.shuffle = true;
   tc.seed = 15;
   nn::Drnn model(cfg);
   nn::Trainer trainer(tc);
@@ -222,38 +221,6 @@ void BM_DrnnTrainEpoch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_DrnnTrainEpoch)->Arg(256)->Arg(1024);
-
-void BM_DrnnTrainEpochSharded(benchmark::State& state) {
-  // The data-parallel minibatch pipeline (deterministic for a fixed shard
-  // count); speedup over BM_DrnnTrainEpoch appears with >1 hardware thread.
-  nn::DrnnConfig cfg;
-  cfg.input_size = 19;
-  cfg.hidden_size = 32;
-  cfg.num_layers = 2;
-  cfg.dropout = 0.1;
-  cfg.seed = 13;
-  nn::SequenceDataset data;
-  common::Pcg32 rng(14);
-  for (std::size_t i = 0; i < 256; ++i) {
-    tensor::Matrix seq = tensor::Matrix::random_uniform(16, 19, 1.0, rng);
-    data.append(std::move(seq), {rng.uniform(-1.0, 1.0)});
-  }
-  nn::TrainConfig tc;
-  tc.epochs = 1;
-  tc.batch_size = 64;
-  tc.validation_fraction = 0.15;
-  tc.shuffle = true;
-  tc.seed = 15;
-  tc.shards = static_cast<std::size_t>(state.range(0));
-  nn::Drnn model(cfg);
-  nn::Trainer trainer(tc);
-  for (auto _ : state) {
-    auto report = trainer.fit(model, data);
-    benchmark::DoNotOptimize(report.epochs_run);
-  }
-  state.SetItemsProcessed(state.iterations() * 256);
-}
-BENCHMARK(BM_DrnnTrainEpochSharded)->Arg(2)->Arg(4);
 
 void BM_DrnnTrainBatch(benchmark::State& state) {
   nn::DrnnConfig cfg;

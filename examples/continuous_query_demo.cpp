@@ -48,7 +48,7 @@ int main() {
 
   common::Table series({"t(s)", "throughput(tup/s)", "avg_latency(ms)", "query task0..3 received"});
   auto [lo, hi] = engine.tasks_of("query");
-  const auto& history = engine.history();
+  const auto& history = engine.window_history().samples();
   for (std::size_t i = 14; i < history.size(); i += 15) {
     const auto& w = history[i];
     std::string received;

@@ -74,7 +74,7 @@ int main() {
   engine.run_for(20.0);
 
   // 5. Inspect: per-task received counts in the last window, topology view.
-  const auto& last = engine.history().back();
+  const auto& last = engine.window_history().samples().back();
   common::Table table({"task", "component", "worker", "received", "executed", "avg_exec_ms"});
   for (const auto& t : last.tasks) {
     table.add_row({std::to_string(t.task), t.component, std::to_string(t.worker),

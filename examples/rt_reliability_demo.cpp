@@ -5,29 +5,25 @@
 // re-ratios the dynamic grouping live to bypass the misbehaving worker.
 //
 // Build & run:   ./build/examples/rt_reliability_demo
-//                  [--queue-cap=N --overflow-policy=unbounded|block|drop]
-//                  [--max-pending=N] [--batch-size=N]
 //
-// Runs on the async event-loop runtime; --backend=sim is rejected — this
-// demo needs wall-clock execution. The flow flags bound every task
-// in-queue through runtime::FlowControl (block = lossless backpressure
-// into the spout throttle, drop = shed and rely on replay); the per-task
-// table reports each hash task's peak observed queue depth, which stays
-// <= cap under a bounded policy. --batch-size sets the columnar
-// TupleBatch size of the data path. The scheduler line at the end surfaces the backend's wakeup
-// / steal / suspend counters (see dsps::SchedulerWindowStats).
+// Runs one fixed configuration on the async event-loop runtime (unbounded
+// queues, batch size 1). The per-task table reports each hash task's
+// peak observed queue depth. The scheduler line at the end surfaces the
+// backend's wakeup / steal / suspend counters (see
+// dsps::SchedulerWindowStats). For the bounded data path on the same
+// runtime, run a registered scenario with flow overrides, e.g.
+//   ./build/bench/exp_scenario t3-reliability --backend=async
+//       --set queue-cap=64,overflow-policy=block
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
 
-#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "control/baseline_predictors.hpp"
 #include "control/controller.hpp"
 #include "rt/async_engine.hpp"
-#include "runtime/flow_control.hpp"
 
 using namespace repro;
 
@@ -108,8 +104,7 @@ int run_demo(const rt::AsyncConfig& cfg) {
 
   auto faulted = deltas(engine.executed_per_task(), healthy);
 
-  // Peak observed in-queue per task across the run's windows: under a
-  // bounded policy this stays <= the configured cap.
+  // Peak observed in-queue per task across the run's windows.
   std::vector<std::size_t> peak_q(engine.window_history().back().tasks.size(), 0);
   for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) peak_q[t.task] = std::max(peak_q[t.task], t.queue_len);
@@ -145,12 +140,6 @@ int run_demo(const rt::AsyncConfig& cfg) {
   std::printf("roots=%llu acked=%llu failed=%llu, mean complete latency=%.3f ms\n",
               (unsigned long long)totals.roots_emitted, (unsigned long long)totals.acked,
               (unsigned long long)totals.failed, engine.mean_complete_latency() * 1e3);
-  if (cfg.flow.bounded()) {
-    std::printf("flow control (%s, cap %zu): shed=%llu stall=%.2fs\n",
-                runtime::overflow_policy_name(cfg.flow.policy), cfg.flow.queue_capacity,
-                (unsigned long long)totals.dropped_overflow,
-                engine.flow_control()->total_stall_seconds());
-  }
   // Scheduler observability: eventcount wakes, work steals and the
   // suspend/resume pairs of the kBlockUpstream task-parking path.
   std::printf("scheduler: wakeups=%llu productive / %llu spurious, steals=%llu, "
@@ -164,29 +153,9 @@ int run_demo(const rt::AsyncConfig& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  common::Flags flags(argc, argv);
-  std::vector<std::string> known = {"help"};
-  for (const auto& name : runtime::data_path_flag_names()) known.push_back(name);
-  if (flags.get_bool("help") || !flags.unknown(known).empty()) {
-    for (const auto& u : flags.unknown(known)) {
-      std::fprintf(stderr, "unknown flag --%s\n", u.c_str());
-    }
-    std::fprintf(stderr, "usage: rt_reliability_demo\n%s\n", runtime::data_path_flag_usage());
-    return flags.get_bool("help") ? 0 : 2;
-  }
-
+int main() {
   rt::AsyncConfig cfg;
   cfg.workers = 3;
   cfg.window_seconds = 0.1;
-  runtime::BackendKind backend = runtime::BackendKind::kAsync;
-  if (!runtime::apply_data_path_flags(flags, cfg.flow, cfg.max_spout_pending, cfg.batch_size,
-                                      backend)) {
-    return 2;
-  }
-  if (backend == runtime::BackendKind::kSim) {
-    std::fprintf(stderr, "--backend=sim: this demo needs wall-clock execution (use async)\n");
-    return 2;
-  }
   return run_demo(cfg);
 }

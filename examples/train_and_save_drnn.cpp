@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   control::DrnnPredictorConfig cfg;
   cfg.seed = 9;
   cfg.train.seed = 10;
-  cfg.train.verbose = false;
   control::DrnnPredictor predictor(cfg);
   std::printf("training DRNN (%zu active workers, %zu windows)...\n", workers.size(),
               trace.size());

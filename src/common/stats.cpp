@@ -46,65 +46,6 @@ double RunningStats::variance() const {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-double PercentileTracker::percentile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (dirty_) {
-    std::sort(samples_.begin(), samples_.end());
-    dirty_ = false;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  double rank = q * static_cast<double>(samples_.size() - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, samples_.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-}
-
-void Ewma::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  if (buckets == 0 || !(hi > lo)) throw std::invalid_argument("Histogram: bad range");
-}
-
-void Histogram::add(double x) {
-  std::size_t idx = 0;
-  if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else if (x > lo_) {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
-double Histogram::bucket_lo(std::size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bucket_hi(std::size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::quantile(double q) const {
-  if (total_ == 0) return lo_;
-  auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_));
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (acc >= target) return bucket_hi(i);
-  }
-  return hi_;
-}
-
 ErrorMetrics compute_errors(const std::vector<double>& actual, const std::vector<double>& predicted,
                             double mape_eps) {
   if (actual.size() != predicted.size()) {

@@ -1,7 +1,6 @@
 #pragma once
 // Streaming statistics used throughout metrics collection and evaluation.
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace repro::common {
@@ -28,59 +27,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Exact percentile tracker: stores samples, sorts on query.
-/// Suitable for per-window latency sets (thousands of samples).
-class PercentileTracker {
- public:
-  void add(double x) { samples_.push_back(x); dirty_ = true; }
-  void reset() { samples_.clear(); dirty_ = false; }
-  std::size_t count() const { return samples_.size(); }
-
-  /// q in [0,1]; returns 0 when empty. Linear interpolation between ranks.
-  double percentile(double q) const;
-  double median() const { return percentile(0.5); }
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool dirty_ = false;
-};
-
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha = 0.2) : alpha_(alpha) {}
-  void add(double x);
-  void reset() { initialized_ = false; value_ = 0.0; }
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range values clamp to the
-/// edge buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-  void add(double x);
-  void reset();
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::uint64_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  /// Approximate quantile from bucket boundaries.
-  double quantile(double q) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Error metrics used by the prediction-accuracy experiments (T1/T2).

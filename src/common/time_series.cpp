@@ -1,8 +1,6 @@
 #include "common/time_series.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
+#include <utility>
 
 namespace repro::common {
 
@@ -27,64 +25,6 @@ std::vector<double> undifference_once(const std::vector<double>& dy, double y_la
   return out;
 }
 
-LaggedDataset make_lagged(const std::vector<double>& y, std::size_t window, std::size_t horizon) {
-  LaggedDataset ds;
-  if (window == 0 || horizon == 0) throw std::invalid_argument("make_lagged: window/horizon must be > 0");
-  if (y.size() < window + horizon) return ds;
-  std::size_t n = y.size() - window - horizon + 1;
-  ds.inputs.reserve(n);
-  ds.targets.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ds.inputs.emplace_back(y.begin() + static_cast<std::ptrdiff_t>(i),
-                           y.begin() + static_cast<std::ptrdiff_t>(i + window));
-    ds.targets.push_back(y[i + window + horizon - 1]);
-  }
-  return ds;
-}
-
-SplitIndex temporal_split(std::size_t n, double train_fraction) {
-  train_fraction = std::clamp(train_fraction, 0.0, 1.0);
-  return SplitIndex{static_cast<std::size_t>(std::floor(static_cast<double>(n) * train_fraction))};
-}
-
-Series resample(const Series& s, double new_dt) {
-  Series out;
-  out.dt = new_dt;
-  out.t0 = s.t0;
-  out.name = s.name;
-  if (s.values.size() < 2 || new_dt <= 0.0) {
-    out.values = s.values;
-    return out;
-  }
-  double duration = s.dt * static_cast<double>(s.values.size() - 1);
-  auto count = static_cast<std::size_t>(std::floor(duration / new_dt)) + 1;
-  out.values.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    double t = static_cast<double>(i) * new_dt;
-    double pos = t / s.dt;
-    auto lo = static_cast<std::size_t>(pos);
-    std::size_t hi = std::min(lo + 1, s.values.size() - 1);
-    double frac = pos - static_cast<double>(lo);
-    out.values.push_back(s.values[lo] * (1.0 - frac) + s.values[hi] * frac);
-  }
-  return out;
-}
-
-std::vector<double> moving_average(const std::vector<double>& y, std::size_t window) {
-  if (window % 2 == 0) throw std::invalid_argument("moving_average: window must be odd");
-  if (y.empty()) return {};
-  std::size_t half = window / 2;
-  std::vector<double> out(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    std::size_t lo = i >= half ? i - half : 0;
-    std::size_t hi = std::min(y.size() - 1, i + half);
-    double sum = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) sum += y[j];
-    out[i] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
 double mean_of(const std::vector<double>& y) {
   if (y.empty()) return 0.0;
   double s = 0.0;
@@ -98,24 +38,6 @@ double variance_of(const std::vector<double>& y) {
   double s = 0.0;
   for (double v : y) s += (v - m) * (v - m);
   return s / static_cast<double>(y.size() - 1);
-}
-
-std::vector<double> autocorrelation(const std::vector<double>& y, std::size_t max_lag) {
-  std::vector<double> acf(max_lag + 1, 0.0);
-  if (y.size() < 2) return acf;
-  double m = mean_of(y);
-  double denom = 0.0;
-  for (double v : y) denom += (v - m) * (v - m);
-  if (denom <= 0.0) {
-    acf[0] = 1.0;
-    return acf;
-  }
-  for (std::size_t lag = 0; lag <= max_lag && lag < y.size(); ++lag) {
-    double num = 0.0;
-    for (std::size_t t = lag; t < y.size(); ++t) num += (y[t] - m) * (y[t - lag] - m);
-    acf[lag] = num / denom;
-  }
-  return acf;
 }
 
 }  // namespace repro::common

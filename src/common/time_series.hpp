@@ -1,50 +1,15 @@
 #pragma once
-// Time-series containers and transforms shared by the forecasting stack
-// (DRNN, ARIMA, SVR) and the experiment harness.
-#include <cstddef>
-#include <string>
+// Time-series transforms shared by the forecasting stack (ARIMA) and the
+// experiment harness.
 #include <vector>
 
 namespace repro::common {
-
-/// A uniformly sampled scalar series.
-struct Series {
-  std::vector<double> values;
-  double dt = 1.0;       ///< sampling period (seconds of simulated time)
-  double t0 = 0.0;       ///< timestamp of values[0]
-  std::string name;
-
-  std::size_t size() const { return values.size(); }
-  bool empty() const { return values.empty(); }
-};
 
 /// d-fold differencing: y'[t] = y[t] - y[t-1], applied d times.
 std::vector<double> difference(const std::vector<double>& y, int d);
 
 /// Invert one level of differencing given the last original value.
 std::vector<double> undifference_once(const std::vector<double>& dy, double y_last);
-
-/// Sliding windows: X[i] = y[i..i+window), target[i] = y[i+window+horizon-1].
-struct LaggedDataset {
-  std::vector<std::vector<double>> inputs;
-  std::vector<double> targets;
-};
-LaggedDataset make_lagged(const std::vector<double>& y, std::size_t window, std::size_t horizon = 1);
-
-/// Simple train/test split by index (no shuffling: temporal order matters).
-struct SplitIndex {
-  std::size_t train_end = 0;  ///< first test index
-};
-SplitIndex temporal_split(std::size_t n, double train_fraction);
-
-/// Linear interpolation resample of a series onto a new period.
-Series resample(const Series& s, double new_dt);
-
-/// Centered moving average smoothing (window must be odd).
-std::vector<double> moving_average(const std::vector<double>& y, std::size_t window);
-
-/// Sample autocorrelation at lags 0..max_lag.
-std::vector<double> autocorrelation(const std::vector<double>& y, std::size_t max_lag);
 
 double mean_of(const std::vector<double>& y);
 double variance_of(const std::vector<double>& y);

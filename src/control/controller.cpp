@@ -1,6 +1,5 @@
 #include "control/controller.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -72,7 +71,6 @@ void PredictiveController::on_attach(runtime::ControlSurface& surface) {
   // Stream from the oldest retained window of this surface.
   predictor_->reset_stream();
   reset_window_cursor(surface);
-  last_refit_time_ = surface.now_seconds();
 }
 
 void PredictiveController::round(runtime::ControlSurface& surface) {
@@ -80,7 +78,6 @@ void PredictiveController::round(runtime::ControlSurface& surface) {
   observe_new_windows(surface, predictor_.get());
 
   if (predictor_->observed_windows() < predictor_->min_history()) return;
-  maybe_refit(surface);
 
   // One predictor call for the whole round, sliced back per edge.
   predictor_->predict_workers(round_workers_, round_predicted_);
@@ -117,28 +114,6 @@ ControllerTotals PredictiveController::totals() const {
   t.control_rounds = actions_.size();
   t.mean_round_ms = 1e3 * sum / static_cast<double>(actions_.size());
   return t;
-}
-
-void PredictiveController::maybe_refit(runtime::ControlSurface& surface) {
-  if (cfg_.refit_interval <= 0.0) return;
-  double now = surface.now_seconds();
-  if (now - last_refit_time_ < cfg_.refit_interval) return;
-  last_refit_time_ = now;
-
-  surface.window_history().copy_tail(cfg_.refit_window, refit_buf_);
-  std::vector<std::size_t> workers;  // union over edges, first-seen order
-  for (const Edge& e : edges_) {
-    for (std::size_t w : e.task_workers) {
-      if (std::find(workers.begin(), workers.end(), w) == workers.end()) workers.push_back(w);
-    }
-  }
-  try {
-    predictor_->fit(refit_buf_, workers);
-    ++refits_;
-    LOG_DEBUG("controller: refit #", refits_, " on ", refit_buf_.size(), " windows at t=", now);
-  } catch (const std::exception& e) {
-    LOG_WARN("controller: refit skipped at t=", now, ": ", e.what());
-  }
 }
 
 OracleController::OracleController(PlannerConfig planner, double control_interval)

@@ -137,12 +137,6 @@ struct ControllerConfig {
   double control_interval = 2.0;  ///< seconds between control rounds
   DetectorConfig detector{};
   PlannerConfig planner{};
-  /// Periodically refit the predictor on the recent history tail while
-  /// attached (seconds between refits; 0 disables — the experiment
-  /// default, where models are pretrained on a profiling trace).
-  double refit_interval = 0.0;
-  /// How many most-recent windows a budgeted refit trains on.
-  std::size_t refit_window = 512;
 };
 
 /// One control action, kept for experiment introspection.
@@ -161,8 +155,7 @@ struct ControlAction {
 /// attach() discovers every dynamic-grouping connection and takes over
 /// each edge's DynamicRatio; it throws std::invalid_argument when the
 /// topology has no dynamic edge. The predictor must already be fitted
-/// (pretrain on a profiling trace) unless ControllerConfig::refit_interval
-/// schedules fits.
+/// (pretrain on a profiling trace).
 class PredictiveController : public Controller {
  public:
   PredictiveController(ControllerConfig config, std::shared_ptr<PerformancePredictor> predictor);
@@ -172,8 +165,6 @@ class PredictiveController : public Controller {
   const ControllerConfig& config() const { return cfg_; }
   /// Dynamic edges currently under control (set by attach).
   std::size_t edge_count() const { return edges_.size(); }
-  /// Budgeted refits performed since attach.
-  std::size_t refits() const { return refits_; }
 
   std::string name() const override { return "predictive"; }
   /// Historical counting unit: one ControlAction per controlled edge per
@@ -197,8 +188,6 @@ class PredictiveController : public Controller {
     std::vector<std::size_t> task_workers;  ///< worker of each downstream task
   };
 
-  void maybe_refit(runtime::ControlSurface& surface);
-
   ControllerConfig cfg_;
   std::shared_ptr<PerformancePredictor> predictor_;
   std::vector<Edge> edges_;
@@ -206,9 +195,6 @@ class PredictiveController : public Controller {
   std::vector<double> round_predicted_;     ///< one forecast per round_workers_ entry
   std::vector<ControlAction> actions_;
   std::size_t first_action_ = 0;  ///< actions appended by the round in flight
-  double last_refit_time_ = 0.0;
-  std::size_t refits_ = 0;
-  std::vector<dsps::WindowSample> refit_buf_;  ///< reused refit tail copy
 };
 
 /// Fault-oracle controller for the T3 upper bound: reads the injected

@@ -55,7 +55,6 @@ void DrlControllerConfig::validate() const {
   if (!(latency_weight >= 0.0)) {
     throw std::invalid_argument("DrlControllerConfig.latency_weight: must be >= 0");
   }
-  if (allow_rescale) rescale.validate();
 }
 
 DrlController::DrlController(DrlControllerConfig config)
@@ -82,7 +81,7 @@ void DrlController::on_attach(runtime::ControlSurface& surface) {
   const FeatureConfig fcfg{};
   const std::size_t dim = feature_dim(fcfg);
   const std::size_t sdim = task_workers_.size() * dim;
-  const std::size_t acts = 2 + task_workers_.size() + (cfg_.allow_rescale ? 2 : 0);
+  const std::size_t acts = 2 + task_workers_.size();
   if (!l1_) {
     state_dim_ = sdim;
     action_count_ = acts;
@@ -90,7 +89,6 @@ void DrlController::on_attach(runtime::ControlSurface& surface) {
     feat_m2_.assign(dim, 0.0);
     feat_count_ = 0;
     extractor_ = std::make_unique<StreamingFeatureExtractor>(fcfg, 2);
-    if (cfg_.allow_rescale) rescale_planner_ = std::make_unique<RescalePlanner>(cfg_.rescale);
     build_network();
   } else if (state_dim_ != sdim || action_count_ != acts) {
     // Re-attach keeps the learned policy, so the decision space must match.
@@ -123,9 +121,7 @@ std::string DrlController::action_name(std::size_t action) const {
   }
   if (action == 0) return "keep";
   if (action == 1) return "uniform";
-  const std::size_t routing = 2 + task_workers_.size();
-  if (action < routing) return "bypass-" + std::to_string(action - 2);
-  return action == routing ? "scale-out" : "scale-in";
+  return "bypass-" + std::to_string(action - 2);
 }
 
 void DrlController::build_network() {
@@ -220,7 +216,7 @@ std::size_t DrlController::select_action(const std::vector<double>& state, bool*
   return best;
 }
 
-void DrlController::apply_action(runtime::ControlSurface& surface, std::size_t action) {
+void DrlController::apply_action(std::size_t action) {
   const std::size_t w_count = task_workers_.size();
   if (action == 0) return;  // keep current routing
   if (action == 1) {
@@ -228,35 +224,13 @@ void DrlController::apply_action(runtime::ControlSurface& surface, std::size_t a
     ratio_->set_ratios(ratios_ws_);
     return;
   }
-  if (action < 2 + w_count) {
-    // Bypass: shrink one downstream slot's share, renormalized.
-    const std::size_t j = action - 2;
-    ratios_ws_.assign(w_count, 1.0);
-    ratios_ws_[j] = cfg_.down_weight;
-    const double sum = static_cast<double>(w_count - 1) + cfg_.down_weight;
-    for (double& r : ratios_ws_) r /= sum;
-    ratio_->set_ratios(ratios_ws_);
-    return;
-  }
-  if (!cfg_.allow_rescale) return;
-  const bool scale_out = action == 2 + w_count;
-  const std::size_t pool = surface.worker_count();
-  std::vector<bool> alive(pool, false);
-  std::vector<bool> active(pool, false);
-  std::size_t current = 0;
-  for (std::size_t w = 0; w < pool; ++w) {
-    alive[w] = surface.worker_alive(w);
-    active[w] = surface.worker_active(w);
-    if (alive[w] && active[w]) ++current;
-  }
-  const std::size_t target =
-      scale_out ? current + 1 : (current > 0 ? current - 1 : current);
-  RescalePlan plan =
-      rescale_planner_->plan(surface.worker_task_snapshot(), alive, active, target);
-  if (plan.empty()) return;
-  for (std::size_t w : plan.activate) surface.add_worker(w);
-  if (!plan.moves.empty()) surface.migrate_tasks(plan.moves);
-  for (std::size_t w : plan.retire) surface.retire_worker(w);
+  // Bypass: shrink one downstream slot's share, renormalized.
+  const std::size_t j = action - 2;
+  ratios_ws_.assign(w_count, 1.0);
+  ratios_ws_[j] = cfg_.down_weight;
+  const double sum = static_cast<double>(w_count - 1) + cfg_.down_weight;
+  for (double& r : ratios_ws_) r /= sum;
+  ratio_->set_ratios(ratios_ws_);
 }
 
 void DrlController::train_step() {
@@ -340,7 +314,7 @@ void DrlController::round(runtime::ControlSurface& surface) {
 
   bool explored = false;
   const std::size_t action = select_action(state_ws_, &explored);
-  apply_action(surface, action);
+  apply_action(action);
   prev_state_ = state_ws_;
   prev_action_ = action;
   have_prev_ = true;

@@ -5,8 +5,7 @@
 // is the controlled edge's per-worker queue/latency/rate feature rows
 // from the StreamingFeatureExtractor (running-standardized); actions are
 // discretized routing moves on the edge's DynamicRatio (keep current,
-// uniform, down-weight one downstream task) plus, when enabled and the
-// backend scales, one-worker rescale moves; the reward is SLO-weighted
+// uniform, down-weight one downstream task); the reward is SLO-weighted
 // throughput minus loss. The Q-network is a two-layer MLP from the nn/
 // library trained by experience replay with a periodically synced target
 // network and seeded epsilon-greedy exploration — every draw comes from
@@ -24,7 +23,6 @@
 #include "common/rng.hpp"
 #include "control/controller.hpp"
 #include "control/features.hpp"
-#include "control/rescale_planner.hpp"
 #include "nn/dense.hpp"
 #include "nn/optimizer.hpp"
 #include "tensor/matrix.hpp"
@@ -55,11 +53,6 @@ struct DrlControllerConfig {
   double slo_p99 = 1.0;  ///< seconds
   double loss_weight = 4.0;
   double latency_weight = 1.0;
-  /// Add one-worker scale-out/scale-in actions (bounds from `rescale`).
-  /// Off by default: the routing action set alone matches the fixed-pool
-  /// fault scenarios.
-  bool allow_rescale = false;
-  RescaleConfig rescale{};
   std::uint64_t seed = 7;
 
   void validate() const;
@@ -96,7 +89,7 @@ class DrlController : public Controller {
   std::size_t selections() const { return selections_; }
   /// Current exploration rate (training mode anneal).
   double epsilon() const;
-  /// Q-head count after attach: 2 + downstream tasks (+2 with rescale).
+  /// Q-head count after attach: 2 + downstream tasks.
   std::size_t action_count() const { return action_count_; }
   /// Stable label of a Q-head ("keep", "uniform", "bypass-2", ...).
   std::string action_name(std::size_t action) const;
@@ -122,7 +115,7 @@ class DrlController : public Controller {
   void build_state(std::vector<double>& out);
   std::size_t select_action(const std::vector<double>& state, bool* explored);
   double take_reward();
-  void apply_action(runtime::ControlSurface& surface, std::size_t action);
+  void apply_action(std::size_t action);
   void train_step();
   /// Forward `rows` states through (l1, l2) -> q (one row per state).
   void forward_q(nn::Dense& l1, nn::Dense& l2, const tensor::Matrix& x, tensor::Matrix& q,
@@ -137,7 +130,6 @@ class DrlController : public Controller {
   std::string to_;
   std::shared_ptr<dsps::DynamicRatio> ratio_;
   std::vector<std::size_t> task_workers_;
-  std::unique_ptr<RescalePlanner> rescale_planner_;
 
   // Feature pipeline.
   std::unique_ptr<StreamingFeatureExtractor> extractor_;

@@ -30,7 +30,6 @@ const dsps::MachineWindowStats& machine_stats(const dsps::WindowSample& sample,
 std::size_t feature_dim(const FeatureConfig& cfg) {
   std::size_t n = kWorkerFeatures + kMachineFeatures;
   if (cfg.include_colocated) n += cfg.max_colocated * kPerColocated;
-  if (cfg.include_backpressure) n += 1;
   return n;
 }
 
@@ -48,7 +47,6 @@ std::vector<std::string> feature_names(const FeatureConfig& cfg) {
       names.push_back(p + "queue_len");
     }
   }
-  if (cfg.include_backpressure) names.push_back("w.bp_stall");
   return names;
 }
 
@@ -99,7 +97,6 @@ void worker_features_into(const dsps::WindowSample& sample, std::size_t worker,
       }
     }
   }
-  if (cfg.include_backpressure) *f++ = w.bp_stall;
 }
 
 double worker_target(const dsps::WindowSample& sample, std::size_t worker) {

@@ -18,12 +18,6 @@ struct FeatureConfig {
   /// How many co-located workers to encode (sorted by cpu share, padded
   /// with zeros when fewer exist).
   std::size_t max_colocated = 3;
-  /// Append the bounded-data-path block (w.bp_stall: seconds the worker's
-  /// executors spent stalled on downstream backpressure this window). Off
-  /// by default so existing feature vectors and trained models stay
-  /// bit-identical; enable on engines running a bounded FlowControl
-  /// policy, where queue saturation carries predictive signal.
-  bool include_backpressure = false;
 };
 
 /// Number of features produced per (window, worker).

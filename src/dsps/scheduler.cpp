@@ -16,18 +16,6 @@ std::vector<std::size_t> machines_round_robin(std::size_t n_workers, std::size_t
 
 }  // namespace
 
-Assignment even_schedule(const Topology& topo, std::size_t n_workers, std::size_t n_machines) {
-  Assignment a;
-  a.worker_to_machine = machines_round_robin(n_workers, n_machines);
-  a.task_to_worker.resize(topo.total_tasks());
-  std::size_t next = 0;
-  for (std::size_t t = 0; t < a.task_to_worker.size(); ++t) {
-    a.task_to_worker[t] = next;
-    next = (next + 1) % n_workers;
-  }
-  return a;
-}
-
 Assignment interleaved_schedule(const Topology& topo, std::size_t n_workers,
                                 std::size_t n_machines) {
   Assignment a;

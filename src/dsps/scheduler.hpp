@@ -1,7 +1,6 @@
 #pragma once
-// Task placement, mirroring Storm's EvenScheduler: executors are assigned
-// round-robin across worker slots, worker slots round-robin across
-// machines.
+// Task placement: each component's executors go round-robin across worker
+// slots, and worker slots round-robin across machines.
 #include <cstddef>
 #include <vector>
 
@@ -16,13 +15,11 @@ struct Assignment {
   std::size_t workers() const { return worker_to_machine.size(); }
 };
 
-/// Storm-style even scheduling. Global task ids are assigned in topology
-/// declaration order (spouts first, then bolts), each component's tasks
-/// consecutive.
-Assignment even_schedule(const Topology& topo, std::size_t n_workers, std::size_t n_machines);
-
 /// Round-robin within each component, offset so consecutive components
-/// start at different workers (spreads heavy bolts more evenly).
+/// start at different workers (spreads heavy bolts more evenly). Global
+/// task ids are assigned in topology declaration order (spouts first,
+/// then bolts), each component's tasks consecutive. Throws
+/// std::invalid_argument when there is no worker or no machine.
 Assignment interleaved_schedule(const Topology& topo, std::size_t n_workers,
                                 std::size_t n_machines);
 

@@ -315,9 +315,10 @@ ChaosReport run_chaos_sim(const ChaosSpec& spec, bool include_faults) {
   report.totals = engine.totals();
   report.pending_end = engine.pending_roots();
   report.batches_end = engine.batches_in_flight();
-  std::size_t task_count = engine.history().empty() ? 0 : engine.history().front().tasks.size();
+  const std::vector<dsps::WindowSample>& history = engine.window_history().samples();
+  std::size_t task_count = history.empty() ? 0 : history.front().tasks.size();
   report.executed_per_task.assign(task_count, 0);
-  for (const auto& w : engine.history()) {
+  for (const auto& w : history) {
     for (std::size_t t = 0; t < w.tasks.size(); ++t) {
       report.executed_per_task[t] += w.tasks[t].executed;
       report.peak_queue_len = std::max(report.peak_queue_len, w.tasks[t].queue_len);

@@ -646,7 +646,7 @@ ScenarioRunResult run_scenario_sim(const ScenarioSpec& spec, control::Controller
 
   ScenarioRunResult result;
   result.backend = runtime::BackendKind::kSim;
-  result.history = engine.history();
+  result.history = engine.window_history().samples();
   result.totals = engine.totals();
   result.stall_seconds = engine.flow_control()->total_stall_seconds();
   finish_controller_stats(controller, result);

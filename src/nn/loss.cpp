@@ -1,17 +1,19 @@
 #include "nn/loss.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace repro::nn {
-namespace {
 
-void mse_loss_into(const tensor::Matrix& pred, const tensor::Matrix& target, LossResult& out,
-                   std::size_t denom_override) {
+LossResult mse_loss(const tensor::Matrix& pred, const tensor::Matrix& target) {
+  LossResult out;
+  mse_loss_into(pred, target, out);
+  return out;
+}
+
+void mse_loss_into(const tensor::Matrix& pred, const tensor::Matrix& target, LossResult& out) {
   if (!pred.same_shape(target)) throw std::invalid_argument("mse_loss: shape mismatch");
   out.grad.reshape(pred.rows(), pred.cols());
-  const double n =
-      static_cast<double>(denom_override > 0 ? denom_override : pred.size());
+  const double n = static_cast<double>(pred.size());
   const double* pp = pred.data();
   const double* tp = target.data();
   double* gp = out.grad.data();
@@ -21,65 +23,7 @@ void mse_loss_into(const tensor::Matrix& pred, const tensor::Matrix& target, Los
     sum += e * e;
     gp[i] = 2.0 * e / n;
   }
-  out.value = denom_override > 0 ? sum : sum / n;
-}
-
-void huber_loss_into(const tensor::Matrix& pred, const tensor::Matrix& target, LossResult& out,
-                     double delta, std::size_t denom_override) {
-  if (!pred.same_shape(target)) throw std::invalid_argument("huber_loss: shape mismatch");
-  out.grad.reshape(pred.rows(), pred.cols());
-  const double n =
-      static_cast<double>(denom_override > 0 ? denom_override : pred.size());
-  const double* pp = pred.data();
-  const double* tp = target.data();
-  double* gp = out.grad.data();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    double e = pp[i] - tp[i];
-    double ae = std::abs(e);
-    if (ae <= delta) {
-      sum += 0.5 * e * e;
-      gp[i] = e / n;
-    } else {
-      sum += delta * (ae - 0.5 * delta);
-      gp[i] = (e > 0.0 ? delta : -delta) / n;
-    }
-  }
-  out.value = denom_override > 0 ? sum : sum / n;
-}
-
-}  // namespace
-
-LossResult mse_loss(const tensor::Matrix& pred, const tensor::Matrix& target) {
-  LossResult out;
-  mse_loss_into(pred, target, out, 0);
-  return out;
-}
-
-LossResult huber_loss(const tensor::Matrix& pred, const tensor::Matrix& target, double delta) {
-  LossResult out;
-  huber_loss_into(pred, target, out, delta, 0);
-  return out;
-}
-
-LossResult compute_loss(LossKind kind, const tensor::Matrix& pred, const tensor::Matrix& target,
-                        double huber_delta) {
-  LossResult out;
-  compute_loss_into(kind, pred, target, out, huber_delta, 0);
-  return out;
-}
-
-void compute_loss_into(LossKind kind, const tensor::Matrix& pred, const tensor::Matrix& target,
-                       LossResult& out, double huber_delta, std::size_t denom_override) {
-  switch (kind) {
-    case LossKind::kMse:
-      mse_loss_into(pred, target, out, denom_override);
-      return;
-    case LossKind::kHuber:
-      huber_loss_into(pred, target, out, huber_delta, denom_override);
-      return;
-  }
-  throw std::logic_error("compute_loss: unknown loss");
+  out.value = sum / n;
 }
 
 }  // namespace repro::nn

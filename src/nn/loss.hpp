@@ -1,6 +1,6 @@
 #pragma once
-// Regression losses. Both return the mean loss over all elements and the
-// gradient w.r.t. predictions (already divided by element count).
+// The regression loss: mean squared error, returned with its gradient
+// w.r.t. the predictions (already divided by the element count).
 #include "tensor/matrix.hpp"
 
 namespace repro::nn {
@@ -12,23 +12,8 @@ struct LossResult {
 
 LossResult mse_loss(const tensor::Matrix& pred, const tensor::Matrix& target);
 
-/// Huber loss with threshold delta: quadratic near zero, linear in the tails.
-LossResult huber_loss(const tensor::Matrix& pred, const tensor::Matrix& target, double delta = 1.0);
-
-enum class LossKind { kMse, kHuber };
-LossResult compute_loss(LossKind kind, const tensor::Matrix& pred, const tensor::Matrix& target,
-                        double huber_delta = 1.0);
-
-/// Workspace variant of compute_loss: grad is reshaped in place, so a
-/// caller that reuses `out` across steps allocates nothing.
-///
-/// With `denom_override` == 0 this matches compute_loss bit-for-bit
-/// (value = mean loss, grad normalised by pred.size()). With
-/// `denom_override` > 0 the gradient is normalised by that count instead
-/// and `out.value` is the *raw element sum* — the sharded minibatch path
-/// uses this so per-shard gradients sum to the full-batch gradient.
-void compute_loss_into(LossKind kind, const tensor::Matrix& pred, const tensor::Matrix& target,
-                       LossResult& out, double huber_delta = 1.0,
-                       std::size_t denom_override = 0);
+/// Workspace variant of mse_loss: grad is reshaped in place, so a caller
+/// that reuses `out` across steps allocates nothing.
+void mse_loss_into(const tensor::Matrix& pred, const tensor::Matrix& target, LossResult& out);
 
 }  // namespace repro::nn

@@ -16,38 +16,8 @@ tensor::Matrix& state_for(std::unordered_map<tensor::Matrix*, tensor::Matrix>& m
 
 }  // namespace
 
-Sgd::Sgd(double lr, double momentum) : Optimizer(lr), momentum_(momentum) {}
-
-void Sgd::step(const std::vector<ParamRef>& params) {
-  for (const auto& p : params) {
-    if (momentum_ == 0.0) {
-      p.value->add_scaled(*p.grad, -lr_);
-      continue;
-    }
-    tensor::Matrix& vel = state_for(velocity_, p.value);
-    vel *= momentum_;
-    vel.add_scaled(*p.grad, 1.0);
-    p.value->add_scaled(vel, -lr_);
-  }
-}
-
-RmsProp::RmsProp(double lr, double decay, double eps) : Optimizer(lr), decay_(decay), eps_(eps) {}
-
-void RmsProp::step(const std::vector<ParamRef>& params) {
-  for (const auto& p : params) {
-    tensor::Matrix& sq = state_for(sq_avg_, p.value);
-    double* sp = sq.data();
-    const double* gp = p.grad->data();
-    double* vp = p.value->data();
-    for (std::size_t i = 0; i < sq.size(); ++i) {
-      sp[i] = decay_ * sp[i] + (1.0 - decay_) * gp[i] * gp[i];
-      vp[i] -= lr_ * gp[i] / (std::sqrt(sp[i]) + eps_);
-    }
-  }
-}
-
 Adam::Adam(double lr, double beta1, double beta2, double eps)
-    : Optimizer(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+    : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
 void Adam::step(const std::vector<ParamRef>& params) {
   ++t_;

@@ -1,6 +1,6 @@
 #pragma once
-// First-order optimizers operating on a registered parameter list.
-#include <memory>
+// The Adam optimizer over a registered parameter list, and global-norm
+// gradient clipping.
 #include <unordered_map>
 #include <vector>
 
@@ -8,51 +8,15 @@
 
 namespace repro::nn {
 
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using each param's accumulated gradient; caller is
-  /// responsible for zeroing gradients afterwards.
-  virtual void step(const std::vector<ParamRef>& params) = 0;
-  virtual const char* name() const = 0;
-
-  void set_learning_rate(double lr) { lr_ = lr; }
-  double learning_rate() const { return lr_; }
-
- protected:
-  explicit Optimizer(double lr) : lr_(lr) {}
-  double lr_;
-};
-
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(double lr, double momentum = 0.0);
-  void step(const std::vector<ParamRef>& params) override;
-  const char* name() const override { return "sgd"; }
-
- private:
-  double momentum_;
-  std::unordered_map<tensor::Matrix*, tensor::Matrix> velocity_;
-};
-
-class RmsProp : public Optimizer {
- public:
-  explicit RmsProp(double lr, double decay = 0.9, double eps = 1e-8);
-  void step(const std::vector<ParamRef>& params) override;
-  const char* name() const override { return "rmsprop"; }
-
- private:
-  double decay_, eps_;
-  std::unordered_map<tensor::Matrix*, tensor::Matrix> sq_avg_;
-};
-
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr, double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
-  void step(const std::vector<ParamRef>& params) override;
-  const char* name() const override { return "adam"; }
+  /// Apply one update using each param's accumulated gradient; caller is
+  /// responsible for zeroing gradients afterwards.
+  void step(const std::vector<ParamRef>& params);
 
  private:
+  double lr_;
   double beta1_, beta2_, eps_;
   long t_ = 0;
   std::unordered_map<tensor::Matrix*, tensor::Matrix> m_, v_;

@@ -6,22 +6,9 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/logging.hpp"
 #include "common/rng.hpp"
 
 namespace repro::nn {
-namespace {
-
-std::unique_ptr<Optimizer> make_optimizer(const TrainConfig& cfg) {
-  switch (cfg.optimizer) {
-    case OptimizerKind::kSgd: return std::make_unique<Sgd>(cfg.learning_rate, 0.9);
-    case OptimizerKind::kRmsProp: return std::make_unique<RmsProp>(cfg.learning_rate);
-    case OptimizerKind::kAdam: return std::make_unique<Adam>(cfg.learning_rate);
-  }
-  throw std::logic_error("make_optimizer: unknown kind");
-}
-
-}  // namespace
 
 void SequenceDataset::append(tensor::Matrix seq, std::vector<double> target) {
   if (!sequences.empty() &&
@@ -30,38 +17,6 @@ void SequenceDataset::append(tensor::Matrix seq, std::vector<double> target) {
   }
   sequences.push_back(std::move(seq));
   targets.push_back(std::move(target));
-}
-
-std::pair<SequenceDataset, SequenceDataset> SequenceDataset::split(double first_fraction) const& {
-  auto cut = static_cast<std::size_t>(static_cast<double>(size()) * first_fraction);
-  SequenceDataset head, tail;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (i < cut) head.append(sequences[i], targets[i]);
-    else tail.append(sequences[i], targets[i]);
-  }
-  return {std::move(head), std::move(tail)};
-}
-
-std::pair<SequenceDataset, SequenceDataset> SequenceDataset::split(double first_fraction) && {
-  auto cut = static_cast<std::size_t>(static_cast<double>(size()) * first_fraction);
-  SequenceDataset head, tail;
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (i < cut) head.append(std::move(sequences[i]), std::move(targets[i]));
-    else tail.append(std::move(sequences[i]), std::move(targets[i]));
-  }
-  return {std::move(head), std::move(tail)};
-}
-
-SeqBatch gather_batch(const SequenceDataset& data, const std::vector<std::size_t>& idx) {
-  SeqBatch batch;
-  gather_batch_into(data, idx, batch);
-  return batch;
-}
-
-tensor::Matrix gather_targets(const SequenceDataset& data, const std::vector<std::size_t>& idx) {
-  tensor::Matrix y;
-  gather_targets_into(data, idx, y);
-  return y;
 }
 
 void gather_batch_into(const SequenceDataset& data, const std::vector<std::size_t>& idx,
@@ -110,7 +65,7 @@ double Trainer::evaluate_range(Drnn& model, const SequenceDataset& data, std::si
     gather_batch_into(data, idx_ws_, batch_ws_);
     gather_targets_into(data, idx_ws_, y_ws_);
     const tensor::Matrix& pred = model.forward(batch_ws_, /*training=*/false);
-    compute_loss_into(config_.loss, pred, y_ws_, loss_ws_, config_.huber_delta);
+    mse_loss_into(pred, y_ws_, loss_ws_);
     total += loss_ws_.value * static_cast<double>(idx_ws_.size());
     count += idx_ws_.size();
   }
@@ -121,92 +76,20 @@ double Trainer::evaluate(Drnn& model, const SequenceDataset& data) const {
   return evaluate_range(model, data, 0, data.size());
 }
 
-double Trainer::train_step_serial(Drnn& model) {
+double Trainer::train_step(Drnn& model, const SequenceDataset& data,
+                           const std::vector<std::size_t>& idx) {
+  if (idx.empty()) throw std::invalid_argument("Trainer::train_step: empty minibatch");
+  if (!optimizer_) optimizer_ = std::make_unique<Adam>(config_.learning_rate);
+  gather_batch_into(data, idx, batch_ws_);
+  gather_targets_into(data, idx, y_ws_);
   model.zero_grads();
   const tensor::Matrix& pred = model.forward(batch_ws_, /*training=*/true);
-  compute_loss_into(config_.loss, pred, y_ws_, loss_ws_, config_.huber_delta);
+  mse_loss_into(pred, y_ws_, loss_ws_);
   model.backward(loss_ws_.grad);
   const auto& params = model.param_refs();
   clip_grad_norm(params, config_.grad_clip);
   optimizer_->step(params);
   return loss_ws_.value;
-}
-
-double Trainer::train_step_sharded(Drnn& model) {
-  const std::size_t rows = idx_ws_.size();
-  const std::size_t nshards = std::min(config_.shards, rows);
-  if (shards_.size() < nshards) shards_.resize(nshards);
-
-  // Fixed contiguous partition: depends only on (rows, nshards), never on
-  // the thread count, so the reduction below is deterministic.
-  const std::size_t base = rows / nshards;
-  const std::size_t rem = rows % nshards;
-  const std::size_t target_width = sharded_data_->targets[idx_ws_[0]].size();
-  const std::size_t denom = rows * target_width;  ///< global element count
-  std::size_t next = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    Shard& sh = shards_[s];
-    if (!sh.model) sh.model = std::make_unique<Drnn>(model.config());
-    const std::size_t take = base + (s < rem ? 1 : 0);
-    sh.idx.clear();
-    for (std::size_t i = 0; i < take; ++i) sh.idx.push_back(idx_ws_[next + i]);
-    next += take;
-    // Sync replica weights with the master.
-    const auto& master = model.param_refs();
-    const auto& mine = sh.model->param_refs();
-    for (std::size_t p = 0; p < master.size(); ++p) mine[p].value->copy_from(*master[p].value);
-  }
-
-  const SequenceDataset* data = sharded_data_;
-  auto run_shard = [this, data, denom](std::size_t s) {
-    Shard& sh = shards_[s];
-    gather_batch_into(*data, sh.idx, sh.batch);
-    gather_targets_into(*data, sh.idx, sh.y);
-    sh.model->zero_grads();
-    const tensor::Matrix& pred = sh.model->forward(sh.batch, /*training=*/true);
-    compute_loss_into(config_.loss, pred, sh.y, sh.loss, config_.huber_delta, denom);
-    sh.model->backward(sh.loss.grad);
-  };
-
-  common::ThreadPool& pool = pool_ != nullptr ? *pool_ : common::ThreadPool::global();
-  if (pool.size() > 1 && nshards > 1) {
-    pool.parallel_for(nshards,
-                      [&run_shard](std::size_t lo, std::size_t hi) {
-                        for (std::size_t s = lo; s < hi; ++s) run_shard(s);
-                      },
-                      /*grain=*/1);
-  } else {
-    for (std::size_t s = 0; s < nshards; ++s) run_shard(s);
-  }
-
-  // Reduce gradients in shard-index order (fixed, thread-count independent).
-  model.zero_grads();
-  double loss_sum = 0.0;
-  const auto& master = model.param_refs();
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const auto& mine = shards_[s].model->param_refs();
-    for (std::size_t p = 0; p < master.size(); ++p) *master[p].grad += *mine[p].grad;
-    loss_sum += shards_[s].loss.value;
-  }
-  clip_grad_norm(master, config_.grad_clip);
-  optimizer_->step(master);
-  return loss_sum / static_cast<double>(denom);
-}
-
-double Trainer::train_step(Drnn& model, const SequenceDataset& data,
-                           const std::vector<std::size_t>& idx) {
-  if (idx.empty()) throw std::invalid_argument("Trainer::train_step: empty minibatch");
-  if (!optimizer_) optimizer_ = make_optimizer(config_);
-  if (&idx != &idx_ws_) idx_ws_.assign(idx.begin(), idx.end());
-  if (config_.shards > 1) {
-    sharded_data_ = &data;
-    double loss = train_step_sharded(model);
-    sharded_data_ = nullptr;
-    return loss;
-  }
-  gather_batch_into(data, idx_ws_, batch_ws_);
-  gather_targets_into(data, idx_ws_, y_ws_);
-  return train_step_serial(model);
 }
 
 void Trainer::snapshot_into(Drnn& model, std::vector<tensor::Matrix>& snap) const {
@@ -234,7 +117,7 @@ TrainReport Trainer::fit(Drnn& model, const SequenceDataset& data) {
   }
   const std::size_t val_size = data.size() - cut;
 
-  optimizer_ = make_optimizer(config_);
+  optimizer_ = std::make_unique<Adam>(config_.learning_rate);
   common::Pcg32 rng(config_.seed, 0x7a);
   std::vector<std::size_t> order(cut);
   std::iota(order.begin(), order.end(), 0);
@@ -242,16 +125,13 @@ TrainReport Trainer::fit(Drnn& model, const SequenceDataset& data) {
   double best_val = std::numeric_limits<double>::infinity();
   std::size_t bad_epochs = 0;
   std::vector<tensor::Matrix> best_weights;
-  bool have_best = false;
 
   std::vector<std::size_t> idx;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    if (config_.shuffle) {
-      // Fisher-Yates with our deterministic rng.
-      for (std::size_t i = order.size(); i-- > 1;) {
-        std::size_t j = rng.bounded(static_cast<std::uint32_t>(i + 1));
-        std::swap(order[i], order[j]);
-      }
+    // Fisher-Yates with our deterministic rng.
+    for (std::size_t i = order.size(); i-- > 1;) {
+      std::size_t j = rng.bounded(static_cast<std::uint32_t>(i + 1));
+      std::swap(order[i], order[j]);
     }
 
     double epoch_loss = 0.0;
@@ -271,26 +151,18 @@ TrainReport Trainer::fit(Drnn& model, const SequenceDataset& data) {
     if (val_size > 0) {
       double val_loss = evaluate_range(model, data, cut, data.size());
       report.val_losses.push_back(val_loss);
-      if (config_.verbose) {
-        LOG_INFO("epoch ", epoch, " train_loss=", epoch_loss, " val_loss=", val_loss);
-      }
       if (val_loss < best_val - 1e-12) {
         best_val = val_loss;
         report.best_epoch = epoch;
         bad_epochs = 0;
-        if (config_.restore_best) {
-          snapshot_into(model, best_weights);
-          have_best = true;
-        }
+        snapshot_into(model, best_weights);
       } else if (++bad_epochs >= config_.patience) {
         break;
       }
-    } else if (config_.verbose) {
-      LOG_INFO("epoch ", epoch, " train_loss=", epoch_loss);
     }
   }
 
-  if (have_best) restore_from(model, best_weights);
+  if (!best_weights.empty()) restore_from(model, best_weights);
   report.best_val_loss = std::isfinite(best_val) ? best_val : 0.0;
   return report;
 }

@@ -1,21 +1,16 @@
 #pragma once
-// Mini-batch BPTT trainer with gradient clipping and early stopping.
+// Mini-batch BPTT trainer: Adam on the MSE loss, shuffled minibatches,
+// gradient clipping, and early stopping that restores the best epoch's
+// weights.
 //
 // The training loop is allocation-free in steady state: minibatches are
 // gathered into reused timestep-major workspaces, the loss gradient and
 // best-weights snapshot live in member buffers, and train/validation
 // splits are index ranges over the caller's dataset (never copies).
-//
-// With `TrainConfig::shards > 1` each minibatch is partitioned into a
-// fixed number of contiguous shards that run forward/backward on replica
-// models (in parallel when a thread pool has workers); shard gradients are
-// reduced in shard-index order, so results depend only on the shard count,
-// never on the thread count.
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "nn/drnn.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -30,13 +25,7 @@ struct SequenceDataset {
 
   std::size_t size() const { return sequences.size(); }
   void append(tensor::Matrix seq, std::vector<double> target);
-  /// Temporal head/tail split (no shuffling across the split boundary).
-  /// Moves the rows out when called on an rvalue dataset.
-  std::pair<SequenceDataset, SequenceDataset> split(double first_fraction) const&;
-  std::pair<SequenceDataset, SequenceDataset> split(double first_fraction) &&;
 };
-
-enum class OptimizerKind { kSgd, kRmsProp, kAdam };
 
 struct TrainConfig {
   std::size_t epochs = 40;
@@ -45,18 +34,7 @@ struct TrainConfig {
   double grad_clip = 5.0;
   double validation_fraction = 0.15;  ///< tail of the training set
   std::size_t patience = 6;           ///< early-stop after this many non-improving epochs
-  OptimizerKind optimizer = OptimizerKind::kAdam;
-  LossKind loss = LossKind::kMse;
-  double huber_delta = 1.0;
   std::uint64_t seed = 1234;
-  bool shuffle = true;
-  bool restore_best = true;
-  bool verbose = false;
-  /// Number of minibatch shards for data-parallel BPTT. 1 (default) is the
-  /// serial path, bit-identical to the historical trainer. Values > 1
-  /// change the gradient normalisation grouping (still deterministic for a
-  /// given shard count, independent of thread count).
-  std::size_t shards = 1;
 };
 
 struct TrainReport {
@@ -67,10 +45,8 @@ struct TrainReport {
   std::size_t epochs_run = 0;
 };
 
-/// Build a timestep-major SeqBatch (+ target matrix) from dataset rows.
-SeqBatch gather_batch(const SequenceDataset& data, const std::vector<std::size_t>& idx);
-tensor::Matrix gather_targets(const SequenceDataset& data, const std::vector<std::size_t>& idx);
-/// Workspace variants (no allocations once shapes are warm).
+/// Gather dataset rows into a timestep-major SeqBatch / target matrix,
+/// reusing `out` (no allocations once shapes are warm).
 void gather_batch_into(const SequenceDataset& data, const std::vector<std::size_t>& idx,
                        SeqBatch& out);
 void gather_targets_into(const SequenceDataset& data, const std::vector<std::size_t>& idx,
@@ -80,6 +56,9 @@ class Trainer {
  public:
   explicit Trainer(TrainConfig config) : config_(config) {}
 
+  /// Train on `data`, holding out its last validation_fraction rows (when
+  /// it has at least 10) for early stopping; the model ends with the
+  /// weights of the epoch with the lowest validation loss.
   TrainReport fit(Drnn& model, const SequenceDataset& data);
 
   /// Mean loss over a dataset without updating weights.
@@ -91,39 +70,22 @@ class Trainer {
   double train_step(Drnn& model, const SequenceDataset& data,
                     const std::vector<std::size_t>& idx);
 
-  /// Thread pool for the sharded path (tests override; default: global pool).
-  void set_pool(common::ThreadPool* pool) { pool_ = pool; }
-
   const TrainConfig& config() const { return config_; }
 
  private:
   double evaluate_range(Drnn& model, const SequenceDataset& data, std::size_t lo,
                         std::size_t hi) const;
-  double train_step_serial(Drnn& model);
-  double train_step_sharded(Drnn& model);
   void snapshot_into(Drnn& model, std::vector<tensor::Matrix>& snap) const;
   void restore_from(Drnn& model, const std::vector<tensor::Matrix>& snap) const;
 
   TrainConfig config_;
-  common::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<Optimizer> optimizer_;
+  std::unique_ptr<Adam> optimizer_;
 
   // Reused workspaces (mutable: evaluate() is logically const).
   mutable SeqBatch batch_ws_;
   mutable tensor::Matrix y_ws_;
   mutable LossResult loss_ws_;
   mutable std::vector<std::size_t> idx_ws_;
-
-  // Sharded-path state: one replica model + workspaces per shard.
-  struct Shard {
-    std::unique_ptr<Drnn> model;
-    std::vector<std::size_t> idx;
-    SeqBatch batch;
-    tensor::Matrix y;
-    LossResult loss;
-  };
-  std::vector<Shard> shards_;
-  const SequenceDataset* sharded_data_ = nullptr;
 };
 
 }  // namespace repro::nn

@@ -6,10 +6,6 @@ namespace repro::runtime {
 
 ControlSurface::~ControlSurface() = default;
 
-const std::vector<dsps::WindowSample>& ControlSurface::history() const {
-  return window_history().samples();
-}
-
 namespace {
 [[noreturn]] void unsupported(const ControlSurface& surface, const char* what) {
   throw std::logic_error(std::string(what) + ": not supported by the '" +

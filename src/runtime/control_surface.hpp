@@ -33,7 +33,7 @@ class ControlSurface {
   /// Periodic control callback. Fired at window boundaries, every
   /// `interval` seconds (rounded to a whole number of windows), from the
   /// backend's metrics context — on the async runtime that is the
-  /// sampler thread, so hooks may freely read history().
+  /// sampler thread, so hooks may freely read window_history().
   using ControlHook = std::function<void(ControlSurface&)>;
 
   virtual ~ControlSurface();
@@ -49,11 +49,6 @@ class ControlSurface {
   /// read only from a control hook (fires in the writer's context) or
   /// after the run stopped.
   virtual const WindowHistory& window_history() const = 0;
-  /// Legacy view: the retained window samples as a vector (the complete
-  /// history when the spine is unbounded). Same threading rules as
-  /// window_history(). Prefer window_history() for new code — vector
-  /// indices stop matching window numbers once eviction kicks in.
-  virtual const std::vector<dsps::WindowSample>& history() const;
   virtual std::size_t worker_count() const = 0;
   /// Global task-id range [first, first+parallelism) of a component.
   virtual std::pair<std::size_t, std::size_t> tasks_of(const std::string& component) const = 0;

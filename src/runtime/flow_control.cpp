@@ -1,7 +1,6 @@
 #include "runtime/flow_control.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
 namespace repro::runtime {
@@ -36,18 +35,6 @@ void FlowControlConfig::validate() const {
   }
 }
 
-FlowControlConfig flow_config_from_flags(long long queue_capacity, const std::string& policy) {
-  if (queue_capacity < 0) {
-    throw std::invalid_argument("flow_config_from_flags: negative queue capacity " +
-                                std::to_string(queue_capacity));
-  }
-  FlowControlConfig cfg;
-  cfg.queue_capacity = static_cast<std::size_t>(queue_capacity);
-  cfg.policy = parse_overflow_policy(policy);
-  cfg.validate();
-  return cfg;
-}
-
 const char* backend_kind_name(BackendKind backend) {
   switch (backend) {
     case BackendKind::kSim: return "sim";
@@ -66,49 +53,6 @@ BackendKind parse_backend_kind(const std::string& name) {
   }
   throw std::invalid_argument("parse_backend_kind: unknown backend '" + name +
                               "' (use sim|async)");
-}
-
-const std::vector<std::string>& data_path_flag_names() {
-  static const std::vector<std::string> names = {"queue-cap", "overflow-policy", "max-pending",
-                                                 "batch-size", "backend"};
-  return names;
-}
-
-const char* data_path_flag_usage() {
-  return "  [--queue-cap=N --overflow-policy=unbounded|block|drop] [--max-pending=N]\n"
-         "  [--batch-size=N] [--backend=sim|async]";
-}
-
-bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
-                           std::size_t& max_spout_pending, std::size_t& batch_size,
-                           BackendKind& backend) {
-  try {
-    if (flags.has("backend")) backend = parse_backend_kind(flags.get("backend"));
-    if (flags.has("max-pending")) {
-      long long pending = flags.get_int("max-pending", 0);
-      if (pending < 0) {
-        throw std::invalid_argument("flag --max-pending: negative value " +
-                                    std::to_string(pending));
-      }
-      max_spout_pending = static_cast<std::size_t>(pending);
-    }
-    if (flags.has("queue-cap") || flags.has("overflow-policy")) {
-      flow = flow_config_from_flags(flags.get_int("queue-cap", 0),
-                                    flags.get("overflow-policy", "unbounded"));
-    }
-    if (flags.has("batch-size")) {
-      long long batch = flags.get_int("batch-size", 1);
-      if (batch < 1) {
-        throw std::invalid_argument("flag --batch-size: must be >= 1, got " +
-                                    std::to_string(batch));
-      }
-      batch_size = static_cast<std::size_t>(batch);
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return false;
-  }
-  return true;
 }
 
 FlowControl::FlowControl(FlowControlConfig config, std::size_t task_count) : cfg_(config) {

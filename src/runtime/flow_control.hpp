@@ -40,8 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flags.hpp"
-
 namespace repro::runtime {
 
 enum class OverflowPolicy {
@@ -69,11 +67,6 @@ struct FlowControlConfig {
   void validate() const;
 };
 
-/// Build a FlowControlConfig from raw CLI flag values, rejecting negative
-/// capacities before the silent signed->unsigned conversion could turn
-/// them into "practically unbounded". Throws std::invalid_argument.
-FlowControlConfig flow_config_from_flags(long long queue_capacity, const std::string& policy);
-
 /// Which engine drives the topology: the deterministic discrete-event
 /// simulator or the event-loop async engine (wall clock).
 enum class BackendKind { kSim, kAsync };
@@ -83,24 +76,6 @@ const char* backend_kind_name(BackendKind backend);
 /// std::invalid_argument naming the unknown spelling; the removed
 /// thread-per-worker "rt" backend is rejected with a pointer to "async".
 BackendKind parse_backend_kind(const std::string& name);
-
-/// The data-path CLI flags shared by every example binary — append to the
-/// binary's `known` list: --queue-cap=N, --overflow-policy=POLICY,
-/// --max-pending=N, --batch-size=N, --backend=sim|async.
-const std::vector<std::string>& data_path_flag_names();
-/// One usage line documenting those flags (no trailing newline).
-const char* data_path_flag_usage();
-
-/// Shared CLI plumbing for the data-path flags, deduplicating the parse
-/// blocks the example binaries used to copy-paste: reads the flags out of
-/// `flags` and applies only the ones present onto the caller's config
-/// fields (absent flags leave the defaults untouched). On any bad value —
-/// negative/non-integer capacity or pending, unknown policy, batch size
-/// < 1, unknown backend — prints the diagnostic to stderr and returns
-/// false so the CLI can exit 2.
-bool apply_data_path_flags(const common::Flags& flags, FlowControlConfig& flow,
-                           std::size_t& max_spout_pending, std::size_t& batch_size,
-                           BackendKind& backend);
 
 /// Per-task flow-control state shared by both engines: admission
 /// decisions against the configured capacity, occupancy (credit)

@@ -19,10 +19,6 @@ void WindowHistory::push(dsps::WindowSample sample) {
   samples_.push_back(std::move(sample));
   storage_high_water_ = std::max(storage_high_water_, samples_.capacity());
   compact_if_needed();
-  if (!subscribers_.empty()) {
-    std::size_t global = first_index_ + samples_.size() - 1;
-    for (const auto& [token, fn] : subscribers_) fn(samples_.back(), global);
-  }
 }
 
 void WindowHistory::compact_if_needed() {
@@ -39,25 +35,6 @@ const dsps::WindowSample& WindowHistory::at_global(std::size_t global_index) con
                             std::to_string(total()) + ")");
   }
   return samples_[global_index - first_index_];
-}
-
-void WindowHistory::copy_tail(std::size_t n, std::vector<dsps::WindowSample>& out) const {
-  out.clear();
-  std::size_t take = std::min(n, samples_.size());
-  out.insert(out.end(), samples_.end() - static_cast<std::ptrdiff_t>(take), samples_.end());
-}
-
-std::size_t WindowHistory::subscribe(Subscriber fn) {
-  if (!fn) throw std::invalid_argument("WindowHistory::subscribe: null subscriber");
-  std::size_t token = next_token_++;
-  subscribers_.emplace_back(token, std::move(fn));
-  return token;
-}
-
-void WindowHistory::unsubscribe(std::size_t token) {
-  subscribers_.erase(std::remove_if(subscribers_.begin(), subscribers_.end(),
-                                    [token](const auto& s) { return s.first == token; }),
-                     subscribers_.end());
 }
 
 }  // namespace repro::runtime

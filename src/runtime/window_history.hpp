@@ -10,12 +10,11 @@
 // cursor) can track "what have I already seen" across evictions.
 //
 // Storage is a compacting vector rather than a classic two-pointer ring:
-// samples always sit contiguous and oldest-to-newest, which keeps the
-// legacy ControlSurface::history() vector view and zero-copy tail reads
-// alive. Appends are amortized O(1): the buffer grows to 2*capacity, then
-// one bulk erase drops the oldest half. Retention is therefore "at least
-// `capacity`, at most 2*capacity - 1 samples"; the memory high-water mark
-// is flat at 2*capacity samples for the whole run.
+// samples always sit contiguous and oldest-to-newest, so samples() is a
+// zero-copy vector view. Appends are amortized O(1): the buffer grows to
+// 2*capacity, then one bulk erase drops the oldest half. Retention is
+// therefore "at least `capacity`, at most 2*capacity - 1 samples"; the
+// memory high-water mark is flat at 2*capacity samples for the whole run.
 //
 // Threading matches the old history vector: one writer (the simulator's
 // event context or the rt metrics thread); reads are safe from control
@@ -23,7 +22,6 @@
 // invalidates references, so hooks must not hold sample references across
 // rounds.
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "dsps/metrics.hpp"
@@ -32,11 +30,6 @@ namespace repro::runtime {
 
 class WindowHistory {
  public:
-  /// Observer fired synchronously after each append, in the writer's
-  /// context (metrics thread / sim event), with the sample and its global
-  /// window index.
-  using Subscriber = std::function<void(const dsps::WindowSample&, std::size_t global_index)>;
-
   /// `capacity` = minimum number of most-recent windows retained;
   /// 0 = unbounded (every window kept, global index == vector index).
   explicit WindowHistory(std::size_t capacity = 0);
@@ -48,7 +41,7 @@ class WindowHistory {
   std::size_t capacity() const { return capacity_; }
   bool bounded() const { return capacity_ > 0; }
 
-  /// Append one window sample (O(1) amortized) and notify subscribers.
+  /// Append one window sample (O(1) amortized).
   void push(dsps::WindowSample sample);
 
   // --- indices ---------------------------------------------------------
@@ -62,20 +55,12 @@ class WindowHistory {
 
   // --- views -----------------------------------------------------------
   /// Retained samples, oldest to newest, contiguous. In unbounded mode
-  /// this is the complete history (the legacy engine vector, verbatim).
+  /// this is the complete history.
   const std::vector<dsps::WindowSample>& samples() const { return samples_; }
   /// Sample by *global* window index. Throws std::out_of_range when the
   /// window was evicted or not yet appended.
   const dsps::WindowSample& at_global(std::size_t global_index) const;
   const dsps::WindowSample& back() const { return samples_.back(); }
-  /// Copy the most recent min(n, size()) samples into `out` (cleared
-  /// first), oldest to newest — the bounded refit/training view.
-  void copy_tail(std::size_t n, std::vector<dsps::WindowSample>& out) const;
-
-  // --- subscriptions ---------------------------------------------------
-  /// Register an on-append observer; returns a token for unsubscribe().
-  std::size_t subscribe(Subscriber fn);
-  void unsubscribe(std::size_t token);
 
   /// Flat-memory diagnostic: retained-storage high-water mark in samples
   /// (vector capacity), which bounded histories keep <= 2*capacity.
@@ -87,8 +72,6 @@ class WindowHistory {
   std::size_t capacity_ = 0;
   std::size_t first_index_ = 0;
   std::vector<dsps::WindowSample> samples_;
-  std::vector<std::pair<std::size_t, Subscriber>> subscribers_;
-  std::size_t next_token_ = 1;
   std::size_t storage_high_water_ = 0;
 };
 

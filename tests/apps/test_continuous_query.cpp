@@ -119,7 +119,7 @@ TEST(ContinuousQuery, RunsEndToEnd) {
   // Results flow to the results bolt.
   auto [rlo, rhi] = engine.tasks_of("results");
   std::uint64_t received = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (std::size_t t = rlo; t < rhi; ++t) received += w.tasks[t].received;
   }
   EXPECT_GT(received, 0u);
@@ -146,7 +146,7 @@ TEST(ContinuousQuery, SplitInvariantResults) {
     // Count query partial emissions merged per window (received at results).
     auto [rlo, rhi] = engine.tasks_of("results");
     std::uint64_t total = 0;
-    for (const auto& w : engine.history()) {
+    for (const auto& w : engine.window_history().samples()) {
       for (std::size_t t = rlo; t < rhi; ++t) total += w.tasks[t].executed;
     }
     return total;

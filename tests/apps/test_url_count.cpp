@@ -54,7 +54,7 @@ TEST(UrlCount, CountsAreConservedEndToEnd) {
   std::uint64_t spout_emits = engine.totals().roots_emitted;
   std::uint64_t counted = 0;
   auto [clo, chi] = engine.tasks_of("counter");
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (std::size_t t = clo; t < chi; ++t) counted += w.tasks[t].executed;
   }
   // Counter executes exactly one tuple per URL; the final window may still
@@ -125,7 +125,9 @@ TEST(UrlCount, ZeroWeightCounterReceivesNothing) {
   engine.run_for(5.0);
   auto [clo, chi] = engine.tasks_of("counter");
   std::uint64_t received_last = 0;
-  for (const auto& w : engine.history()) received_last += w.tasks[chi - 1].received;
+  for (const auto& w : engine.window_history().samples()) {
+    received_last += w.tasks[chi - 1].received;
+  }
   EXPECT_EQ(received_last, 0u);
 }
 

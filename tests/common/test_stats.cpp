@@ -51,61 +51,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
-TEST(PercentileTracker, ExactQuantiles) {
-  PercentileTracker p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_NEAR(p.percentile(0.0), 1.0, 1e-12);
-  EXPECT_NEAR(p.percentile(1.0), 100.0, 1e-12);
-  EXPECT_NEAR(p.median(), 50.5, 1e-12);
-  EXPECT_NEAR(p.percentile(0.99), 99.01, 1e-9);
-}
-
-TEST(PercentileTracker, EmptyReturnsZero) {
-  PercentileTracker p;
-  EXPECT_DOUBLE_EQ(p.percentile(0.5), 0.0);
-}
-
-TEST(PercentileTracker, UnsortedInsertOrder) {
-  PercentileTracker p;
-  for (double v : {9.0, 1.0, 5.0, 3.0, 7.0}) p.add(v);
-  EXPECT_DOUBLE_EQ(p.median(), 5.0);
-}
-
-TEST(Ewma, FirstValueInitializes) {
-  Ewma e(0.5);
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-  e.add(0.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-}
-
-TEST(Ewma, ConvergesToConstant) {
-  Ewma e(0.3);
-  for (int i = 0; i < 100; ++i) e.add(7.0);
-  EXPECT_NEAR(e.value(), 7.0, 1e-9);
-}
-
-TEST(Histogram, BucketsAndQuantiles) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(i * 0.1);  // uniform over [0, 10)
-  EXPECT_EQ(h.total(), 100u);
-  for (std::size_t b = 0; b < h.bucket_count(); ++b) EXPECT_EQ(h.bucket(b), 10u);
-  EXPECT_NEAR(h.quantile(0.5), 5.0, 1.1);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-5.0);
-  h.add(99.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(3), 1u);
-}
-
-TEST(Histogram, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(ErrorMetrics, KnownValues) {
   std::vector<double> actual = {1.0, 2.0, 4.0};
   std::vector<double> pred = {1.5, 1.5, 5.0};

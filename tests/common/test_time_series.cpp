@@ -32,77 +32,6 @@ TEST(Undifference, InvertsDifference) {
   for (std::size_t i = 0; i < restored.size(); ++i) EXPECT_NEAR(restored[i], y[i + 1], 1e-12);
 }
 
-TEST(MakeLagged, ShapesAndValues) {
-  std::vector<double> y = {1, 2, 3, 4, 5, 6};
-  auto ds = make_lagged(y, 3, 1);
-  ASSERT_EQ(ds.inputs.size(), 3u);
-  EXPECT_EQ(ds.inputs[0], (std::vector<double>{1, 2, 3}));
-  EXPECT_EQ(ds.targets[0], 4);
-  EXPECT_EQ(ds.inputs[2], (std::vector<double>{3, 4, 5}));
-  EXPECT_EQ(ds.targets[2], 6);
-}
-
-TEST(MakeLagged, HorizonShiftsTarget) {
-  std::vector<double> y = {1, 2, 3, 4, 5, 6};
-  auto ds = make_lagged(y, 2, 3);
-  ASSERT_EQ(ds.inputs.size(), 2u);
-  EXPECT_EQ(ds.targets[0], 5);  // window {1,2}, 3 ahead of index 1 is index 4
-}
-
-TEST(MakeLagged, TooShortReturnsEmpty) {
-  std::vector<double> y = {1, 2};
-  auto ds = make_lagged(y, 3, 1);
-  EXPECT_TRUE(ds.inputs.empty());
-}
-
-TEST(TemporalSplit, Fractions) {
-  EXPECT_EQ(temporal_split(100, 0.7).train_end, 70u);
-  EXPECT_EQ(temporal_split(10, 0.0).train_end, 0u);
-  EXPECT_EQ(temporal_split(10, 1.0).train_end, 10u);
-}
-
-TEST(Resample, LinearInterpolation) {
-  Series s;
-  s.values = {0.0, 2.0, 4.0};
-  s.dt = 1.0;
-  Series r = resample(s, 0.5);
-  ASSERT_EQ(r.values.size(), 5u);
-  EXPECT_NEAR(r.values[1], 1.0, 1e-12);
-  EXPECT_NEAR(r.values[3], 3.0, 1e-12);
-}
-
-TEST(MovingAverage, SmoothsConstantExactly) {
-  std::vector<double> y(10, 4.0);
-  auto s = moving_average(y, 3);
-  for (double v : s) EXPECT_NEAR(v, 4.0, 1e-12);
-}
-
-TEST(MovingAverage, EvenWindowThrows) {
-  EXPECT_THROW(moving_average({1.0, 2.0}, 2), std::invalid_argument);
-}
-
-TEST(Autocorrelation, WhiteNoiseIsNearZero) {
-  std::vector<double> y;
-  unsigned long long state = 88172645463325252ULL;
-  for (int i = 0; i < 4000; ++i) {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    y.push_back(static_cast<double>(state % 1000) / 1000.0);
-  }
-  auto acf = autocorrelation(y, 5);
-  EXPECT_NEAR(acf[0], 1.0, 1e-12);
-  for (std::size_t lag = 1; lag <= 5; ++lag) EXPECT_LT(std::abs(acf[lag]), 0.08);
-}
-
-TEST(Autocorrelation, PeriodicSignalPeaksAtPeriod) {
-  std::vector<double> y;
-  for (int i = 0; i < 400; ++i) y.push_back(std::sin(2.0 * M_PI * i / 20.0));
-  auto acf = autocorrelation(y, 25);
-  EXPECT_GT(acf[20], 0.9);
-  EXPECT_LT(acf[10], -0.9);
-}
-
 TEST(MeanVariance, Basics) {
   std::vector<double> y = {1.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(mean_of(y), 2.0);

@@ -94,8 +94,8 @@ TEST(Engine, WindowHistoryHasExpectedLength) {
   BuiltTopo t = two_stage();
   Engine engine(t.topo, small_cluster());
   engine.run_for(10.0);
-  EXPECT_EQ(engine.history().size(), 10u);
-  EXPECT_NEAR(engine.history().back().time, 10.0, 1e-9);
+  EXPECT_EQ(engine.window_history().samples().size(), 10u);
+  EXPECT_NEAR(engine.window_history().samples().back().time, 10.0, 1e-9);
 }
 
 TEST(Engine, BoundedHistoryCapRetainsRecentTail) {
@@ -110,8 +110,7 @@ TEST(Engine, BoundedHistoryCapRetainsRecentTail) {
   EXPECT_LE(h.size(), 15u);
   EXPECT_LE(h.storage_high_water(), 16u);
   EXPECT_NEAR(h.back().time, 40.0, 1e-9);
-  // history() view is the retained tail; global indexing still works.
-  EXPECT_EQ(engine.history().size(), h.size());
+  // Global indexing still works.
   EXPECT_NEAR(h.at_global(39).time, 40.0, 1e-9);
   EXPECT_THROW(h.at_global(0), std::out_of_range);
 }
@@ -139,8 +138,8 @@ TEST(Engine, DifferentSeedsDiffer) {
   e2.run_for(5.0);
   // Same arrival schedule (deterministic spout) but different service noise
   // -> different delivered latencies; compare window latency.
-  EXPECT_NE(e1.history().back().topology.avg_complete_latency,
-            e2.history().back().topology.avg_complete_latency);
+  EXPECT_NE(e1.window_history().samples().back().topology.avg_complete_latency,
+            e2.window_history().samples().back().topology.avg_complete_latency);
 }
 
 TEST(Engine, MachineHogInflatesProcessingTime) {
@@ -150,11 +149,13 @@ TEST(Engine, MachineHogInflatesProcessingTime) {
   // Baseline proc time on relay workers.
   auto relay_workers = engine.workers_of("relay");
   double before = 0.0;
-  for (std::size_t w : relay_workers) before += engine.history().back().workers[w].avg_proc_time;
+  for (std::size_t w : relay_workers) {
+    before += engine.window_history().back().workers[w].avg_proc_time;
+  }
 
   engine.set_machine_hog(engine.worker(relay_workers[0]).machine, 6.0);
   engine.run_for(10.0);
-  double after = engine.history().back().workers[relay_workers[0]].avg_proc_time;
+  double after = engine.window_history().back().workers[relay_workers[0]].avg_proc_time;
   double before_w0 = before / relay_workers.size();
   EXPECT_GT(after, before_w0 * 1.5);
 }
@@ -164,10 +165,10 @@ TEST(Engine, WorkerSlowdownInflatesItsProcTime) {
   Engine engine(t.topo, small_cluster());
   engine.run_for(8.0);
   std::size_t victim = engine.workers_of("relay")[0];
-  double before = engine.history().back().workers[victim].avg_proc_time;
+  double before = engine.window_history().samples().back().workers[victim].avg_proc_time;
   engine.set_worker_slowdown(victim, 4.0);
   engine.run_for(8.0);
-  double after = engine.history().back().workers[victim].avg_proc_time;
+  double after = engine.window_history().samples().back().workers[victim].avg_proc_time;
   EXPECT_GT(after, before * 2.5);
 }
 
@@ -250,7 +251,7 @@ TEST(Engine, DynamicRatioRedirectsTraffic) {
   engine.run_for(5.0);
   t.ratio->set_ratios({1.0, 0.0, 0.0, 0.0});
   engine.run_for(5.0);
-  const auto& last = engine.history().back();
+  const auto& last = engine.window_history().samples().back();
   auto [lo, hi] = engine.tasks_of("relay");
   EXPECT_GT(last.tasks[lo].received, 400u);
   for (std::size_t task = lo + 1; task < hi; ++task) {
@@ -276,7 +277,7 @@ TEST(Engine, StallDelaysProcessing) {
   engine.stall_worker(victim, 3.0);
   engine.run_for(1.0);
   // During the stall the victim's queue builds up.
-  const auto& w = engine.history().back().workers[victim];
+  const auto& w = engine.window_history().samples().back().workers[victim];
   EXPECT_GT(w.queue_len, 10u);
 }
 
@@ -311,7 +312,7 @@ TEST(Engine, BackpressureBoundsPending) {
   Engine engine(t.topo, cfg);
   engine.set_worker_slowdown(engine.workers_of("relay")[0], 50.0);
   engine.run_for(10.0);
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     EXPECT_LE(w.topology.pending, 110u);
   }
 }
@@ -335,7 +336,7 @@ TEST(Engine, GcPausesAccountedInWorkerStats) {
   Engine engine(t.topo, cfg);
   engine.run_for(20.0);
   double total_gc = 0.0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& ws : w.workers) total_gc += ws.gc_pause;
   }
   EXPECT_GT(total_gc, 0.1);
@@ -346,7 +347,7 @@ TEST(Engine, CpuUtilReflectsHog) {
   Engine engine(t.topo, small_cluster());
   engine.set_machine_hog(0, 2.0);  // saturates machine 0 (2 cores)
   engine.run_for(5.0);
-  EXPECT_GT(engine.history().back().machines[0].cpu_util, 0.95);
+  EXPECT_GT(engine.window_history().samples().back().machines[0].cpu_util, 0.95);
 }
 
 }  // namespace

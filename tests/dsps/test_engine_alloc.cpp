@@ -69,7 +69,7 @@ TEST(EngineAlloc, SteadyStateWindowAllocatesNothing) {
   Engine engine(b.build(), cfg);
 
   engine.run_until(10.0);  // warm-up, through the window boundary at t = 10
-  ASSERT_EQ(engine.history().size(), 10u);
+  ASSERT_EQ(engine.window_history().samples().size(), 10u);
   const std::uint64_t executed_before = engine.totals().tuples_executed;
 
   g_alloc_count.store(0);
@@ -78,7 +78,7 @@ TEST(EngineAlloc, SteadyStateWindowAllocatesNothing) {
   g_count_allocs.store(false);
 
   EXPECT_EQ(g_alloc_count.load(), 0) << "the steady-state tuple path must not touch the heap";
-  EXPECT_EQ(engine.history().size(), 10u);
+  EXPECT_EQ(engine.window_history().samples().size(), 10u);
   // Each root is executed twice (mid, then sink).
   EXPECT_GT(engine.totals().tuples_executed - executed_before, 2500u);
   EXPECT_EQ(engine.totals().failed, 0u);

@@ -110,7 +110,7 @@ TEST(EngineFlow, BlockUpstreamKeepsQueuesUnderCapAndLossless) {
   engine.set_worker_slowdown(engine.workers_of("relay")[0], 30.0);
   engine.run_for(15.0);
 
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) EXPECT_LE(t.queue_len, 8u);
   }
   const EngineTotals totals = engine.totals();
@@ -120,7 +120,7 @@ TEST(EngineFlow, BlockUpstreamKeepsQueuesUnderCapAndLossless) {
   EXPECT_GT(engine.flow_control()->total_stall_seconds(), 0.0);
   // ...and the stall is visible in the window samples the control plane reads.
   double window_stall = 0.0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) window_stall += t.bp_stall;
   }
   EXPECT_GT(window_stall, 0.0);
@@ -140,7 +140,7 @@ TEST(EngineFlow, DropNewestShedsAndAccounts) {
   // Window accounting: per-task and topology shed counts both surface the
   // loss (history may miss a partial final window, so <= lifetime total).
   std::uint64_t window_task = 0, window_topo = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     window_topo += w.topology.dropped_overflow;
     for (const auto& t : w.tasks) window_task += t.dropped_overflow;
   }
@@ -148,7 +148,7 @@ TEST(EngineFlow, DropNewestShedsAndAccounts) {
   EXPECT_EQ(window_task, window_topo);
   EXPECT_LE(window_task, totals.tuples_dropped_overflow);
   // Queues still bounded under the shed policy.
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) EXPECT_LE(t.queue_len, 4u);
   }
 }
@@ -191,7 +191,7 @@ TEST(EngineFlow, BatchedDropNewestShedsPartialBatchesPerTuple) {
   // Per-tuple accounting: shed + everything still tracked never exceeds
   // what was delivered toward the queues, and the cap held throughout.
   EXPECT_LE(totals.tuples_executed + totals.tuples_dropped_overflow, totals.tuples_delivered);
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) EXPECT_LE(t.queue_len, 12u);
   }
   // The shed tail is not a multiple of the batch size in general; with a
@@ -199,7 +199,7 @@ TEST(EngineFlow, BatchedDropNewestShedsPartialBatchesPerTuple) {
   // at least one batch (a whole-batch-only path would shed multiples of 8
   // against a full queue and keep queue_len at most 8 of the 12).
   std::size_t peak = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) peak = std::max(peak, t.queue_len);
   }
   EXPECT_GT(peak, 8u) << "partial heads should fill the queue past one batch";
@@ -221,7 +221,7 @@ TEST(EngineFlow, BatchedBlockUpstreamParksWholeBatchesLossless) {
   EXPECT_EQ(totals.tuples_dropped_overflow, 0u);
   EXPECT_EQ(totals.failed, 0u);
   EXPECT_GT(engine.flow_control()->total_stall_seconds(), 0.0);
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& t : w.tasks) EXPECT_LE(t.queue_len, 8u);
   }
 }

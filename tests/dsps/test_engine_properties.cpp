@@ -77,7 +77,7 @@ TEST_P(EngineConservation, EveryRootAckedEveryDeliveryExecuted) {
   auto [rlo, rhi] = engine.tasks_of("relay");
   auto [slo, shi] = engine.tasks_of("sink");
   std::uint64_t relay_exec = 0, sink_recv = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (std::size_t task = rlo; task < rhi; ++task) relay_exec += w.tasks[task].executed;
     for (std::size_t task = slo; task < shi; ++task) sink_recv += w.tasks[task].received;
   }
@@ -110,7 +110,7 @@ TEST_P(EngineDeterminism, IdenticalHistoriesForIdenticalSeeds) {
     cfg.seed = seed;
     Engine engine(b.build(), cfg);
     engine.run_for(8.0);
-    return engine.history();
+    return engine.window_history().samples();
   };
   auto a = run(GetParam());
   auto c = run(GetParam());

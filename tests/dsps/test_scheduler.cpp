@@ -25,19 +25,9 @@ Topology sample_topology() {
   return b.build();
 }
 
-TEST(Scheduler, EvenScheduleBalancesTaskCounts) {
-  Topology t = sample_topology();
-  Assignment a = even_schedule(t, 4, 2);
-  ASSERT_EQ(a.task_to_worker.size(), 8u);
-  std::vector<int> per_worker(4, 0);
-  for (std::size_t w : a.task_to_worker) ++per_worker[w];
-  EXPECT_EQ(*std::max_element(per_worker.begin(), per_worker.end()), 2);
-  EXPECT_EQ(*std::min_element(per_worker.begin(), per_worker.end()), 2);
-}
-
 TEST(Scheduler, WorkersRoundRobinAcrossMachines) {
   Topology t = sample_topology();
-  Assignment a = even_schedule(t, 6, 3);
+  Assignment a = interleaved_schedule(t, 6, 3);
   EXPECT_EQ(a.worker_to_machine, (std::vector<std::size_t>{0, 1, 2, 0, 1, 2}));
 }
 
@@ -61,8 +51,8 @@ TEST(Scheduler, InterleavedStaggersComponents) {
 
 TEST(Scheduler, ZeroWorkersThrows) {
   Topology t = sample_topology();
-  EXPECT_THROW(even_schedule(t, 0, 1), std::invalid_argument);
-  EXPECT_THROW(even_schedule(t, 1, 0), std::invalid_argument);
+  EXPECT_THROW(interleaved_schedule(t, 0, 1), std::invalid_argument);
+  EXPECT_THROW(interleaved_schedule(t, 1, 0), std::invalid_argument);
 }
 
 TEST(Scheduler, DeterministicAssignment) {

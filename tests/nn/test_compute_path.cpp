@@ -1,16 +1,16 @@
 // Bit-exactness certification of the fused/workspace compute path.
 //
 // The fast kernels (register-blocked GEMM, fused gate loops, cached
-// transposed weights, workspace reuse, batched inference, the skipped
-// bottom-layer input grads, and the sharded minibatch pipeline) must not
-// change a single bit of any result relative to straightforward reference
-// implementations of the same formulas. These tests pin that contract:
+// transposed weights, workspace reuse, batched inference, and the skipped
+// bottom-layer input grads) must not change a single bit of any result
+// relative to straightforward reference implementations of the same
+// formulas. These tests pin that contract:
 //   - GEMM variants vs naive scalar-accumulator loops
 //   - Lstm/Gru forward + BPTT vs in-test reference implementations
 //   - a batched Drnn::forward vs each sequence forwarded on its own
 //   - Drnn::backward's parameter grads vs a backward that computes every
 //     layer's input grads
-//   - sharded training vs itself under different thread-pool sizes
+//   - repeated training runs vs each other
 //   - steady-state training and batched inference perform zero heap
 //     allocations
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include <new>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "nn/activations.hpp"
 #include "nn/drnn.hpp"
 #include "nn/gru.hpp"
@@ -597,39 +596,9 @@ std::vector<double> flat_weights(Drnn& model) {
   return out;
 }
 
-TEST(ComputePath, ShardedTrainingDeterministicAcrossThreadCounts) {
-  SequenceDataset data = make_dataset(24, 6, 4, 99);
-  std::vector<std::vector<double>> results;
-  for (std::size_t threads : {1u, 2u, 8u}) {
-    DrnnConfig mc;
-    mc.input_size = 4;
-    mc.hidden_size = 8;
-    mc.num_layers = 2;
-    mc.seed = 17;
-    Drnn model(mc);
-    TrainConfig tc;
-    tc.epochs = 3;
-    tc.batch_size = 8;
-    tc.validation_fraction = 0.0;
-    tc.shards = 4;
-    tc.seed = 5;
-    common::ThreadPool pool(threads);
-    Trainer trainer(tc);
-    trainer.set_pool(&pool);
-    trainer.fit(model, data);
-    results.push_back(flat_weights(model));
-  }
-  ASSERT_EQ(results[0].size(), results[1].size());
-  for (std::size_t i = 0; i < results[0].size(); ++i) {
-    ASSERT_EQ(results[0][i], results[1][i]) << "weights diverge (1 vs 2 threads) at " << i;
-    ASSERT_EQ(results[0][i], results[2][i]) << "weights diverge (1 vs 8 threads) at " << i;
-  }
-}
-
 TEST(ComputePath, SerialTrainStepMatchesFitPath) {
-  // shards=1 must be the exact historical serial path: run fit() twice with
-  // identical everything and expect identical weights (sanity against
-  // accidental nondeterminism in the workspace reuse).
+  // Run fit() twice with identical everything and expect identical weights
+  // (sanity against accidental nondeterminism in the workspace reuse).
   SequenceDataset data = make_dataset(20, 5, 3, 13);
   std::vector<std::vector<double>> results;
   for (int run = 0; run < 2; ++run) {

@@ -171,21 +171,46 @@ TEST(Trainer, EarlyStoppingStopsBeforeMaxEpochs) {
   EXPECT_FALSE(report.val_losses.empty());
 }
 
+TEST(Trainer, FitRestoresTheBestEpoch) {
+  // A learning rate high enough for the validation loss to turn back up,
+  // and a short patience: training runs past its best epoch, and fit()
+  // must hand back that epoch's weights, not the last ones.
+  DrnnConfig cfg;
+  cfg.input_size = 2;
+  cfg.hidden_size = 8;
+  cfg.num_layers = 1;
+  cfg.seed = 23;
+  Drnn model(cfg);
+  SequenceDataset data = mean_task(120, 5, 24);
+  TrainConfig tc;
+  tc.epochs = 200;
+  tc.batch_size = 16;
+  tc.learning_rate = 5e-2;
+  tc.validation_fraction = 0.25;
+  tc.patience = 2;
+  tc.seed = 25;
+  Trainer trainer(tc);
+  TrainReport report = trainer.fit(model, data);
+  ASSERT_FALSE(report.val_losses.empty());
+  EXPECT_LT(report.best_epoch, report.epochs_run - 1);
+  EXPECT_NE(report.val_losses.back(), report.best_val_loss);
+
+  // The validation tail on its own: evaluate() batches and sums these rows
+  // exactly as fit() did, so the restored model gives the best validation
+  // loss bit for bit.
+  const auto cut = static_cast<std::size_t>(static_cast<double>(data.size()) *
+                                            (1.0 - tc.validation_fraction));
+  SequenceDataset val;
+  for (std::size_t i = cut; i < data.size(); ++i) val.append(data.sequences[i], data.targets[i]);
+  EXPECT_EQ(trainer.evaluate(model, val), report.best_val_loss);
+}
+
 TEST(Trainer, EmptyDatasetThrows) {
   DrnnConfig cfg;
   cfg.seed = 21;
   Drnn model(cfg);
   Trainer trainer(TrainConfig{});
   EXPECT_THROW(trainer.fit(model, SequenceDataset{}), std::invalid_argument);
-}
-
-TEST(SequenceDataset, SplitPreservesOrder) {
-  SequenceDataset ds = mean_task(10, 3, 22);
-  auto [head, tail] = ds.split(0.7);
-  EXPECT_EQ(head.size(), 7u);
-  EXPECT_EQ(tail.size(), 3u);
-  EXPECT_DOUBLE_EQ(head.targets[0][0], ds.targets[0][0]);
-  EXPECT_DOUBLE_EQ(tail.targets[0][0], ds.targets[7][0]);
 }
 
 TEST(SequenceDataset, InconsistentShapeThrows) {

@@ -24,22 +24,6 @@ TEST(MseLoss, ZeroAtPerfectPrediction) {
   EXPECT_DOUBLE_EQ(r.grad.frobenius_norm(), 0.0);
 }
 
-TEST(HuberLoss, QuadraticInside) {
-  tensor::Matrix pred{{0.5}};
-  tensor::Matrix target{{0.0}};
-  LossResult r = huber_loss(pred, target, 1.0);
-  EXPECT_NEAR(r.value, 0.125, 1e-12);
-  EXPECT_NEAR(r.grad(0, 0), 0.5, 1e-12);
-}
-
-TEST(HuberLoss, LinearOutside) {
-  tensor::Matrix pred{{5.0}};
-  tensor::Matrix target{{0.0}};
-  LossResult r = huber_loss(pred, target, 1.0);
-  EXPECT_NEAR(r.value, 1.0 * (5.0 - 0.5), 1e-12);
-  EXPECT_NEAR(r.grad(0, 0), 1.0, 1e-12);
-}
-
 TEST(Loss, ShapeMismatchThrows) {
   EXPECT_THROW(mse_loss(tensor::Matrix(1, 2), tensor::Matrix(2, 1)), std::invalid_argument);
 }
@@ -47,18 +31,14 @@ TEST(Loss, ShapeMismatchThrows) {
 TEST(Loss, GradNumericallyConsistent) {
   tensor::Matrix pred{{0.3, -0.7, 1.1}};
   tensor::Matrix target{{0.1, 0.2, 0.9}};
-  for (LossKind kind : {LossKind::kMse, LossKind::kHuber}) {
-    LossResult r = compute_loss(kind, pred, target, 0.5);
-    const double h = 1e-7;
-    for (std::size_t i = 0; i < pred.size(); ++i) {
-      tensor::Matrix pp = pred, pm = pred;
-      pp.data()[i] += h;
-      pm.data()[i] -= h;
-      double numeric = (compute_loss(kind, pp, target, 0.5).value -
-                        compute_loss(kind, pm, target, 0.5).value) /
-                       (2 * h);
-      EXPECT_NEAR(r.grad.data()[i], numeric, 1e-6);
-    }
+  LossResult r = mse_loss(pred, target);
+  const double h = 1e-7;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    tensor::Matrix pp = pred, pm = pred;
+    pp.data()[i] += h;
+    pm.data()[i] -= h;
+    double numeric = (mse_loss(pp, target).value - mse_loss(pm, target).value) / (2 * h);
+    EXPECT_NEAR(r.grad.data()[i], numeric, 1e-6);
   }
 }
 
@@ -96,9 +76,6 @@ void expect_converges(Opt&& opt, int steps, double tol) {
   EXPECT_LT(prob.distance(), tol);
 }
 
-TEST(Optimizers, SgdConverges) { expect_converges(Sgd(0.1), 200, 1e-6); }
-TEST(Optimizers, SgdMomentumConverges) { expect_converges(Sgd(0.05, 0.9), 300, 1e-5); }
-TEST(Optimizers, RmsPropConverges) { expect_converges(RmsProp(0.05), 600, 1e-3); }
 TEST(Optimizers, AdamConverges) { expect_converges(Adam(0.05), 800, 1e-3); }
 
 TEST(Optimizers, ClipGradNorm) {

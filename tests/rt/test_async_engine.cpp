@@ -168,7 +168,7 @@ TEST(AsyncEngine, WindowP99ComesFromTheLatencyHistogram) {
 
   const double spin = std::chrono::duration<double>(SpinBolt::kSpin).count();
   std::size_t with_acks = 0;
-  for (const dsps::WindowSample& w : engine.history()) {
+  for (const dsps::WindowSample& w : engine.window_history().samples()) {
     if (w.topology.acked == 0) {
       EXPECT_EQ(w.topology.p99_complete_latency, 0.0) << "t = " << w.time;
       continue;
@@ -213,8 +213,6 @@ TEST(AsyncEngine, HistoryIsBoundedByDefault) {
   // The retained block is the most recent tail with stable indices.
   EXPECT_EQ(h.first_index() + h.size(), h.total());
   EXPECT_DOUBLE_EQ(h.at_global(h.total() - 1).time, h.back().time);
-  // Legacy vector view stays usable and aliases the retained block.
-  EXPECT_EQ(engine.history().size(), h.size());
 }
 
 TEST(AsyncEngine, HistoryCapZeroOptsOutOfBounding) {

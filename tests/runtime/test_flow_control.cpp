@@ -1,11 +1,11 @@
-// The flow-control spine: config validation, CLI flag parsing, admission
-// semantics per policy, credit accounting, and the window/lifetime
-// loss-and-stall counters both engines drain into WindowSample.
+// The flow-control spine: config validation, policy and backend name
+// parsing, admission semantics per policy, credit accounting, and the
+// window/lifetime loss-and-stall counters both engines drain into
+// WindowSample.
 #include "runtime/flow_control.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,23 +48,6 @@ TEST(FlowControlConfig, ParsesPolicyNames) {
             OverflowPolicy::kUnbounded);
 }
 
-TEST(FlowControlConfig, FlagBuilderRejectsNegativeCapacity) {
-  // -1 would wrap to SIZE_MAX ("practically unbounded") without the check.
-  EXPECT_THROW(flow_config_from_flags(-1, "block"), std::invalid_argument);
-  EXPECT_THROW(flow_config_from_flags(-64, "drop"), std::invalid_argument);
-  FlowControlConfig cfg = flow_config_from_flags(64, "block");
-  EXPECT_EQ(cfg.queue_capacity, 64u);
-  EXPECT_EQ(cfg.policy, OverflowPolicy::kBlockUpstream);
-  // The builder validates: cap without a bounded policy is rejected too.
-  EXPECT_THROW(flow_config_from_flags(64, "unbounded"), std::invalid_argument);
-  EXPECT_THROW(flow_config_from_flags(0, "block"), std::invalid_argument);
-}
-
-common::Flags make_flags(std::vector<const char*> args) {
-  args.insert(args.begin(), "prog");
-  return common::Flags(static_cast<int>(args.size()), args.data());
-}
-
 TEST(BackendKind, ParsesBackendNames) {
   EXPECT_EQ(parse_backend_kind("sim"), BackendKind::kSim);
   EXPECT_EQ(parse_backend_kind("async"), BackendKind::kAsync);
@@ -81,76 +64,6 @@ TEST(BackendKind, RemovedRtBackendFailsClosedPointingToAsync) {
     FAIL() << "backend 'rt' must be rejected";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("async"), std::string::npos) << e.what();
-  }
-}
-
-TEST(DataPathFlags, AppliesOnlyPresentFlags) {
-  FlowControlConfig flow;
-  std::size_t pending = 1234;
-  std::size_t batch = 1;
-  BackendKind backend = BackendKind::kSim;
-  // No data-path flags at all: everything keeps the caller's defaults
-  // (including the caller's default backend).
-  EXPECT_TRUE(apply_data_path_flags(make_flags({"--other=x"}), flow, pending, batch, backend));
-  EXPECT_FALSE(flow.bounded());
-  EXPECT_EQ(pending, 1234u);
-  EXPECT_EQ(batch, 1u);
-  EXPECT_EQ(backend, BackendKind::kSim);
-
-  EXPECT_TRUE(apply_data_path_flags(
-      make_flags({"--queue-cap=64", "--overflow-policy=drop", "--max-pending=500",
-                  "--batch-size=32", "--backend=async"}),
-      flow, pending, batch, backend));
-  EXPECT_EQ(flow.policy, OverflowPolicy::kDropNewest);
-  EXPECT_EQ(flow.queue_capacity, 64u);
-  EXPECT_EQ(pending, 500u);
-  EXPECT_EQ(batch, 32u);
-  EXPECT_EQ(backend, BackendKind::kAsync);
-
-  EXPECT_TRUE(apply_data_path_flags(make_flags({"--backend=sim"}), flow, pending, batch, backend));
-  EXPECT_EQ(backend, BackendKind::kSim);
-  EXPECT_FALSE(apply_data_path_flags(make_flags({"--backend=rt"}), flow, pending, batch, backend));
-  EXPECT_FALSE(
-      apply_data_path_flags(make_flags({"--backend=nope"}), flow, pending, batch, backend));
-}
-
-TEST(DataPathFlags, BadValuesReturnFalseForExit2) {
-  // Each bad spelling/value is the CLI's exit-2 path: the helper reports
-  // to stderr and returns false without touching the untouched fields.
-  const std::vector<std::vector<const char*>> bad = {
-      {"--queue-cap=-1", "--overflow-policy=block"},  // negative capacity
-      {"--queue-cap=64", "--overflow-policy=dropp"},  // unknown policy
-      {"--queue-cap=64"},                             // cap without bounded policy
-      {"--overflow-policy=block"},                    // bounded policy without cap
-      {"--max-pending=-5"},                           // negative pending
-      {"--batch-size=0"},                             // batch must be >= 1
-      {"--batch-size=-8"},
-      {"--backend=threads"},                          // unknown backend
-      {"--backend=rt"},                               // removed backend
-      {"--backend="},
-  };
-  for (const auto& args : bad) {
-    FlowControlConfig flow;
-    std::size_t pending = 0;
-    std::size_t batch = 1;
-    BackendKind backend = BackendKind::kSim;
-    EXPECT_FALSE(apply_data_path_flags(make_flags(args), flow, pending, batch, backend))
-        << "args[0]=" << args[0];
-    EXPECT_EQ(batch, 1u) << "bad flag must not partially apply batch size";
-    EXPECT_EQ(backend, BackendKind::kSim) << "bad flag must not change the backend";
-  }
-}
-
-TEST(DataPathFlags, NamesAndUsageCoverEveryFlag) {
-  const auto& names = data_path_flag_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "queue-cap"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "overflow-policy"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "max-pending"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "batch-size"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "backend"), names.end());
-  const std::string usage = data_path_flag_usage();
-  for (const auto& name : names) {
-    EXPECT_NE(usage.find("--" + name), std::string::npos) << name << " missing from usage";
   }
 }
 

@@ -100,10 +100,10 @@ TEST(RuntimeCore, SimEngineIsDeterministic) {
   auto b = run(7);
   auto c = run(8);
 
-  ASSERT_EQ(a->history().size(), b->history().size());
-  for (std::size_t i = 0; i < a->history().size(); ++i) {
-    const auto& wa = a->history()[i];
-    const auto& wb = b->history()[i];
+  ASSERT_EQ(a->window_history().samples().size(), b->window_history().samples().size());
+  for (std::size_t i = 0; i < a->window_history().samples().size(); ++i) {
+    const auto& wa = a->window_history().samples()[i];
+    const auto& wb = b->window_history().samples()[i];
     EXPECT_EQ(wa.topology.acked, wb.topology.acked);
     EXPECT_EQ(wa.topology.throughput, wb.topology.throughput);  // bit-exact double
     EXPECT_EQ(wa.topology.avg_complete_latency, wb.topology.avg_complete_latency);
@@ -123,7 +123,7 @@ TEST(RuntimeCore, SimEngineIsDeterministic) {
   // (sanity that the bit-exact comparison above can fail at all).
   auto latency_sum = [](const dsps::Engine& e) {
     double s = 0.0;
-    for (const auto& w : e.history()) s += w.topology.avg_complete_latency;
+    for (const auto& w : e.window_history().samples()) s += w.topology.avg_complete_latency;
     return s;
   };
   EXPECT_NE(latency_sum(*a), latency_sum(*c));
@@ -145,7 +145,7 @@ TEST(RuntimeCore, FieldsRoutingParityAcrossBackends) {
 
   auto [slo, shi] = sim.tasks_of("relay");
   std::vector<std::uint64_t> sim_counts(shi - slo, 0);
-  for (const auto& w : sim.history()) {
+  for (const auto& w : sim.window_history().samples()) {
     for (std::size_t t = slo; t < shi; ++t) sim_counts[t - slo] += w.tasks[t].executed;
   }
 
@@ -186,7 +186,7 @@ TEST(RuntimeCore, DynamicRoutingParityAcrossBackends) {
 
   auto [slo, shi] = sim.tasks_of("relay");
   std::vector<std::uint64_t> sim_counts(shi - slo, 0);
-  for (const auto& w : sim.history()) {
+  for (const auto& w : sim.window_history().samples()) {
     for (std::size_t t = slo; t < shi; ++t) sim_counts[t - slo] += w.tasks[t].executed;
   }
   auto [alo, ahi] = async_engine.tasks_of("relay");
@@ -249,7 +249,7 @@ TEST(RuntimeCore, CrashRecoveryParityAcrossBackends) {
   async_engine.run_for(std::chrono::milliseconds(900));
 
   std::vector<std::uint64_t> sim_counts(rhi - rlo, 0);
-  for (const auto& w : sim.history()) {
+  for (const auto& w : sim.window_history().samples()) {
     for (std::size_t t = rlo; t < rhi; ++t) sim_counts[t - rlo] += w.tasks[t].executed;
   }
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
@@ -346,7 +346,7 @@ TEST(RuntimeCore, ElasticRescaleParityAcrossBackends) {
   async_engine.run_for(std::chrono::milliseconds(900));
 
   std::vector<std::uint64_t> sim_counts(rhi - rlo, 0);
-  for (const auto& w : sim.history()) {
+  for (const auto& w : sim.window_history().samples()) {
     for (std::size_t t = rlo; t < rhi; ++t) sim_counts[t - rlo] += w.tasks[t].executed;
   }
   std::vector<std::uint64_t> async_counts = async_engine.executed_per_task();
@@ -395,7 +395,7 @@ TEST(RuntimeCore, ControllerAttachesToBothBackends) {
   EXPECT_EQ(async_engine.backend_name(), "async");
   async_engine.run_for(std::chrono::milliseconds(1200));
   EXPECT_GT(async_ctrl.actions().size(), 0u);
-  EXPECT_GT(async_engine.history().size(), 5u);  // wall-clock windows collected
+  EXPECT_GT(async_engine.window_history().samples().size(), 5u);  // wall-clock windows collected
 }
 
 /// Mid-run crash on the async runtime: queued tuples at the dead worker's
@@ -445,7 +445,7 @@ TEST(RuntimeCore, AsyncFaultActuatorsObservable) {
   // Worker 0 drops everything routed to it: some dropped tuples must show
   // up in the wall-clock window stats.
   std::uint64_t dropped = 0;
-  for (const auto& w : engine.history()) {
+  for (const auto& w : engine.window_history().samples()) {
     for (const auto& ts : w.tasks) dropped += ts.dropped;
   }
   EXPECT_GT(dropped, 0u);

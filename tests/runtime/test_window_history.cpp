@@ -1,5 +1,5 @@
 // The window-history spine: bounded retention, stable global indices,
-// subscriptions, and the flat-memory guarantee behind both engines.
+// and the flat-memory guarantee behind both engines.
 #include "runtime/window_history.hpp"
 
 #include <gtest/gtest.h>
@@ -51,75 +51,6 @@ TEST(WindowHistory, GlobalIndicesStayStableAcrossEviction) {
   }
   EXPECT_THROW(h.at_global(0), std::out_of_range);       // evicted
   EXPECT_THROW(h.at_global(h.total()), std::out_of_range);  // not yet pushed
-}
-
-TEST(WindowHistory, CopyTailTakesMostRecent) {
-  WindowHistory h(32);
-  for (int i = 0; i < 50; ++i) h.push(sample_at(i));
-  std::vector<dsps::WindowSample> tail;
-  h.copy_tail(10, tail);
-  ASSERT_EQ(tail.size(), 10u);
-  EXPECT_DOUBLE_EQ(tail.front().time, 40.0);
-  EXPECT_DOUBLE_EQ(tail.back().time, 49.0);
-  // Asking for more than retained yields everything retained.
-  h.copy_tail(10'000, tail);
-  EXPECT_EQ(tail.size(), h.size());
-}
-
-TEST(WindowHistory, CopyTailBoundaries) {
-  WindowHistory h(8);
-  std::vector<dsps::WindowSample> tail;
-
-  // Zero-length tail: cleared, nothing copied — even on a non-empty spine.
-  h.copy_tail(0, tail);
-  EXPECT_TRUE(tail.empty());
-  h.push(sample_at(0));
-  tail.push_back(sample_at(-1.0));  // stale content must be cleared
-  h.copy_tail(0, tail);
-  EXPECT_TRUE(tail.empty());
-
-  // Tail longer than the retained history: clamps to size(), no throw.
-  for (int i = 1; i < 5; ++i) h.push(sample_at(i));
-  h.copy_tail(1000, tail);
-  ASSERT_EQ(tail.size(), 5u);
-  EXPECT_DOUBLE_EQ(tail.front().time, 0.0);
-  EXPECT_DOUBLE_EQ(tail.back().time, 4.0);
-
-  // Request spanning a compaction: push through the 2*capacity threshold
-  // (eviction drops the oldest samples) and ask for more than survived.
-  for (int i = 5; i < 16; ++i) h.push(sample_at(i));  // 16th push compacts
-  ASSERT_GT(h.first_index(), 0u);                     // compaction happened
-  h.copy_tail(12, tail);                              // 12 > retained 8
-  ASSERT_EQ(tail.size(), h.size());
-  EXPECT_DOUBLE_EQ(tail.front().time, static_cast<double>(h.first_index()));
-  EXPECT_DOUBLE_EQ(tail.back().time, 15.0);
-  // The tail is still the contiguous most-recent block, oldest to newest.
-  for (std::size_t i = 1; i < tail.size(); ++i) {
-    EXPECT_DOUBLE_EQ(tail[i].time, tail[i - 1].time + 1.0);
-  }
-
-  // Empty spine: any request yields an empty tail.
-  WindowHistory empty(4);
-  empty.copy_tail(3, tail);
-  EXPECT_TRUE(tail.empty());
-}
-
-TEST(WindowHistory, SubscribersSeeEveryPushWithGlobalIndex) {
-  WindowHistory h(4);
-  std::vector<std::size_t> seen;
-  std::size_t token = h.subscribe(
-      [&](const dsps::WindowSample& s, std::size_t g) {
-        EXPECT_DOUBLE_EQ(s.time, static_cast<double>(g));
-        seen.push_back(g);
-      });
-  for (int i = 0; i < 20; ++i) h.push(sample_at(i));
-  ASSERT_EQ(seen.size(), 20u);
-  EXPECT_EQ(seen.front(), 0u);
-  EXPECT_EQ(seen.back(), 19u);
-  h.unsubscribe(token);
-  h.push(sample_at(20));
-  EXPECT_EQ(seen.size(), 20u);
-  EXPECT_THROW(h.subscribe(nullptr), std::invalid_argument);
 }
 
 TEST(WindowHistory, StorageHighWaterStaysFlat) {
