@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 namespace repro::rt {
 namespace {
 
@@ -21,75 +25,46 @@ std::int64_t to_ns(EventLoop::Clock::time_point tp) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(tp.time_since_epoch()).count();
 }
 
-EventLoop::Clock::time_point from_ns(std::int64_t ns) {
-  if (ns == std::numeric_limits<std::int64_t>::max()) return EventLoop::Clock::time_point::max();
-  return EventLoop::Clock::time_point(
-      std::chrono::duration_cast<EventLoop::Clock::duration>(std::chrono::nanoseconds(ns)));
-}
+struct LaterDeadline {
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    return a.when > b.when;
+  }
+};
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// TimerWheel
+// TimerHeap
 
-TimerWheel::TimerWheel(Clock::duration slot_width, std::size_t slot_count)
-    : slot_width_(slot_width), slots_(slot_count), last_advance_(Clock::now()) {}
-
-std::size_t TimerWheel::slot_of(Clock::time_point when) const {
-  auto ticks = static_cast<std::uint64_t>(when.time_since_epoch() / slot_width_);
-  return static_cast<std::size_t>(ticks % slots_.size());
+void TimerHeap::schedule(std::uint32_t task, Clock::time_point when) {
+  heap_.push_back(Entry{when, task});
+  std::push_heap(heap_.begin(), heap_.end(), LaterDeadline{});
 }
 
-void TimerWheel::schedule(std::uint32_t task, Clock::time_point when) {
-  // A deadline the cursor has passed (computed from a clock read taken
-  // before another thread advanced the wheel) goes into the cursor's own
-  // slot, which the next advance visits; its own slot would wait a whole
-  // revolution.
-  slots_[slot_of(std::max(when, last_advance_))].push_back(Entry{task, when});
-  ++count_;
-}
-
-TimerWheel::Clock::time_point TimerWheel::advance(Clock::time_point now,
-                                                  std::vector<std::uint32_t>& due) {
-  if (count_ == 0) {
-    last_advance_ = now;
-    return Clock::time_point::max();
+TimerHeap::Clock::time_point TimerHeap::advance(Clock::time_point now,
+                                                std::vector<std::uint32_t>& due) {
+  while (!heap_.empty() && heap_.front().when <= now) {
+    due.push_back(heap_.front().task);
+    std::pop_heap(heap_.begin(), heap_.end(), LaterDeadline{});
+    heap_.pop_back();
   }
-  // Visit every slot the cursor crossed since the last advance (inclusive),
-  // capped at one full revolution: entries further out than one revolution
-  // simply stay in their slot until a later visit (their stored deadline is
-  // what decides expiry, the slot index only decides when we look).
-  if (now > last_advance_) {
-    auto elapsed = now - last_advance_;
-    std::size_t steps =
-        std::min<std::size_t>(slots_.size(),
-                              static_cast<std::size_t>(elapsed / slot_width_) + 1);
-    std::size_t begin = slot_of(last_advance_);
-    for (std::size_t i = 0; i < steps; ++i) {
-      std::vector<Entry>& slot = slots_[(begin + i) % slots_.size()];
-      for (std::size_t j = 0; j < slot.size();) {
-        if (slot[j].when <= now) {
-          due.push_back(slot[j].task);
-          slot[j] = slot.back();
-          slot.pop_back();
-          --count_;
-        } else {
-          ++j;
-        }
-      }
-    }
-    last_advance_ = now;
-  }
-  if (count_ == 0) return Clock::time_point::max();
-  Clock::time_point next = Clock::time_point::max();
-  for (const std::vector<Entry>& slot : slots_) {
-    for (const Entry& e : slot) next = std::min(next, e.when);
-  }
-  return next;
+  return next();
 }
 
 // ---------------------------------------------------------------------------
 // EventLoop
+
+void EventLoop::TaskRing::push_back(const Queued& q) {
+  if (size_ == ring_.size()) {
+    std::vector<Queued> bigger(std::max<std::size_t>(16, 2 * ring_.size()));
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+    ring_.swap(bigger);
+    head_ = 0;
+  }
+  ring_[(head_ + size_) & (ring_.size() - 1)] = q;
+  ++size_;
+}
 
 EventLoop::EventLoop(std::size_t threads, std::size_t task_count, RunFn run,
                      SuspendCheck still_suspended)
@@ -98,14 +73,13 @@ EventLoop::EventLoop(std::size_t threads, std::size_t task_count, RunFn run,
       run_(std::move(run)),
       still_suspended_(std::move(still_suspended)),
       state_(new std::atomic<std::uint8_t>[task_count]),
-      injector_next_(new std::atomic<std::uint32_t>[task_count]),
-      wheel_(std::chrono::milliseconds(1), 256) {
+      injector_next_(new std::atomic<std::uint32_t>[task_count]) {
   for (std::size_t i = 0; i < task_count; ++i) {
     state_[i].store(kIdle, std::memory_order_relaxed);
     injector_next_[i].store(kNil, std::memory_order_relaxed);
   }
-  local_.reserve(threads_);
-  for (std::size_t i = 0; i < threads_; ++i) local_.push_back(std::make_unique<LocalQueue>());
+  slots_.reserve(threads_);
+  for (std::size_t i = 0; i < threads_; ++i) slots_.push_back(std::make_unique<Slot>());
 }
 
 EventLoop::~EventLoop() { stop(); }
@@ -121,36 +95,38 @@ void EventLoop::start() {
 void EventLoop::stop() {
   if (!running_.exchange(false)) return;
   {
+    // A parking thread reads running_ under this mutex before it waits.
     std::lock_guard<std::mutex> lk(sleep_mutex_);
   }
-  sleep_cv_.notify_all();
+  for (const std::unique_ptr<Slot>& s : slots_) s->wake.notify_one();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
 }
 
-void EventLoop::notify(std::uint32_t task) {
+bool EventLoop::mark_queued(std::uint32_t task) {
   std::atomic<std::uint8_t>& st = state_[task];
   std::uint8_t cur = st.load(std::memory_order_acquire);
   while (true) {
     switch (cur) {
       case kIdle:
-        if (st.compare_exchange_weak(cur, kQueued, std::memory_order_acq_rel)) {
-          push_ready(task);
-          return;
-        }
+        if (st.compare_exchange_weak(cur, kQueued, std::memory_order_acq_rel)) return true;
         break;
       case kRunning:
         if (st.compare_exchange_weak(cur, kRunningNotified, std::memory_order_acq_rel)) {
-          return;
+          return false;
         }
         break;
       default:
         // kQueued / kRunningNotified: already pending. kSuspended: plain
         // notifies are dropped — the task re-examines every wakeup
         // condition when resume() re-queues it, so nothing is lost.
-        return;
+        return false;
     }
   }
+}
+
+void EventLoop::notify(std::uint32_t task) {
+  if (mark_queued(task)) push_ready(task);
 }
 
 void EventLoop::resume(std::uint32_t task) {
@@ -180,15 +156,22 @@ void EventLoop::resume(std::uint32_t task) {
 }
 
 void EventLoop::schedule_at(std::uint32_t task, Clock::time_point when) {
-  std::lock_guard<std::mutex> lk(sleep_mutex_);
-  wheel_.schedule(task, when);
-  std::int64_t wn = to_ns(when);
-  if (wn < next_timer_ns_.load(std::memory_order_relaxed)) {
-    next_timer_ns_.store(wn, std::memory_order_release);
-    // A sleeper may be waiting until a later deadline; poke one so it
-    // recomputes its wait bound against the new earliest timer.
-    if (sleepers_.load(std::memory_order_relaxed) > 0) sleep_cv_.notify_one();
+  std::condition_variable* wake = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(sleep_mutex_);
+    // The arming thread is awake: it fires the timer at a loop top or
+    // bounds its next park by it, so an owned timer wakes no one.
+    const bool owned = tl_loop == this;
+    (owned ? slots_[tl_slot]->timers : unowned_timers_).schedule(task, when);
+    const std::int64_t wn = to_ns(when);
+    if (wn < next_timer_ns_.load(std::memory_order_relaxed)) {
+      next_timer_ns_.store(wn, std::memory_order_release);
+    }
+    // Every parked thread bounds its sleep by the earliest off-loop timer;
+    // wake one whose sleep would outlast this one, to re-bound it.
+    if (!owned) wake = unpark_one(when);
   }
+  if (wake != nullptr) wake->notify_one();
 }
 
 EventLoopStats EventLoop::stats() const {
@@ -201,25 +184,29 @@ EventLoopStats EventLoop::stats() const {
   return s;
 }
 
-void EventLoop::push_ready(std::uint32_t task) {
+void EventLoop::count_ready() {
   // seq_cst: pairs with leave_watch's release of the watch (see there).
   std::size_t depth = ready_count_.fetch_add(1, std::memory_order_seq_cst) + 1;
   std::size_t peak = ready_peak_.load(std::memory_order_relaxed);
   while (depth > peak &&
          !ready_peak_.compare_exchange_weak(peak, depth, std::memory_order_relaxed)) {
   }
+}
 
+void EventLoop::push_local(std::size_t self, std::uint32_t task, Clock::time_point now) {
+  Slot& q = *slots_[self];
+  std::lock_guard<std::mutex> lk(q.mutex);
+  q.tasks.push_back({task, now});
+}
+
+void EventLoop::push_ready(std::uint32_t task) {
+  count_ready();
   if (tl_loop == this) {
     // Locality first: the notifier runs the task after its current step.
     // A woken peer would only take the task to another core; one stuck
     // behind a long step is stolen once it has waited kStealAge, which the
     // watcher sees to.
-    const Clock::time_point now = Clock::now();
-    {
-      LocalQueue& q = *local_[tl_slot];
-      std::lock_guard<std::mutex> lk(q.mutex);
-      q.tasks.push_back({task, now});
-    }
+    push_local(tl_slot, task, Clock::now());
     request_watch();
     return;
   }
@@ -227,19 +214,14 @@ void EventLoop::push_ready(std::uint32_t task) {
   // Lock-free MPSC-style injector push (Treiber stack over task ids; the
   // state machine guarantees a task id is pushed at most once at a time).
   // seq_cst pairs with the sleeper's increment of sleepers_ and re-read of
-  // injector_head_: either this push sees the sleeper (and notifies), or the
-  // sleeper's re-read sees this push — no lost wakeups (Dekker-style).
+  // injector_head_: either this push sees the sleeper (and wakes one), or
+  // the sleeper's re-read sees this push — no lost wakeups (Dekker-style).
   std::uint32_t head = injector_head_.load(std::memory_order_relaxed);
   do {
     injector_next_[task].store(head, std::memory_order_relaxed);
   } while (!injector_head_.compare_exchange_weak(head, task, std::memory_order_seq_cst));
 
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    {
-      std::lock_guard<std::mutex> lk(sleep_mutex_);
-    }
-    sleep_cv_.notify_one();
-  }
+  if (sleepers_.load(std::memory_order_seq_cst) > 0) wake_one();
 }
 
 bool EventLoop::drain_injector(std::size_t self) {
@@ -253,7 +235,7 @@ bool EventLoop::drain_injector(std::size_t self) {
   }
   const Clock::time_point now = Clock::now();
   {
-    LocalQueue& q = *local_[self];
+    Slot& q = *slots_[self];
     std::lock_guard<std::mutex> lk(q.mutex);
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) q.tasks.push_back({*it, now});
   }
@@ -264,7 +246,7 @@ bool EventLoop::drain_injector(std::size_t self) {
 
 bool EventLoop::steal(std::size_t self, Clock::time_point now, std::uint32_t& task) {
   for (std::size_t i = 1; i < threads_; ++i) {
-    LocalQueue& victim = *local_[(self + i) % threads_];
+    Slot& victim = *slots_[(self + i) % threads_];
     std::lock_guard<std::mutex> lk(victim.mutex);
     // The front task is the queue's oldest: when it is too young to take,
     // so is every task behind it.
@@ -281,7 +263,7 @@ bool EventLoop::steal(std::size_t self, Clock::time_point now, std::uint32_t& ta
 bool EventLoop::oldest_peer_front(std::size_t self, Clock::time_point& since) {
   bool found = false;
   for (std::size_t i = 1; i < threads_; ++i) {
-    LocalQueue& peer = *local_[(self + i) % threads_];
+    Slot& peer = *slots_[(self + i) % threads_];
     std::lock_guard<std::mutex> lk(peer.mutex);
     if (!peer.tasks.empty() && (!found || peer.tasks.front().since < since)) {
       since = peer.tasks.front().since;
@@ -306,13 +288,43 @@ bool EventLoop::oldest_peer_front(std::size_t self, Clock::time_point& since) {
 // ready_count_ (seq_cst), while a pusher increments ready_count_ (seq_cst)
 // and then reads watcher_ (seq_cst). In the single order of those four
 // operations one side sees the other and pokes a sleeper.
+//
+// The timer watch. A thread that is not parked fires its own timers at
+// its loop top, unless a long step holds it. So one parked thread at most,
+// the timer watcher, ends its sleep kStealAge after the earliest deadline
+// among the threads that are not parked, and fires it if it is still
+// pending. It is taken at park time and given up at the wake, all under
+// sleep_mutex_, which every timer heap and parked flag is read under. A
+// timer armed after the timer watcher parked is covered from the next
+// park on. Wakers pick the timer watcher first, so one parked thread tends
+// to hold both watches.
 
-void EventLoop::poke_sleeper() {
-  watch_pokes_.fetch_add(1, std::memory_order_relaxed);
+bool EventLoop::wake_one() {
+  std::condition_variable* wake;
   {
     std::lock_guard<std::mutex> lk(sleep_mutex_);
+    wake = unpark_one(Clock::time_point::min());
   }
-  sleep_cv_.notify_one();
+  if (wake == nullptr) return false;
+  wake->notify_one();
+  return true;
+}
+
+std::condition_variable* EventLoop::unpark_one(Clock::time_point later_than) {
+  auto qualifies = [&](std::size_t s) {
+    return slots_[s]->parked && slots_[s]->park_until > later_than;
+  };
+  // The timer watcher wakes soon anyway: waking it spares a second thread.
+  std::size_t target =
+      timer_watcher_ != kNoWatcher && qualifies(timer_watcher_) ? timer_watcher_ : kNoWatcher;
+  for (std::size_t s = 0; target == kNoWatcher && s < threads_; ++s) {
+    if (qualifies(s)) target = s;
+  }
+  if (target == kNoWatcher) return nullptr;
+  slots_[target]->parked = false;
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
+  if (timer_watcher_ == target) timer_watcher_ = kNoWatcher;
+  return &slots_[target]->wake;
 }
 
 void EventLoop::request_watch() {
@@ -321,8 +333,9 @@ void EventLoop::request_watch() {
     return;
   }
   std::size_t expected = kNoWatcher;
-  if (watcher_.compare_exchange_strong(expected, kWatchPoked, std::memory_order_seq_cst)) {
-    poke_sleeper();
+  if (watcher_.compare_exchange_strong(expected, kWatchPoked, std::memory_order_seq_cst) &&
+      wake_one()) {
+    watch_pokes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -353,6 +366,19 @@ bool EventLoop::take_watch(std::size_t self, Clock::time_point now, Clock::time_
   return true;
 }
 
+bool EventLoop::take_timer_watch(std::size_t self, Clock::time_point& until) {
+  if (timer_watcher_ != kNoWatcher) return false;  // a parked peer covers them
+  Clock::time_point earliest = Clock::time_point::max();
+  for (std::size_t i = 1; i < threads_; ++i) {
+    const Slot& peer = *slots_[(self + i) % threads_];
+    if (!peer.parked) earliest = std::min(earliest, peer.timers.next());
+  }
+  if (earliest == Clock::time_point::max()) return false;
+  timer_watcher_ = self;
+  until = earliest + kStealAge;
+  return true;
+}
+
 void EventLoop::leave_watch(std::size_t self, bool just_woke) {
   std::size_t w = watcher_.load(std::memory_order_relaxed);
   if (w != self && !(just_woke && w == kWatchPoked)) return;
@@ -361,7 +387,7 @@ void EventLoop::leave_watch(std::size_t self, bool just_woke) {
 }
 
 bool EventLoop::pop_ready(std::size_t self, Clock::time_point now, std::uint32_t& task) {
-  LocalQueue& mine = *local_[self];
+  Slot& mine = *slots_[self];
   {
     std::lock_guard<std::mutex> lk(mine.mutex);
     if (!mine.tasks.empty()) {
@@ -421,29 +447,80 @@ void EventLoop::run_task(std::uint32_t task, std::size_t self) {
   }
 }
 
-void EventLoop::fire_timers(Clock::time_point now) {
-  std::vector<std::uint32_t> due;
+void EventLoop::fire_timers(std::size_t self, Clock::time_point now) {
+  Slot& me = *slots_[self];
   {
     std::lock_guard<std::mutex> lk(sleep_mutex_);
-    due_scratch_.clear();
-    Clock::time_point next = wheel_.advance(now, due_scratch_);
+    Clock::time_point next = unowned_timers_.advance(now, me.due);
+    for (const std::unique_ptr<Slot>& s : slots_) {
+      next = std::min(next, s->timers.advance(now, me.due));
+    }
     next_timer_ns_.store(to_ns(next), std::memory_order_release);
-    due.swap(due_scratch_);
   }
-  // Notify outside the sleep mutex: push_ready's wake branch takes it.
-  for (std::uint32_t t : due) notify(t);
+  // Queue outside the sleep mutex: request_watch may wake a sleeper. This
+  // thread runs the first fired task next; the rest wait behind it, like
+  // local pushes.
+  std::size_t queued = 0;
+  for (std::uint32_t t : me.due) {
+    if (!mark_queued(t)) continue;
+    count_ready();
+    push_local(self, t, now);
+    ++queued;
+  }
+  me.due.clear();
+  if (queued > 1) request_watch();
+}
+
+void EventLoop::park(std::size_t self, Clock::time_point now) {
+  Slot& me = *slots_[self];
+  std::unique_lock<std::mutex> lk(sleep_mutex_);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  if (injector_head_.load(std::memory_order_seq_cst) != kNil ||
+      !running_.load(std::memory_order_acquire)) {
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    return;
+  }
+  // Never sleep past this thread's own earliest timer or the earliest
+  // off-loop one; other threads' timers are their own business. The heaps
+  // are read under the sleep mutex, which schedule_at holds while it arms:
+  // an off-loop timer armed after this read finds this thread parked and
+  // wakes it when its bound is later.
+  Clock::time_point bound =
+      std::min({now + kIdlePoll, me.timers.next(), unowned_timers_.next()});
+  Clock::time_point until;
+  if (take_timer_watch(self, until)) bound = std::min(bound, until);
+  if (take_watch(self, now, until)) bound = std::min(bound, until);
+  me.parked = true;
+  me.park_until = bound;
+  // A waker clears `parked` before it signals, after unlocking: a signal
+  // meant for an earlier park of this thread finds it parked again and
+  // leaves it asleep.
+  me.wake.wait_until(lk, bound, [&] {
+    return !me.parked || !running_.load(std::memory_order_acquire);
+  });
+  if (me.parked) {  // the bound passed, or the loop stops: no waker picked this thread
+    me.parked = false;
+    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    if (timer_watcher_ == self) timer_watcher_ = kNoWatcher;
+  }
 }
 
 void EventLoop::thread_main(std::size_t self) {
   tl_loop = this;
   tl_slot = self;
+#ifdef __linux__
+  // Wake at the deadline, not up to the default 50 us after it. Slack is a
+  // per-thread attribute: only loop threads change. 0 would mean "reset to
+  // the default", so 1 ns is the least slack there is.
+  (void)prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   bool just_woke = false;
   while (running_.load(std::memory_order_acquire)) {
     // Fire due timers first so deadlines hold even when the loop never
     // goes idle (the check is one clock read + one atomic load).
     Clock::time_point now = Clock::now();
     if (to_ns(now) >= next_timer_ns_.load(std::memory_order_acquire)) {
-      fire_timers(now);
+      fire_timers(self, now);
     }
 
     std::uint32_t task;
@@ -460,24 +537,7 @@ void EventLoop::thread_main(std::size_t self) {
       wakeups_spurious_.fetch_add(1, std::memory_order_relaxed);
       just_woke = false;
     }
-
-    std::unique_lock<std::mutex> lk(sleep_mutex_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    if (injector_head_.load(std::memory_order_seq_cst) != kNil ||
-        !running_.load(std::memory_order_acquire)) {
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Never sleep past the earliest armed timer. The deadline is read
-    // under the sleep mutex, which schedule_at holds while it arms one: an
-    // earlier timer armed after this read finds this thread counted in
-    // sleepers_ and pokes it.
-    Clock::time_point bound =
-        std::min(now + kIdlePoll, from_ns(next_timer_ns_.load(std::memory_order_relaxed)));
-    Clock::time_point watch_until;
-    if (take_watch(self, now, watch_until)) bound = std::min(bound, watch_until);
-    sleep_cv_.wait_until(lk, bound);
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
+    park(self, now);
     just_woke = true;
   }
 }

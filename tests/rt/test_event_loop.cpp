@@ -1,10 +1,12 @@
 // Unit tests for the async scheduler primitives in isolation: the
-// TimerWheel's expiry arithmetic, the EventLoop's task state machine
+// TimerHeap's expiry order, the EventLoop's task state machine
 // (notify dedupe, single-runner guarantee, suspend/resume without lost
 // wakeups) — the properties the AsyncEngine's correctness rests on — and
 // its locality-first queueing (a notified task stays on its notifier's
 // thread, peers steal only work that has waited, one parked thread
-// watches the queues for such work).
+// watches the queues for such work) and its deadline-exact timers (a
+// timer wakes the thread that armed it, at the deadline, and a parked
+// peer fires it when its owner is stuck in a long step).
 #include "rt/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,10 @@
 #include <chrono>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace repro::rt {
 namespace {
@@ -27,71 +33,62 @@ bool blocked_until_resume(std::uint32_t) { return true; }
 
 constexpr std::size_t kNoSlot = ~std::size_t{0};
 
-TEST(TimerWheel, FiresDueEntriesAndReportsNextDeadline) {
-  TimerWheel wheel(milliseconds(1), 16);
+TEST(TimerHeap, FiresDueEntriesAndReportsNextDeadline) {
+  TimerHeap heap;
   Clock::time_point t0 = Clock::now();
-  wheel.schedule(1, t0 + milliseconds(2));
-  wheel.schedule(2, t0 + milliseconds(5));
-  EXPECT_FALSE(wheel.empty());
+  heap.schedule(2, t0 + milliseconds(5));
+  heap.schedule(1, t0 + milliseconds(2));
+  EXPECT_FALSE(heap.empty());
+  EXPECT_EQ(heap.next(), t0 + milliseconds(2));
 
   std::vector<std::uint32_t> due;
-  Clock::time_point next = wheel.advance(t0, due);
+  Clock::time_point next = heap.advance(t0, due);
   EXPECT_TRUE(due.empty());
-  EXPECT_LE(next, t0 + milliseconds(5));
+  EXPECT_EQ(next, t0 + milliseconds(2));
 
-  next = wheel.advance(t0 + milliseconds(3), due);
+  next = heap.advance(t0 + milliseconds(3), due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0], 1u);
   EXPECT_EQ(next, t0 + milliseconds(5));
 
   due.clear();
-  wheel.advance(t0 + milliseconds(10), due);
+  next = heap.advance(t0 + milliseconds(10), due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0], 2u);
-  EXPECT_TRUE(wheel.empty());
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(next, Clock::time_point::max());
 }
 
-TEST(TimerWheel, LongTimersSurviveWheelRevolutions) {
-  // A deadline several revolutions out must not fire early just because
-  // the cursor passes its slot.
-  TimerWheel wheel(milliseconds(1), 4);  // 4ms revolution
+TEST(TimerHeap, FarDeadlineFiresOnlyWhenDue) {
+  // A deadline far beyond the nearer ones must not fire at any advance
+  // before it, however many nearer timers fire around it.
+  TimerHeap heap;
   Clock::time_point t0 = Clock::now();
-  wheel.schedule(7, t0 + milliseconds(19));
-
+  heap.schedule(7, t0 + milliseconds(19));
   std::vector<std::uint32_t> due;
   for (int pass = 1; pass <= 18; ++pass) {
-    wheel.advance(t0 + milliseconds(pass), due);
-    EXPECT_TRUE(due.empty()) << "fired early at +" << pass << "ms";
+    heap.schedule(100 + static_cast<std::uint32_t>(pass), t0 + milliseconds(pass));
+    heap.advance(t0 + milliseconds(pass), due);
+    ASSERT_EQ(due.size(), 1u) << "at +" << pass << "ms";
+    EXPECT_EQ(due[0], 100u + static_cast<std::uint32_t>(pass))
+        << "fired early at +" << pass << "ms";
+    due.clear();
   }
-  wheel.advance(t0 + milliseconds(19), due);
+  heap.advance(t0 + milliseconds(19), due);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0], 7u);
 }
 
-TEST(TimerWheel, DeadlineBehindTheCursorFiresAtTheNextAdvance) {
-  // A step reads the clock, is descheduled while another thread advances
-  // the wheel past a slot boundary, then arms a deadline computed from its
-  // stale reading. The deadline lies in a slot the cursor has passed; it
-  // must still fire at the next advance, not a whole revolution later.
-  TimerWheel wheel(milliseconds(1), 8);
+TEST(TimerHeap, ManyTimersSameDeadlineAllFire) {
+  TimerHeap heap;
   Clock::time_point t0 = Clock::now();
+  for (std::uint32_t i = 0; i < 50; ++i) heap.schedule(i, t0 + milliseconds(3));
   std::vector<std::uint32_t> due;
-  wheel.advance(t0 + milliseconds(5), due);
-  wheel.schedule(3, t0 + milliseconds(3));
-  Clock::time_point next = wheel.advance(t0 + milliseconds(5) + std::chrono::microseconds(100), due);
-  ASSERT_EQ(due.size(), 1u) << "a past deadline waited for the cursor to come round";
-  EXPECT_EQ(due[0], 3u);
-  EXPECT_EQ(next, Clock::time_point::max());
-}
-
-TEST(TimerWheel, ManyTimersSameSlotAllFire) {
-  TimerWheel wheel(milliseconds(1), 8);
-  Clock::time_point t0 = Clock::now();
-  for (std::uint32_t i = 0; i < 50; ++i) wheel.schedule(i, t0 + milliseconds(3));
-  std::vector<std::uint32_t> due;
-  wheel.advance(t0 + milliseconds(4), due);
-  EXPECT_EQ(due.size(), 50u);
-  EXPECT_TRUE(wheel.empty());
+  heap.advance(t0 + milliseconds(4), due);
+  ASSERT_EQ(due.size(), 50u);
+  std::sort(due.begin(), due.end());
+  for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(due[i], i);
+  EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventLoop, RunsNotifiedTasksExactlyOncePerNotify) {
@@ -267,11 +264,11 @@ TEST(EventLoop, YieldRequeuesForFairness) {
 }
 
 TEST(EventLoop, TimersNotifyOwnersNearDeadline) {
-  // The timer is armed while the fresh loop thread may be on its way to
-  // its first park. The thread reads the earliest deadline under the
-  // sleep mutex that schedule_at holds, so it either sleeps until this
-  // deadline or is already counted as a sleeper and gets poked: its wait
-  // never runs the full idle poll past the deadline.
+  // The timer is armed off the loop while the fresh loop thread may be on
+  // its way to its first park. The thread reads the earliest off-loop
+  // deadline under the sleep mutex that schedule_at holds, so it either
+  // sleeps until this deadline or is already parked and gets woken: its
+  // wait never runs the full idle poll past the deadline.
   std::atomic<int> runs{0};
   Clock::time_point fired_at{};
   EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
@@ -654,6 +651,114 @@ TEST(EventLoop, ExternalNotifyRacingAParkAlwaysRuns) {
                             << std::chrono::duration_cast<milliseconds>(slowest).count()
                             << " ms for the loop thread";
   EXPECT_EQ(runs.load(), static_cast<std::uint64_t>(kRounds));
+}
+
+TEST(EventLoop, LoopThreadsRunWithOneNanosecondTimerSlack) {
+#ifdef __linux__
+  // Linux ends a timed sleep up to the thread's timer slack (50 us by
+  // default) after its deadline; loop threads ask for 1 ns, the least there
+  // is. Slack is per thread, so the thread that made the loop keeps its own.
+  const int before = prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL);
+  std::atomic<int> slack{-1};
+  EventLoop loop(1, 1, [&](std::uint32_t, std::size_t) {
+    slack.store(prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL));
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  loop.notify(0);
+  ASSERT_TRUE(wait_for([&] { return slack.load() != -1; }));
+  loop.stop();
+  EXPECT_EQ(slack.load(), 1) << "a loop thread runs with the default timer slack";
+  EXPECT_EQ(prctl(PR_GET_TIMERSLACK, 0UL, 0UL, 0UL, 0UL), before);
+#else
+  GTEST_SKIP() << "timer slack is a Linux attribute";
+#endif
+}
+
+TEST(EventLoop, TimerWakesOnlyTheThreadThatArmedIt) {
+  // A task re-arms its own timer every 200 us from its step, so the timer
+  // belongs to the thread that runs it. That thread parks until the
+  // deadline and fires it; the two other threads sleep through all 500
+  // rounds. Were every parked thread to bound its sleep by every timer,
+  // each deadline would wake all three and two would find nothing.
+  constexpr int kRounds = 500;
+  constexpr auto kPeriod = std::chrono::microseconds(200);
+  std::atomic<int> rounds{0};
+  std::vector<std::atomic<int>> runs_on(3);
+  for (auto& r : runs_on) r.store(0);
+  EventLoop loop(3, 1, [&](std::uint32_t task, std::size_t slot) {
+    runs_on[slot].fetch_add(1);
+    if (rounds.fetch_add(1) + 1 < kRounds) loop.schedule_at(task, Clock::now() + kPeriod);
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  std::this_thread::sleep_for(milliseconds(50));  // all three threads park
+  const EventLoopStats before = loop.stats();
+  loop.notify(0);
+  ASSERT_TRUE(wait_for([&] { return rounds.load() == kRounds; }));
+  const EventLoopStats after = loop.stats();
+  loop.stop();
+  int most = 0;
+  for (auto& r : runs_on) most = std::max(most, r.load());
+  // Slack for the other threads' 250 ms idle polls, which a slow host can
+  // reach before the last round.
+  EXPECT_GE(most, kRounds - 4) << "rounds that ran away from the timer's thread";
+  EXPECT_LE(after.wakeups_spurious - before.wakeups_spurious, 8u)
+      << "parked threads woke for a timer they did not arm";
+  EXPECT_GE(after.wakeups_productive - before.wakeups_productive,
+            static_cast<std::uint64_t>(kRounds / 2));
+}
+
+TEST(EventLoop, TimerOfAnOwnerStuckInALongStepFiresOnAParkedPeer) {
+  // Task 0 arms a timer for task 1 and then runs a 20 ms step, so the
+  // thread that owns the timer cannot fire it. The other thread, busy in
+  // task 2 until the timer is armed, parks as the timer watcher: it wakes
+  // kStealAge after the deadline and fires it, long before the step ends.
+  constexpr auto kLongStep = milliseconds(20);
+  constexpr auto kLead = milliseconds(1);
+  std::atomic<std::size_t> owner_slot{kNoSlot};
+  std::atomic<std::size_t> fired_slot{kNoSlot};
+  std::atomic<bool> watching{false};
+  std::atomic<bool> armed{false};
+  std::atomic<bool> step_over{false};
+  std::atomic<bool> fired_during_step{false};
+  Clock::time_point deadline{};  // read after stop(), which joins the writers
+  Clock::time_point fired_at{};
+  EventLoop loop(2, 3, [&](std::uint32_t task, std::size_t slot) {
+    const Clock::time_point give_up = Clock::now() + milliseconds(2000);
+    if (task == 0) {
+      owner_slot.store(slot);
+      while (!watching.load() && Clock::now() < give_up) {
+      }
+      deadline = Clock::now() + kLead;
+      loop.schedule_at(1, deadline);
+      armed.store(true);
+      std::this_thread::sleep_for(kLongStep);
+      step_over.store(true);
+    } else if (task == 1) {
+      fired_at = Clock::now();
+      fired_during_step.store(!step_over.load());
+      fired_slot.store(slot);
+    } else {
+      // Keep the other thread awake until the timer is armed, so it parks
+      // knowing of it.
+      watching.store(true);
+      while (!armed.load() && Clock::now() < give_up) {
+      }
+    }
+    return EventLoop::StepResult::kIdle;
+  }, blocked_until_resume);
+  loop.start();
+  loop.notify(0);
+  ASSERT_TRUE(wait_for([&] { return owner_slot.load() != kNoSlot; }));
+  loop.notify(2);  // the thread running task 0 is busy: this wakes the other
+  ASSERT_TRUE(wait_for([&] { return fired_slot.load() != kNoSlot; }));
+  loop.stop();
+  EXPECT_NE(fired_slot.load(), owner_slot.load()) << "the timer waited for its owner's step";
+  EXPECT_TRUE(fired_during_step.load()) << "the timer fired only after the 20 ms step";
+  EXPECT_GE(fired_at, deadline) << "fired before its deadline";
+  EXPECT_LE(fired_at, deadline + EventLoop::kStealAge + milliseconds(5))
+      << "fired long after its deadline plus the steal age";
 }
 
 TEST(EventLoop, CountsStealsAcrossThreads) {
