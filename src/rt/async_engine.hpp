@@ -4,7 +4,7 @@
 // *tasks*, not threads: an enqueue event notifies the destination task
 // runnable, a small pool of loop threads runs bounded steps off
 // work-stealing ready queues, and deadlines (spout pacing, window ticks)
-// ride a hashed timer wheel — see rt/event_loop.hpp.
+// ride the loop's timers — see rt/event_loop.hpp.
 //
 // Backpressure (kBlockUpstream) never blocks a thread: the
 // InflightLimiter parks a batch that does not fit and *suspends the

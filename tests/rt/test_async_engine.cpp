@@ -115,7 +115,7 @@ class WindowCounter : public dsps::Bolt {
 };
 std::atomic<int> WindowCounter::windows_{0};
 
-TEST(AsyncEngine, OnWindowFiresFromTimerWheel) {
+TEST(AsyncEngine, OnWindowFiresFromLoopTimers) {
   WindowCounter::windows_ = 0;
 
   dsps::TopologyBuilder b("async-window");
