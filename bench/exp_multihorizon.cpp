@@ -1,9 +1,10 @@
-// Extension X1: joint multi-horizon DRNN — one model with an H-wide output
-// head forecasting windows t+1..t+8 at once — compared per-horizon against
-// ARIMA's iterated forecasts and the last-observation baseline. (Compare
-// the per-horizon single-model DRNN numbers in F2, same trace and seed.)
+// Extension X1: joint multi-horizon DRNN — one DrnnPredictor with an
+// 8-wide output head (dataset.outputs = 8) forecasting windows t+1..t+8 at
+// once — compared per-horizon against the last-observation baseline.
+// (Compare the per-horizon single-model DRNN numbers in F2, same trace and
+// seed.)
 #include "bench_util.hpp"
-#include "control/multi_horizon.hpp"
+#include "control/drnn_predictor.hpp"
 #include "exp/scenarios.hpp"
 
 using namespace repro;
@@ -21,8 +22,8 @@ int main() {
   const std::size_t cut = static_cast<std::size_t>(trace.size() * 0.7);
   std::vector<dsps::WindowSample> train(trace.begin(), trace.begin() + cut);
 
-  control::MultiHorizonConfig cfg;
-  cfg.horizons = 8;
+  control::DrnnPredictorConfig cfg;
+  cfg.dataset.outputs = 8;
   // The joint 8-output objective is harder than single-horizon regression:
   // give it more capacity and training budget.
   cfg.hidden_size = 48;
@@ -32,20 +33,22 @@ int main() {
   cfg.train.learning_rate = 5e-3;
   cfg.seed = 44;
   cfg.train.seed = 45;
-  control::MultiHorizonDrnn joint(cfg);
+  control::DrnnPredictor joint(cfg);
   std::printf("training the joint model...\n");
   joint.fit(train, workers);
 
-  // Per-horizon errors with teacher forcing over the test span.
-  std::vector<std::vector<double>> actual(cfg.horizons), pred_joint(cfg.horizons),
-      pred_naive(cfg.horizons);
-  std::vector<dsps::WindowSample> prefix(trace.begin(), trace.begin() + cut);
-  for (std::size_t p = cut; p + cfg.horizons <= trace.size(); ++p) {
-    if (prefix.size() < p) prefix.push_back(trace[p - 1]);
+  // Per-horizon errors with teacher forcing: stream the head, then each
+  // true test window once, forecasting after every window.
+  const std::size_t horizons = cfg.dataset.outputs;
+  std::vector<std::vector<double>> actual(horizons), pred_joint(horizons), pred_naive(horizons);
+  for (const auto& sample : train) joint.observe(sample);
+  std::vector<double> f;
+  for (std::size_t p = cut; p + horizons <= trace.size(); ++p) {
+    if (p > cut) joint.observe(trace[p - 1]);
     for (std::size_t w : workers) {
-      std::vector<double> f = joint.forecast(prefix, w);
-      double last = control::worker_target(prefix.back(), w);
-      for (std::size_t h = 0; h < cfg.horizons; ++h) {
+      joint.predict_horizons(w, f);
+      double last = control::worker_target(trace[p - 1], w);
+      for (std::size_t h = 0; h < horizons; ++h) {
         actual[h].push_back(control::worker_target(trace[p + h], w));
         pred_joint[h].push_back(f[h]);
         pred_naive[h].push_back(last);
@@ -54,7 +57,7 @@ int main() {
   }
 
   common::Table table({"horizon", "joint DRNN MAE(us)", "Observed MAE(us)"});
-  for (std::size_t h = 0; h < cfg.horizons; ++h) {
+  for (std::size_t h = 0; h < horizons; ++h) {
     auto ej = common::compute_errors(actual[h], pred_joint[h]);
     auto en = common::compute_errors(actual[h], pred_naive[h]);
     table.add_row({std::to_string(h + 1), common::format_double(ej.mae * 1e6, 2),

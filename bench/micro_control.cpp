@@ -17,6 +17,7 @@
 #include "control/predictor.hpp"
 #include "dsps/grouping.hpp"
 #include "dsps/metrics.hpp"
+#include "nn/trainer.hpp"
 #include "runtime/control_surface.hpp"
 #include "runtime/window_history.hpp"
 

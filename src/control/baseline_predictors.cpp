@@ -28,9 +28,8 @@ void ArimaPredictor::fit(const std::vector<dsps::WindowSample>& history,
   fallback_ = n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-double ArimaPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
-                                    std::size_t worker) {
-  std::vector<double> series = target_series(history, worker);
+double ArimaPredictor::predict_next(std::size_t worker) {
+  std::vector<double> series = target_series(recent_samples(), worker);
   if (series.size() > fit_tail_) {
     series.erase(series.begin(), series.end() - static_cast<std::ptrdiff_t>(fit_tail_));
   }
@@ -48,7 +47,9 @@ double ArimaPredictor::predict_next(const std::vector<dsps::WindowSample>& histo
 }
 
 SvrPredictor::SvrPredictor(baselines::SvrConfig config, DatasetConfig dataset)
-    : svr_(config), dataset_(std::move(dataset)), max_train_rows_(1500) {}
+    : svr_(config), dataset_(std::move(dataset)), max_train_rows_(1500) {
+  if (dataset_.outputs != 1) throw std::invalid_argument("SvrPredictor: dataset.outputs must be 1");
+}
 
 void SvrPredictor::fit(const std::vector<dsps::WindowSample>& history,
                        const std::vector<std::size_t>& workers) {
@@ -70,9 +71,8 @@ void SvrPredictor::fit(const std::vector<dsps::WindowSample>& history,
   }
 }
 
-double SvrPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
-                                  std::size_t worker) {
-  tensor::Matrix seq = latest_sequence(history, worker, dataset_);
+double SvrPredictor::predict_next(std::size_t worker) {
+  tensor::Matrix seq = latest_sequence(recent_samples(), worker, dataset_);
   std::vector<double> flat;
   flat.reserve(seq.rows() * seq.cols());
   for (std::size_t t = 0; t < seq.rows(); ++t) {
@@ -93,9 +93,8 @@ std::size_t HoltWintersPredictor::min_history() const {
 void HoltWintersPredictor::fit(const std::vector<dsps::WindowSample>&,
                                const std::vector<std::size_t>&) {}
 
-double HoltWintersPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
-                                          std::size_t worker) {
-  std::vector<double> series = target_series(history, worker);
+double HoltWintersPredictor::predict_next(std::size_t worker) {
+  std::vector<double> series = target_series(recent_samples(), worker);
   if (series.size() > fit_tail_) {
     series.erase(series.begin(), series.end() - static_cast<std::ptrdiff_t>(fit_tail_));
   }
@@ -110,14 +109,14 @@ double HoltWintersPredictor::predict_next(const std::vector<dsps::WindowSample>&
   }
 }
 
-double ObservedPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
-                                       std::size_t worker) {
+double ObservedPredictor::predict_next(std::size_t worker) {
+  const std::vector<dsps::WindowSample>& history = recent_samples();
   if (history.empty()) return 0.0;
   return worker_target(history.back(), worker);
 }
 
-double MovingAverageWindowPredictor::predict_next(const std::vector<dsps::WindowSample>& history,
-                                                  std::size_t worker) {
+double MovingAverageWindowPredictor::predict_next(std::size_t worker) {
+  const std::vector<dsps::WindowSample>& history = recent_samples();
   if (history.empty()) return 0.0;
   std::size_t n = std::min(window_, history.size());
   double sum = 0.0;

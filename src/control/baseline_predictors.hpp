@@ -22,11 +22,10 @@ class ArimaPredictor final : public PerformancePredictor {
 
   void fit(const std::vector<dsps::WindowSample>& history,
            const std::vector<std::size_t>& workers) override;
-  double predict_next(const std::vector<dsps::WindowSample>& history, std::size_t worker) override;
+  double predict_next(std::size_t worker) override;
   std::size_t min_history() const override;
   std::string name() const override { return "ARIMA"; }
-  /// Streaming retention must cover the per-prediction refit tail so the
-  /// adapter's rolling window reproduces the batch result exactly.
+  /// The rolling window must cover the per-prediction refit tail.
   std::size_t stream_window() const override { return std::max(fit_tail_, min_history()); }
 
  private:
@@ -36,7 +35,8 @@ class ArimaPredictor final : public PerformancePredictor {
   double fallback_ = 0.0;
 };
 
-/// SVR over the same flattened feature window the DRNN sees.
+/// SVR over the same flattened feature window the DRNN sees. Forecasts one
+/// window: `dataset.outputs` must be 1.
 class SvrPredictor final : public PerformancePredictor {
  public:
   SvrPredictor(baselines::SvrConfig config, DatasetConfig dataset);
@@ -44,7 +44,7 @@ class SvrPredictor final : public PerformancePredictor {
 
   void fit(const std::vector<dsps::WindowSample>& history,
            const std::vector<std::size_t>& workers) override;
-  double predict_next(const std::vector<dsps::WindowSample>& history, std::size_t worker) override;
+  double predict_next(std::size_t worker) override;
   std::size_t min_history() const override { return dataset_.seq_len; }
   std::string name() const override { return "SVR"; }
 
@@ -65,7 +65,7 @@ class HoltWintersPredictor final : public PerformancePredictor {
 
   void fit(const std::vector<dsps::WindowSample>& history,
            const std::vector<std::size_t>& workers) override;
-  double predict_next(const std::vector<dsps::WindowSample>& history, std::size_t worker) override;
+  double predict_next(std::size_t worker) override;
   std::size_t min_history() const override;
   std::string name() const override { return "HoltWinters"; }
   std::size_t stream_window() const override { return std::max(fit_tail_, min_history()); }
@@ -80,7 +80,7 @@ class HoltWintersPredictor final : public PerformancePredictor {
 class ObservedPredictor final : public PerformancePredictor {
  public:
   void fit(const std::vector<dsps::WindowSample>&, const std::vector<std::size_t>&) override {}
-  double predict_next(const std::vector<dsps::WindowSample>& history, std::size_t worker) override;
+  double predict_next(std::size_t worker) override;
   std::size_t min_history() const override { return 1; }
   std::string name() const override { return "Observed"; }
 };
@@ -90,7 +90,7 @@ class MovingAverageWindowPredictor final : public PerformancePredictor {
  public:
   explicit MovingAverageWindowPredictor(std::size_t window = 8) : window_(window) {}
   void fit(const std::vector<dsps::WindowSample>&, const std::vector<std::size_t>&) override {}
-  double predict_next(const std::vector<dsps::WindowSample>& history, std::size_t worker) override;
+  double predict_next(std::size_t worker) override;
   std::size_t min_history() const override { return 1; }
   std::string name() const override { return "MovingAvg"; }
 

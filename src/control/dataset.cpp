@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "nn/trainer.hpp"
+
 namespace repro::control {
 namespace {
 
@@ -27,14 +29,22 @@ nn::SequenceDataset make_pooled_drnn_dataset(const std::vector<dsps::WindowSampl
                                              const std::vector<std::size_t>& workers,
                                              const DatasetConfig& cfg) {
   nn::SequenceDataset ds;
-  if (cfg.seq_len == 0 || cfg.horizon == 0) throw std::invalid_argument("DatasetConfig: zero len");
-  if (history.size() < cfg.seq_len + cfg.horizon) return ds;
-  std::size_t n = history.size() - cfg.seq_len - cfg.horizon + 1;
+  if (cfg.seq_len == 0 || cfg.horizon == 0 || cfg.outputs == 0) {
+    throw std::invalid_argument("DatasetConfig: zero len");
+  }
+  // Windows one sample spans: its input sequence through its last target.
+  const std::size_t span = cfg.seq_len + cfg.horizon + cfg.outputs - 1;
+  if (history.size() < span) return ds;
+  std::size_t n = history.size() - span + 1;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t first_target = i + cfg.seq_len + cfg.horizon - 1;
     for (std::size_t w : workers) {
       tensor::Matrix seq = sequence_at(history, i, w, cfg);
-      double target = worker_target(history[i + cfg.seq_len + cfg.horizon - 1], w);
-      ds.append(std::move(seq), {target});
+      std::vector<double> targets(cfg.outputs);
+      for (std::size_t j = 0; j < cfg.outputs; ++j) {
+        targets[j] = worker_target(history[first_target + j], w);
+      }
+      ds.append(std::move(seq), std::move(targets));
     }
   }
   return ds;
@@ -74,29 +84,6 @@ tensor::Matrix latest_sequence(const std::vector<dsps::WindowSample>& history, s
     throw std::invalid_argument("latest_sequence: history shorter than seq_len");
   }
   return sequence_at(history, history.size() - cfg.seq_len, worker, cfg);
-}
-
-void streaming_sequence_into(const StreamingFeatureExtractor& extractor, std::size_t worker,
-                             const DatasetConfig& cfg, tensor::Matrix& out) {
-  if (extractor.dim() != feature_dim(cfg.features)) {
-    throw std::invalid_argument("streaming_sequence_into: extractor feature dim mismatch");
-  }
-  extractor.sequence_into(worker, cfg.seq_len, out);
-}
-
-void latest_sequence_into(const std::vector<dsps::WindowSample>& history, std::size_t worker,
-                          const DatasetConfig& cfg, tensor::Matrix& out) {
-  if (history.size() < cfg.seq_len) {
-    throw std::invalid_argument("latest_sequence: history shorter than seq_len");
-  }
-  std::size_t d = feature_dim(cfg.features);
-  std::size_t start = history.size() - cfg.seq_len;
-  out.reshape(cfg.seq_len, d);
-  for (std::size_t t = 0; t < cfg.seq_len; ++t) {
-    std::vector<double> f = worker_features(history[start + t], worker, cfg.features);
-    double* dst = out.row_ptr(t);
-    for (std::size_t c = 0; c < d; ++c) dst[c] = f[c];
-  }
 }
 
 }  // namespace repro::control

@@ -1,24 +1,28 @@
 #pragma once
 // Converts engine window history into supervised learning datasets for the
-// DRNN (sequence -> next target) and the SVR baseline (flattened lags ->
-// next target).
+// DRNN (sequence -> `outputs` targets) and the SVR baseline (flattened lags
+// -> one target).
 #include <vector>
 
 #include "control/features.hpp"
-#include "nn/trainer.hpp"
 #include "tensor/matrix.hpp"
+
+namespace repro::nn {
+struct SequenceDataset;  // nn/trainer.hpp; kept out so predictor.hpp stays light
+}  // namespace repro::nn
 
 namespace repro::control {
 
 struct DatasetConfig {
   std::size_t seq_len = 16;  ///< input window count (DRNN) / lags (SVR)
   std::size_t horizon = 1;   ///< predict this many windows ahead
+  std::size_t outputs = 1;   ///< consecutive windows forecast from `horizon` on (DRNN)
   FeatureConfig features{};
 };
 
 /// DRNN dataset over one worker: sample i is the feature sequence of
-/// windows [i, i+seq_len) with target = that worker's avg processing time
-/// at window i+seq_len+horizon-1.
+/// windows [i, i+seq_len) with targets j < outputs = that worker's avg
+/// processing time at window i+seq_len+horizon-1+j.
 nn::SequenceDataset make_drnn_dataset(const std::vector<dsps::WindowSample>& history,
                                       std::size_t worker, const DatasetConfig& cfg);
 
@@ -29,7 +33,8 @@ nn::SequenceDataset make_pooled_drnn_dataset(const std::vector<dsps::WindowSampl
                                              const std::vector<std::size_t>& workers,
                                              const DatasetConfig& cfg);
 
-/// Flat dataset (SVR): row i concatenates the seq_len feature vectors.
+/// Flat dataset (SVR): row i concatenates the seq_len feature vectors and
+/// has one target (`outputs` is not read).
 struct FlatDataset {
   tensor::Matrix x;
   std::vector<double> y;
@@ -43,17 +48,5 @@ FlatDataset make_pooled_flat_dataset(const std::vector<dsps::WindowSample>& hist
 /// The most recent feature sequence ([seq_len x D]) for live prediction.
 tensor::Matrix latest_sequence(const std::vector<dsps::WindowSample>& history, std::size_t worker,
                                const DatasetConfig& cfg);
-/// Workspace variant: writes into `out` (reshaped in place), so per-window
-/// live prediction reuses one buffer instead of allocating.
-void latest_sequence_into(const std::vector<dsps::WindowSample>& history, std::size_t worker,
-                          const DatasetConfig& cfg, tensor::Matrix& out);
-
-/// Streaming analogue of latest_sequence_into: assemble the worker's most
-/// recent seq_len rows from an incrementally-maintained extractor instead
-/// of rescanning history. Bit-identical to the batch path over the same
-/// samples. Throws std::invalid_argument when the extractor's feature
-/// dimension disagrees with cfg or it holds fewer than seq_len rows.
-void streaming_sequence_into(const StreamingFeatureExtractor& extractor, std::size_t worker,
-                             const DatasetConfig& cfg, tensor::Matrix& out);
 
 }  // namespace repro::control

@@ -123,12 +123,8 @@ void StreamingFeatureExtractor::observe(const dsps::WindowSample& sample) {
   for (const auto& w : sample.workers) {
     if (w.worker >= rings_.size()) rings_.resize(w.worker + 1);
     WorkerRing& r = rings_[w.worker];
-    if (r.rows.empty()) {
-      r.rows.resize(capacity_ * dim_);
-      r.targets.resize(capacity_);
-    }
+    if (r.rows.empty()) r.rows.resize(capacity_ * dim_);
     worker_features_into(sample, w.worker, cfg_, r.rows.data() + r.head * dim_);
-    r.targets[r.head] = w.avg_proc_time;
     r.head = (r.head + 1) % capacity_;
     if (r.count < capacity_) ++r.count;
   }
@@ -161,18 +157,6 @@ void StreamingFeatureExtractor::sequence_into(std::size_t worker, std::size_t le
     const double* src = r.rows.data() + slot * dim_;
     double* dst = out.row_ptr(t);
     for (std::size_t c = 0; c < dim_; ++c) dst[c] = src[c];
-  }
-}
-
-void StreamingFeatureExtractor::targets_tail(std::size_t worker, std::size_t n,
-                                             std::vector<double>& out) const {
-  out.clear();
-  const WorkerRing& r = ring_of(worker);
-  std::size_t take = std::min(n, r.count);
-  out.reserve(take);
-  for (std::size_t t = 0; t < take; ++t) {
-    std::size_t slot = (r.head + capacity_ - take + t) % capacity_;
-    out.push_back(r.targets[slot]);
   }
 }
 

@@ -44,8 +44,8 @@ std::vector<double> target_series(const std::vector<dsps::WindowSample>& history
 
 /// Rolling per-worker feature windows maintained incrementally: feed each
 /// WindowSample once through observe() and the extractor keeps, for every
-/// worker it has seen, the most recent `capacity` feature rows and targets
-/// in fixed flat rings. Reading the latest length-L sequence is then a
+/// worker it has seen, the most recent `capacity` feature rows in fixed
+/// flat rings. Reading the latest length-L sequence is then a
 /// bounded copy — a control round costs O(workers x window) no matter how
 /// long the run is, and rows are bit-identical to worker_features() on the
 /// same samples.
@@ -55,7 +55,7 @@ class StreamingFeatureExtractor {
   /// predictor's seq_len or fit tail.
   StreamingFeatureExtractor(FeatureConfig cfg, std::size_t capacity);
 
-  /// Extract and retain features/targets for every worker in the sample.
+  /// Extract and retain features for every worker in the sample.
   void observe(const dsps::WindowSample& sample);
 
   std::size_t dim() const { return dim_; }
@@ -70,19 +70,14 @@ class StreamingFeatureExtractor {
   /// fewer than `len` rows are retained.
   void sequence_into(std::size_t worker, std::size_t len, tensor::Matrix& out) const;
 
-  /// The worker's latest min(n, rows_of) targets, oldest first, into `out`
-  /// (cleared first).
-  void targets_tail(std::size_t worker, std::size_t n, std::vector<double>& out) const;
-
   /// Forget everything (capacity and config stay).
   void reset();
 
  private:
   struct WorkerRing {
-    std::vector<double> rows;     ///< capacity x dim, flat
-    std::vector<double> targets;  ///< capacity
-    std::size_t head = 0;         ///< next write slot
-    std::size_t count = 0;        ///< retained rows, saturates at capacity
+    std::vector<double> rows;  ///< capacity x dim, flat
+    std::size_t head = 0;      ///< next write slot
+    std::size_t count = 0;     ///< retained rows, saturates at capacity
   };
 
   const WorkerRing& ring_of(std::size_t worker) const;

@@ -13,10 +13,6 @@ void PerformancePredictor::observe(const dsps::WindowSample& sample) {
   recent_.push(sample);
 }
 
-double PerformancePredictor::predict_next(std::size_t worker) {
-  return predict_next(recent_.samples(), worker);
-}
-
 void PerformancePredictor::predict_workers(const std::vector<std::size_t>& workers,
                                            std::vector<double>& out) {
   out.resize(workers.size());
@@ -29,27 +25,28 @@ std::size_t PerformancePredictor::stream_window() const {
 
 void PerformancePredictor::reset_stream() { recent_ = runtime::WindowHistory(); }
 
-std::unique_ptr<PerformancePredictor> make_predictor(const std::string& name, std::uint64_t seed) {
-  if (name == "drnn" || name == "drnn-lstm") {
+std::unique_ptr<PerformancePredictor> make_predictor(const std::string& name, std::uint64_t seed,
+                                                     DatasetConfig dataset) {
+  if (name == "drnn" || name == "drnn-lstm" || name == "drnn-gru") {
     DrnnPredictorConfig cfg;
+    cfg.dataset = dataset;
+    if (name == "drnn-gru") cfg.cell = nn::CellKind::kGru;
     cfg.seed = seed;
     cfg.train.seed = seed + 1;
     return std::make_unique<DrnnPredictor>(cfg);
   }
-  if (name == "drnn-gru") {
-    DrnnPredictorConfig cfg;
-    cfg.cell = nn::CellKind::kGru;
-    cfg.seed = seed;
-    cfg.train.seed = seed + 1;
-    return std::make_unique<DrnnPredictor>(cfg);
+  if (name == "arima") {
+    return std::make_unique<ArimaPredictor>(baselines::ArimaConfig{}, 240, dataset.horizon);
   }
-  if (name == "arima") return std::make_unique<ArimaPredictor>();
   if (name == "svr") {
     baselines::SvrConfig svr;
     svr.seed = seed;
-    return std::make_unique<SvrPredictor>(svr, DatasetConfig{});
+    return std::make_unique<SvrPredictor>(svr, dataset);
   }
-  if (name == "hw") return std::make_unique<HoltWintersPredictor>();
+  if (name == "hw") {
+    return std::make_unique<HoltWintersPredictor>(baselines::HoltWintersConfig{}, 240,
+                                                  dataset.horizon);
+  }
   if (name == "observed") return std::make_unique<ObservedPredictor>();
   if (name == "ma") return std::make_unique<MovingAverageWindowPredictor>();
   throw std::invalid_argument("make_predictor: unknown predictor " + name);

@@ -7,50 +7,17 @@
 #include <stdexcept>
 
 #include "common/time_series.hpp"
-#include "control/baseline_predictors.hpp"
-#include "control/drnn_predictor.hpp"
 #include "control/features.hpp"
 
 namespace repro::exp {
-namespace {
-
-std::unique_ptr<control::PerformancePredictor> build_model(const std::string& name,
-                                                           const AccuracyOptions& opt) {
-  if (opt.factory) return opt.factory(name);
-  using namespace control;
-  if (name == "drnn" || name == "drnn-lstm" || name == "drnn-gru") {
-    DrnnPredictorConfig cfg;
-    cfg.dataset.seq_len = opt.seq_len;
-    cfg.dataset.horizon = opt.horizon;
-    cfg.cell = name == "drnn-gru" ? nn::CellKind::kGru : nn::CellKind::kLstm;
-    cfg.seed = opt.seed;
-    cfg.train.seed = opt.seed + 1;
-    return std::make_unique<DrnnPredictor>(cfg);
-  }
-  if (name == "svr") {
-    DatasetConfig ds;
-    ds.seq_len = opt.seq_len;
-    ds.horizon = opt.horizon;
-    baselines::SvrConfig svr;
-    svr.seed = opt.seed;
-    return std::make_unique<SvrPredictor>(svr, ds);
-  }
-  if (name == "arima") {
-    return std::make_unique<ArimaPredictor>(baselines::ArimaConfig{}, 240, opt.horizon);
-  }
-  if (name == "hw") {
-    return std::make_unique<HoltWintersPredictor>(baselines::HoltWintersConfig{}, 240,
-                                                  opt.horizon);
-  }
-  if (name == "observed") return std::make_unique<ObservedPredictor>();
-  if (name == "ma") return std::make_unique<MovingAverageWindowPredictor>();
-  throw std::invalid_argument("evaluate_accuracy: unknown model " + name);
-}
-
-}  // namespace
 
 AccuracyResult evaluate_accuracy(const std::vector<dsps::WindowSample>& trace,
                                  const AccuracyOptions& opt) {
+  if (!(opt.train_fraction > 0.0 && opt.train_fraction < 1.0)) {
+    throw std::invalid_argument("evaluate_accuracy: train_fraction must be in (0, 1)");
+  }
+  if (opt.horizon == 0) throw std::invalid_argument("evaluate_accuracy: horizon must be >= 1");
+  if (opt.seq_len == 0) throw std::invalid_argument("evaluate_accuracy: seq_len must be >= 1");
   if (trace.size() < 4 * opt.seq_len) {
     throw std::invalid_argument("evaluate_accuracy: trace too short");
   }
@@ -60,6 +27,10 @@ AccuracyResult evaluate_accuracy(const std::vector<dsps::WindowSample>& trace,
 
   const std::size_t cut = static_cast<std::size_t>(static_cast<double>(trace.size()) *
                                                    opt.train_fraction);
+  if (cut + opt.horizon > trace.size()) {
+    throw std::invalid_argument(
+        "evaluate_accuracy: train_fraction and horizon leave no test window");
+  }
   const std::vector<dsps::WindowSample> train(trace.begin(),
                                               trace.begin() + static_cast<std::ptrdiff_t>(cut));
 
@@ -82,38 +53,38 @@ AccuracyResult evaluate_accuracy(const std::vector<dsps::WindowSample>& trace,
   AccuracyResult result;
   result.series_worker = series_worker;
 
-  // Ground-truth series (shared across models).
-  std::vector<std::size_t> target_idx;
+  // The forecast made after observing windows [0, p) targets window
+  // p + horizon - 1, for every p from cut on whose target exists.
   for (std::size_t p = cut; p + opt.horizon <= trace.size(); ++p) {
-    target_idx.push_back(p + opt.horizon - 1);
-  }
-  for (std::size_t ti : target_idx) {
-    result.series_time.push_back(trace[ti].time);
-    result.series_actual.push_back(control::worker_target(trace[ti], series_worker));
+    const dsps::WindowSample& target = trace[p + opt.horizon - 1];
+    result.series_time.push_back(target.time);
+    result.series_actual.push_back(control::worker_target(target, series_worker));
   }
 
+  control::DatasetConfig dataset;
+  dataset.seq_len = opt.seq_len;
+  dataset.horizon = opt.horizon;
+  std::vector<double> preds;
   for (const std::string& name : opt.models) {
-    auto model = build_model(name, opt);
+    auto model = opt.factory ? opt.factory(name) : control::make_predictor(name, opt.seed, dataset);
     auto t_start = std::chrono::steady_clock::now();
     model->fit(train, workers);
     double fit_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start).count();
 
+    // Teacher forcing: the model streams the head, then each true test
+    // window once, just before the forecast that follows it.
+    for (const auto& sample : train) model->observe(sample);
     std::vector<double> actual_all, pred_all;
     std::vector<double> series_pred;
-    std::vector<dsps::WindowSample> prefix(trace.begin(),
-                                           trace.begin() + static_cast<std::ptrdiff_t>(cut));
-    for (std::size_t k = 0; k < target_idx.size(); ++k) {
-      std::size_t p = cut + k;  // prefix length for this prediction
-      // Teacher forcing: extend the prefix with the true window p-1.
-      if (prefix.size() < p) prefix.push_back(trace[p - 1]);
-      std::size_t ti = target_idx[k];
-      for (std::size_t w : workers) {
-        double pred = model->predict_next(prefix, w);
-        double actual = control::worker_target(trace[ti], w);
-        pred_all.push_back(pred);
-        actual_all.push_back(actual);
-        if (w == series_worker) series_pred.push_back(pred);
+    for (std::size_t p = cut; p + opt.horizon <= trace.size(); ++p) {
+      if (p > cut) model->observe(trace[p - 1]);
+      model->predict_workers(workers, preds);
+      const dsps::WindowSample& target = trace[p + opt.horizon - 1];
+      for (std::size_t i = 0; i < workers.size(); ++i) {
+        pred_all.push_back(preds[i]);
+        actual_all.push_back(control::worker_target(target, workers[i]));
+        if (workers[i] == series_worker) series_pred.push_back(preds[i]);
       }
     }
 

@@ -31,9 +31,8 @@ class ScriptedPredictor : public PerformancePredictor {
  public:
   ScriptedPredictor(std::size_t bad_worker, double after) : bad_(bad_worker), after_(after) {}
   void fit(const std::vector<dsps::WindowSample>&, const std::vector<std::size_t>&) override {}
-  double predict_next(const std::vector<dsps::WindowSample>& history,
-                      std::size_t worker) override {
-    double t = history.back().time;
+  double predict_next(std::size_t worker) override {
+    double t = recent_samples().back().time;
     if (worker == bad_ && t >= after_) return 0.01;  // 10x the healthy level
     return 0.001;
   }

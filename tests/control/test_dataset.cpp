@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/trainer.hpp"
+
 namespace repro::control {
 namespace {
 

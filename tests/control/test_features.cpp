@@ -109,5 +109,89 @@ TEST(Features, TargetSeries) {
   EXPECT_DOUBLE_EQ(series[1], 0.123);
 }
 
+/// `n` windows of sample_with_workers() whose values (and so the
+/// co-located sort order) change from window to window.
+std::vector<dsps::WindowSample> varying_windows(std::size_t n) {
+  std::vector<dsps::WindowSample> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    dsps::WindowSample s = sample_with_workers();
+    s.time = static_cast<double>(i + 1);
+    for (auto& ws : s.workers) {
+      ws.executed += 7 * i + ws.worker;
+      ws.avg_proc_time *= 1.0 + 0.1 * static_cast<double>(i);
+      ws.queue_len = (i + ws.worker) % 5;
+      ws.cpu_share = 0.1 * static_cast<double>(ws.worker + 1) +
+                     0.15 * static_cast<double>((i + ws.worker) % 3);
+    }
+    for (auto& ms : s.machines) ms.cpu_util += 0.01 * static_cast<double>(i);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+TEST(StreamingFeatureExtractor, WrappedRingRowsMatchWorkerFeatures) {
+  FeatureConfig cfg;
+  StreamingFeatureExtractor fx(cfg, 3);
+  auto windows = varying_windows(10);  // the ring wraps three times
+  for (const auto& s : windows) fx.observe(s);
+  EXPECT_EQ(fx.windows_seen(), 10u);
+  EXPECT_EQ(fx.dim(), feature_dim(cfg));
+
+  tensor::Matrix out;
+  for (std::size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(fx.rows_of(w), 3u);
+    for (std::size_t len = 1; len <= 3; ++len) {
+      fx.sequence_into(w, len, out);
+      ASSERT_EQ(out.rows(), len);
+      ASSERT_EQ(out.cols(), fx.dim());
+      for (std::size_t t = 0; t < len; ++t) {
+        std::vector<double> expect = worker_features(windows[10 - len + t], w, cfg);
+        for (std::size_t c = 0; c < expect.size(); ++c) {
+          EXPECT_EQ(out(t, c), expect[c]) << "worker " << w << " len " << len << " row " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingFeatureExtractor, SequenceIntoRejectsMissingRows) {
+  StreamingFeatureExtractor fx(FeatureConfig{}, 3);
+  auto windows = varying_windows(10);
+  tensor::Matrix out;
+  // Worker 2 absent from the first window: its ring exists but is empty.
+  dsps::WindowSample first = windows[0];
+  first.workers.erase(first.workers.begin() + 2);
+  fx.observe(first);
+  EXPECT_THROW(fx.sequence_into(2, 1, out), std::invalid_argument);
+  EXPECT_THROW(fx.sequence_into(7, 1, out), std::invalid_argument);  // id never seen
+  fx.observe(windows[1]);
+  EXPECT_THROW(fx.sequence_into(0, 3, out), std::invalid_argument);  // 2 rows retained
+  for (std::size_t i = 2; i < windows.size(); ++i) fx.observe(windows[i]);
+  EXPECT_THROW(fx.sequence_into(0, 4, out), std::invalid_argument);  // above capacity
+  EXPECT_NO_THROW(fx.sequence_into(0, 3, out));
+}
+
+TEST(StreamingFeatureExtractor, ResetForgetsEverything) {
+  FeatureConfig cfg;
+  StreamingFeatureExtractor fx(cfg, 3);
+  auto windows = varying_windows(10);
+  for (const auto& s : windows) fx.observe(s);
+  fx.reset();
+  EXPECT_EQ(fx.windows_seen(), 0u);
+  EXPECT_EQ(fx.capacity(), 3u);
+  tensor::Matrix out;
+  for (std::size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(fx.rows_of(w), 0u);
+    EXPECT_THROW(fx.sequence_into(w, 1, out), std::invalid_argument);
+  }
+  // A fresh stream starts from its own first window.
+  fx.observe(windows[4]);
+  EXPECT_EQ(fx.rows_of(1), 1u);
+  EXPECT_THROW(fx.sequence_into(1, 2, out), std::invalid_argument);
+  fx.sequence_into(1, 1, out);
+  std::vector<double> expect = worker_features(windows[4], 1, cfg);
+  for (std::size_t c = 0; c < expect.size(); ++c) EXPECT_EQ(out(0, c), expect[c]);
+}
+
 }  // namespace
 }  // namespace repro::control

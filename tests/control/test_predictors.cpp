@@ -75,27 +75,34 @@ std::vector<dsps::WindowSample> four_worker_history(std::size_t n, std::uint64_t
   return hist;
 }
 
+void observe_all(PerformancePredictor& p, const std::vector<dsps::WindowSample>& hist) {
+  for (const auto& s : hist) p.observe(s);
+}
+
 TEST(ObservedPredictor, ReturnsLastValue) {
   auto hist = feature_driven_history(10, 1);
   ObservedPredictor p;
-  EXPECT_DOUBLE_EQ(p.predict_next(hist, 0), hist.back().workers[0].avg_proc_time);
-  EXPECT_DOUBLE_EQ(p.predict_next({}, 0), 0.0);
+  EXPECT_DOUBLE_EQ(p.predict_next(0), 0.0);
+  observe_all(p, hist);
+  EXPECT_DOUBLE_EQ(p.predict_next(0), hist.back().workers[0].avg_proc_time);
 }
 
 TEST(MovingAveragePredictor, AveragesTail) {
   auto hist = feature_driven_history(20, 2);
   MovingAverageWindowPredictor p(4);
+  observe_all(p, hist);
   double expected = 0.0;
   for (std::size_t i = 16; i < 20; ++i) expected += hist[i].workers[0].avg_proc_time;
   expected /= 4.0;
-  EXPECT_NEAR(p.predict_next(hist, 0), expected, 1e-15);
+  EXPECT_NEAR(p.predict_next(0), expected, 1e-15);
 }
 
 TEST(ArimaPredictor, TracksSeriesLevel) {
   auto hist = feature_driven_history(200, 3);
   ArimaPredictor p;
   p.fit(hist, {0});
-  double pred = p.predict_next(hist, 0);
+  observe_all(p, hist);
+  double pred = p.predict_next(0);
   double last = hist.back().workers[0].avg_proc_time;
   EXPECT_NEAR(pred, last, 0.5e-3);
   EXPECT_GT(pred, 0.0);
@@ -105,7 +112,8 @@ TEST(ArimaPredictor, ShortHistoryFallsBack) {
   auto hist = feature_driven_history(5, 4);
   ArimaPredictor p;
   p.fit(hist, {0});
-  EXPECT_DOUBLE_EQ(p.predict_next(hist, 0), hist.back().workers[0].avg_proc_time);
+  observe_all(p, hist);
+  EXPECT_DOUBLE_EQ(p.predict_next(0), hist.back().workers[0].avg_proc_time);
 }
 
 TEST(SvrPredictor, LearnsFeatureDrivenTarget) {
@@ -115,14 +123,15 @@ TEST(SvrPredictor, LearnsFeatureDrivenTarget) {
   SvrPredictor p(ds);
   std::vector<dsps::WindowSample> train(hist.begin(), hist.begin() + 200);
   p.fit(train, {0});
+  observe_all(p, train);
   // One-step predictions over the tail should beat predicting the mean.
   double err = 0.0, err_mean = 0.0;
   double mean = 0.0;
   for (std::size_t i = 0; i < 200; ++i) mean += hist[i].workers[0].avg_proc_time;
   mean /= 200.0;
   for (std::size_t i = 200; i + 1 < hist.size(); ++i) {
-    std::vector<dsps::WindowSample> prefix(hist.begin(), hist.begin() + i + 1);
-    double pred = p.predict_next(prefix, 0);
+    p.observe(hist[i]);
+    double pred = p.predict_next(0);
     double actual = hist[i + 1].workers[0].avg_proc_time;
     err += std::abs(pred - actual);
     err_mean += std::abs(mean - actual);
@@ -143,12 +152,13 @@ TEST(DrnnPredictor, BeatsNaiveOnFeatureDrivenTarget) {
   std::vector<dsps::WindowSample> train(hist.begin(), hist.begin() + 260);
   p.fit(train, {0});
   EXPECT_TRUE(p.trained());
+  observe_all(p, train);
 
   double err_drnn = 0.0, err_naive = 0.0;
   for (std::size_t i = 260; i + 1 < hist.size(); ++i) {
-    std::vector<dsps::WindowSample> prefix(hist.begin(), hist.begin() + i + 1);
+    p.observe(hist[i]);
     double actual = hist[i + 1].workers[0].avg_proc_time;
-    err_drnn += std::abs(p.predict_next(prefix, 0) - actual);
+    err_drnn += std::abs(p.predict_next(0) - actual);
     err_naive += std::abs(hist[i].workers[0].avg_proc_time - actual);
   }
   EXPECT_LT(err_drnn, err_naive);
@@ -156,8 +166,8 @@ TEST(DrnnPredictor, BeatsNaiveOnFeatureDrivenTarget) {
 
 TEST(DrnnPredictor, PredictBeforeFitThrows) {
   DrnnPredictor p{DrnnPredictorConfig{}};
-  auto hist = feature_driven_history(40, 8);
-  EXPECT_THROW(p.predict_next(hist, 0), std::logic_error);
+  observe_all(p, feature_driven_history(40, 8));
+  EXPECT_THROW(p.predict_next(0), std::logic_error);
 }
 
 TEST(DrnnPredictor, TooShortTraceThrows) {
@@ -175,7 +185,8 @@ TEST(DrnnPredictor, NonNegativePredictions) {
   cfg.train.epochs = 3;
   DrnnPredictor p(cfg);
   p.fit(hist, {0});
-  EXPECT_GE(p.predict_next(hist, 0), 0.0);
+  observe_all(p, hist);
+  EXPECT_GE(p.predict_next(0), 0.0);
 }
 
 TEST(MakePredictor, EveryRegisteredNameRoundTrips) {
@@ -205,34 +216,26 @@ TEST(MakePredictor, NamesRoundTrip) {
   EXPECT_EQ(make_predictor("ma")->name(), "MovingAvg");
 }
 
-// The streaming contract: feeding windows one-by-one through observe()
-// and asking predict_next(worker) must reproduce the legacy batch call
-// over the same history, for every registered predictor.
-TEST(StreamingPredictors, MatchLegacyBatchPath) {
+// stream_window() is all predict_next reads: a predictor fed a long run
+// must give the bits of one fed only the run's last stream_window()
+// windows. The accuracy harness and the controllers stream whole traces
+// and rely on this.
+TEST(StreamingPredictors, StreamWindowHoldsEverythingPredictNextReads) {
   auto hist = feature_driven_history(300, 11);
+  const std::vector<dsps::WindowSample> head(hist.begin(), hist.begin() + 64);  // cheap fits
   for (const std::string& name : predictor_names()) {
-    if (name == "drnn" || name == "drnn-lstm" || name == "drnn-gru") continue;  // below
-    auto batch = make_predictor(name, 21);
-    auto stream = make_predictor(name, 21);
-    batch->fit(hist, {0});
-    stream->fit(hist, {0});
-    for (const auto& s : hist) stream->observe(s);
-    EXPECT_EQ(stream->observed_windows(), hist.size()) << name;
-    double expect = batch->predict_next(hist, 0);
-    double got = stream->predict_next(0);
-    EXPECT_DOUBLE_EQ(got, expect) << name;
-  }
-}
+    auto p = make_predictor(name, 21);
+    p->fit(head, {0});
+    observe_all(*p, hist);
+    EXPECT_EQ(p->observed_windows(), hist.size()) << name;
+    const double full = p->predict_next(0);
 
-TEST(StreamingPredictors, DrnnStreamingIsBitIdentical) {
-  auto hist = feature_driven_history(160, 12);
-  DrnnPredictorConfig cfg;
-  cfg.train.epochs = 4;  // cheap fit: we compare predict paths, not skill
-  DrnnPredictor batch(cfg), stream(cfg);
-  batch.fit(hist, {0});
-  stream.fit(hist, {0});
-  for (const auto& s : hist) stream.observe(s);
-  EXPECT_DOUBLE_EQ(stream.predict_next(0), batch.predict_next(hist, 0));
+    const std::size_t window = p->stream_window();
+    ASSERT_LT(window, hist.size()) << name;  // or the two streams are the same
+    p->reset_stream();
+    for (std::size_t i = hist.size() - window; i < hist.size(); ++i) p->observe(hist[i]);
+    EXPECT_EQ(p->predict_next(0), full) << name;
+  }
 }
 
 // A control round asks for all of an edge's workers in one call; each

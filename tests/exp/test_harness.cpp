@@ -2,6 +2,9 @@
 // path is covered by the benches and control tests).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "control/features.hpp"
 #include "exp/accuracy.hpp"
 #include "exp/reliability.hpp"
 #include "exp/scenarios.hpp"
@@ -64,6 +67,73 @@ TEST(Accuracy, TooShortTraceThrows) {
   std::vector<dsps::WindowSample> tiny(4);
   AccuracyOptions opt;
   EXPECT_THROW(evaluate_accuracy(tiny, opt), std::invalid_argument);
+}
+
+TEST(Accuracy, RejectsBadOptions) {
+  auto trace = collect_trace(harness_spec(15, 80.0));
+  AccuracyOptions ok;
+  ok.models = {"observed"};
+  ok.seq_len = 8;
+  ASSERT_NO_THROW(evaluate_accuracy(trace, ok));
+
+  auto expect_rejected = [&trace](AccuracyOptions opt, const std::string& field) {
+    try {
+      evaluate_accuracy(trace, opt);
+      ADD_FAILURE() << "accepted bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (double fraction : {0.0, 1.0, 1.5, -0.2, std::nan("")}) {
+    AccuracyOptions opt = ok;
+    opt.train_fraction = fraction;
+    expect_rejected(opt, "train_fraction");
+  }
+  AccuracyOptions opt = ok;
+  opt.horizon = 0;
+  expect_rejected(opt, "horizon");
+  opt = ok;
+  opt.seq_len = 0;
+  expect_rejected(opt, "seq_len");
+  // A split that leaves the last windows to the head: no window to score.
+  opt = ok;
+  opt.train_fraction = 0.99;
+  opt.horizon = 4;
+  expect_rejected(opt, "no test window");
+}
+
+// The streaming loop's alignment, checked against the trace itself: the
+// forecast made after windows [0, p) targets window p + h - 1; observed
+// predicts window p - 1 and the moving average the mean of p - 8 .. p - 1.
+TEST(Accuracy, TeacherForcingAlignment) {
+  auto trace = collect_trace(harness_spec(13, 120.0));
+  const std::vector<std::size_t> workers = active_workers(trace);
+  const std::size_t cut = static_cast<std::size_t>(static_cast<double>(trace.size()) * 0.7);
+  for (std::size_t h : {1u, 4u}) {
+    std::vector<double> actual, observed, ma;
+    for (std::size_t p = cut; p + h <= trace.size(); ++p) {
+      for (std::size_t w : workers) {
+        actual.push_back(control::worker_target(trace[p + h - 1], w));
+        observed.push_back(control::worker_target(trace[p - 1], w));
+        double sum = 0.0;
+        for (std::size_t i = p - 8; i < p; ++i) sum += control::worker_target(trace[i], w);
+        ma.push_back(sum / 8.0);
+      }
+    }
+    AccuracyOptions opt;
+    opt.models = {"observed", "ma"};
+    opt.seq_len = 8;
+    opt.horizon = h;
+    auto result = evaluate_accuracy(trace, opt);
+    ASSERT_EQ(result.models.size(), 2u);
+    const common::ErrorMetrics expect[] = {common::compute_errors(actual, observed),
+                                           common::compute_errors(actual, ma)};
+    for (std::size_t m = 0; m < 2; ++m) {
+      EXPECT_EQ(result.models[m].errors.n, expect[m].n) << opt.models[m] << " h=" << h;
+      EXPECT_EQ(result.models[m].errors.mae, expect[m].mae) << opt.models[m] << " h=" << h;
+      EXPECT_EQ(result.models[m].errors.rmse, expect[m].rmse) << opt.models[m] << " h=" << h;
+    }
+  }
 }
 
 TEST(Reliability, StockDegradesFrameworkOracleRecovers) {
