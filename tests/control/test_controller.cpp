@@ -235,7 +235,9 @@ TEST_F(ControllerFixture, OracleBypassesInjectedSlowdown) {
   auto [lo, hi] = engine.tasks_of("work");
   const auto& weights = ratio->weights();
   for (std::size_t t = lo; t < hi; ++t) {
-    if (engine.worker_of_task(t) == victim) EXPECT_LT(weights[t - lo], 0.05);
+    if (engine.worker_of_task(t) == victim) {
+      EXPECT_LT(weights[t - lo], 0.05);
+    }
   }
 }
 

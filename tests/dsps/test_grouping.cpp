@@ -160,8 +160,12 @@ TEST(DynamicGrouping, SmoothInterleaving) {
   for (int i = 0; i < 300; ++i) {
     g.select(key_tuple("x"), out);
     run = out[0] == prev ? run + 1 : 1;
-    if (out[0] == 0) EXPECT_LE(run, 2u);
-    if (out[0] == 1) EXPECT_LE(run, 1u);
+    if (out[0] == 0) {
+      EXPECT_LE(run, 2u);
+    }
+    if (out[0] == 1) {
+      EXPECT_LE(run, 1u);
+    }
     prev = out[0];
   }
 }

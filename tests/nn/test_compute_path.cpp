@@ -15,12 +15,9 @@
 //     allocations
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -28,31 +25,8 @@
 #include "nn/gru.hpp"
 #include "nn/lstm.hpp"
 #include "nn/trainer.hpp"
+#include "support/alloc_counter.hpp"
 #include "tensor/ops.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation-counting hook: every global new/delete in this test binary is
-// counted while `g_count_allocs` is set. Used to assert the zero-allocation
-// property of the steady-state training loop.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<long long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace repro::nn {
 namespace {

@@ -2,37 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-
-// Allocation-counting hook: every global new in this test binary is counted
-// while `g_count_allocs` is set (the pattern of tests/nn/test_compute_path.cpp).
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<long long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size);
-  if (!p) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.hpp"
 
 namespace repro::sim {
 namespace {
